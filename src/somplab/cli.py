@@ -218,6 +218,16 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InvalidConfig(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -256,8 +266,8 @@ def _load_config(path: str):
     b_mode = pert.get("b_mode", "gaussian")
     if b_mode not in B_MODES:
         raise InvalidConfig(f"unknown b_mode {b_mode!r}")
-    eps0_levels = [float(v) for v in (eps0 if isinstance(eps0, list) else [eps0])]
-    epsb_levels = [float(v) for v in (epsb if isinstance(epsb, list) else [epsb])]
+    eps0_levels = [_finite(v, "'eps0'") for v in (eps0 if isinstance(eps0, list) else [eps0])]
+    epsb_levels = [_finite(v, "'epsb'") for v in (epsb if isinstance(epsb, list) else [epsb])]
     if not eps0_levels or not epsb_levels:
         raise InvalidConfig("perturbation level lists must be nonempty")
 
@@ -265,25 +275,28 @@ def _load_config(path: str):
     if not isinstance(checks_raw, dict):
         raise InvalidConfig("'checks' must be an object")
     _reject_unknown(checks_raw, _CHECK_KEYS, "checks")
-    checks = TrialChecks(**{k: bool(v) for k, v in checks_raw.items()})
+    for key, value in checks_raw.items():
+        if not isinstance(value, bool):
+            raise InvalidConfig(f"'checks.{key}' must be true or false, got {value!r}")
+    checks = TrialChecks(**checks_raw)
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise InvalidConfig("'solver' must be an object")
     _reject_unknown(solver_raw, _SOLVER_KEYS, "solver")
-    opts = SolverOptions(**{k: float(v) for k, v in solver_raw.items()})
+    opts = SolverOptions(**{k: _finite(v, f"'solver.{k}'") for k, v in solver_raw.items()})
 
     mode = raw.get("mode", "general")
     if mode not in MODES:
         raise InvalidConfig(f"unknown mode {mode!r}")
     trials = _require(raw, "trials", "config")
     master_seed = _require(raw, "master_seed", "config")
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise InvalidConfig("'trials' must be a positive integer")
-    if not isinstance(master_seed, int) or master_seed < 0:
+    if not _is_int(master_seed) or master_seed < 0:
         raise InvalidConfig("'master_seed' must be a nonnegative integer")
     subset_budget = raw.get("subset_budget", DEFAULT_SUBSET_BUDGET)
-    if not isinstance(subset_budget, int) or subset_budget < 1:
+    if not _is_int(subset_budget) or subset_budget < 1:
         raise InvalidConfig("'subset_budget' must be a positive integer")
     return dict(cfg=cfg, eps0_levels=eps0_levels, epsb_levels=epsb_levels,
                 trials=trials, master_seed=master_seed, checks=checks,

@@ -60,7 +60,3 @@ class ParseError(SomplabError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
-
-
-class GuaranteeViolation(SomplabError):
-    """A trial satisfied the recovery condition yet failed to recover."""

@@ -445,21 +445,24 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
         raise PreconditionViolated("need at least one trial per point")
     all_records: list[TrialRecord] = []
     points: list[PointSummary] = []
-    shared_delta: RicEstimate | None = None
-    if checks.ric and cfg.matrix_ensemble == "user-supplied":
-        # one matrix for every trial: enumerate once
-        shared_delta = ric_exact(cfg.matrix, cfg.k + 1, subset_budget)
+    # Exact constants of the clean matrices, enumerated once per sweep:
+    # every point reuses trial t's matrix, and a user-supplied matrix is
+    # shared by all trials.
+    deltas: dict[int, RicEstimate] = {}
     for e0 in eps0_levels:
         for eb in epsb_levels:
             recs = []
             for t in range(trials):
                 iseed, pseed = trial_seeds(master_seed, t)
                 tcfg = replace(cfg, seed=iseed)
+                key = 0 if cfg.matrix_ensemble == "user-supplied" else t
+                if checks.ric and key not in deltas:
+                    deltas[key] = ric_exact(gen_sensing_matrix(tcfg), cfg.k + 1, subset_budget)
                 tpert = PerturbationSpec(target_eps0=e0, target_epsb=eb,
                                          seed=pseed, b_mode=b_mode)
                 recs.append(run_trial(tcfg, tpert, checks=checks, mode=mode,
                                       subset_budget=subset_budget,
-                                      delta=shared_delta, opts=opts))
+                                      delta=deltas.get(key), opts=opts))
             points.append(_summarize(e0, eb, recs))
             all_records.extend(recs)
 

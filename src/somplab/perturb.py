@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +22,12 @@ from .errors import (
     ZeroReference,
 )
 from .model import as_matrix
-from .rip import DEFAULT_SUBSET_BUDGET, PerturbationLevels, measure_perturbation_levels
+from .rip import (
+    DEFAULT_SUBSET_BUDGET,
+    PerturbationLevels,
+    column_subsets,
+    measure_perturbation_levels,
+)
 
 ENSEMBLES = ("gaussian", "identity-embedded", "user-supplied")
 B_MODES = ("gaussian", "column-skewed")
@@ -261,7 +265,7 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
     rng = _rng(seed, _FRAME_STREAM)
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=0, keepdims=True)
-    idx = np.asarray(list(combinations(range(n), order)), dtype=np.intp)
+    idx = column_subsets(n, order)
 
     def deviations(M):
         G = M.T @ M

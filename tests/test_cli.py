@@ -309,3 +309,31 @@ def test_user_supplied_matrix_in_config(tmp_path, capsys):
     deltas = {line.split("\t")[9] for line in text.splitlines()
               if line and line[0].isdigit()}
     assert len(deltas) == 1
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"checks": {"ric": "false"}}, "checks.ric"),
+    ({"checks": {"guarantee": 0}}, "checks.guarantee"),
+    ({"checks": {"filter_proximity": None}}, "checks.filter_proximity"),
+    ({"trials": True}, "trials"),
+    ({"master_seed": True}, "master_seed"),
+    ({"subset_budget": True}, "subset_budget"),
+    ({"trials": 2.0}, "trials"),
+    ({"perturbation": {"eps0": "abc"}}, "eps0"),
+    ({"perturbation": {"eps0": True}}, "eps0"),
+    ({"perturbation": {"epsb": [1e-3, "2e-3"]}}, "epsb"),
+    ({"perturbation": {"epsb": float("nan")}}, "epsb"),
+    ({"perturbation": {"epsb": float("inf")}}, "epsb"),
+    ({"solver": {"rank_tol": "tiny"}}, "solver.rank_tol"),
+])
+def test_experiment_rejects_mistyped_fields(tmp_path, capsys, overrides, where):
+    cfg_path = _config(tmp_path, **overrides)
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert where in capsys.readouterr().err
+
+
+def test_experiment_reads_false_checks_as_false(tmp_path, capsys):
+    cfg_path = _config(tmp_path, trials=1,
+                       checks={"ric": False, "guarantee": False, "selected_scores": False})
+    assert main(["experiment", "--config", str(cfg_path)]) == 0
+    assert "# checks: ric=0 guarantee=0 selected_scores=0" in capsys.readouterr().out

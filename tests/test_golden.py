@@ -1,0 +1,152 @@
+"""Behaviour lock: sweeps compared against reports checked in under golden/.
+
+The files in ``tests/golden/`` were rendered by the code before the
+pruned isometry kernel and the per-sweep enumeration memo landed, with
+``python tests/test_golden.py`` (which rewrites them from whatever
+``somplab`` it imports).  One case is a Gaussian sweep with default
+checks; the other sweeps a user-supplied low-coherence frame with both
+filter diagnostics on, so guarantees pass there.
+
+Discrete report fields (verdicts, flags, seeds, stop reasons, the red
+alert) and the exact-isometry witness subsets must match exactly.
+Floats are compared at a relative tolerance of 1e-9, so a different
+BLAS rounding order does not fail the lock while a changed computation
+does.
+"""
+
+import json
+import math
+import re
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FRAME_FILE = "frame_20x25.txt"
+
+CASES = {
+    "gaussian_sweep": {
+        "instance": {"m": 16, "n": 24, "L": 3, "k": 2, "signal_row_norm_min": 1.0},
+        "perturbation": {"eps0": [1e-4, 1e-3], "epsb": [1e-3]},
+        "trials": 4,
+        "master_seed": 5,
+    },
+    "frame_sweep": {
+        "instance": {"m": 20, "n": 25, "L": 3, "k": 2, "signal_row_norm_min": 1.0,
+                     "ensemble": "user-supplied", "matrix": FRAME_FILE},
+        "perturbation": {"eps0": [1e-4], "epsb": [5e-4, 2e-2]},
+        "checks": {"filter_proximity": True, "filter_deviation": True},
+        "trials": 4,
+        "master_seed": 23,
+    },
+}
+
+_FLOAT = re.compile(r"^-?(\d+\.\d*|\d*\.\d+|\d+)(e[-+]?\d+)?$|^-?\d+e[-+]?\d+$")
+
+
+def _write_config(case: str, directory: Path) -> Path:
+    raw = json.loads(json.dumps(CASES[case]))
+    inst = raw["instance"]
+    if "matrix" in inst:
+        inst["matrix"] = str(GOLDEN / inst["matrix"])
+    path = directory / f"{case}.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def _witness_lines(case: str) -> list[str]:
+    """Exact constant and witness of every distinct clean sensing matrix."""
+    from somplab import InstanceConfig, gen_sensing_matrix, read_matrix, ric_exact, trial_seeds
+
+    raw = CASES[case]
+    inst = raw["instance"]
+    order = inst["k"] + 1
+    if inst.get("ensemble") == "user-supplied":
+        mats = [read_matrix(GOLDEN / inst["matrix"])]
+    else:
+        cfg = InstanceConfig(m=inst["m"], n=inst["n"], L=inst["L"], k=inst["k"])
+        mats = [gen_sensing_matrix(replace(cfg, seed=trial_seeds(raw["master_seed"], t)[0]))
+                for t in range(raw["trials"])]
+    lines = []
+    for i, A in enumerate(mats):
+        est = ric_exact(A, order)
+        lines.append(f"{i}\t{est.delta!r}\t{','.join(map(str, est.witness_subset))}")
+    return lines
+
+
+def _render(case: str, directory: Path) -> str:
+    from somplab.cli import main
+
+    out = directory / f"{case}.report.txt"
+    code = main(["experiment", "--config", str(_write_config(case, directory)),
+                 "--out", str(out)])
+    assert code == 0
+    return out.read_text(encoding="utf-8")
+
+
+def _tokens(line: str) -> list[str]:
+    return [t for t in re.split(r"[\t =]", line) if t]
+
+
+def _same_token(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    if not (_FLOAT.match(got) and _FLOAT.match(want)) or "." not in got + want:
+        return False  # integers, flags and words compare exactly
+    return math.isclose(float(got), float(want), rel_tol=1e-9, abs_tol=0.0)
+
+
+def _assert_matches(got_text: str, want_text: str) -> None:
+    got, want = got_text.splitlines(), want_text.splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        gt, wt = _tokens(g), _tokens(w)
+        assert len(gt) == len(wt), (g, w)
+        bad = [(a, b) for a, b in zip(gt, wt) if not _same_token(a, b)]
+        assert not bad, (bad, w)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, tmp_path, capsys):
+    got = _render(case, tmp_path)
+    capsys.readouterr()
+    _assert_matches(got, (GOLDEN / f"{case}.report.txt").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_witnesses_match_golden(case):
+    want = (GOLDEN / f"{case}.witness.txt").read_text(encoding="utf-8").splitlines()
+    got = _witness_lines(case)
+    assert [line.rsplit("\t", 1)[1] for line in got] == [line.rsplit("\t", 1)[1] for line in want]
+    _assert_matches("\n".join(got), "\n".join(want))
+
+
+def test_comparison_is_strict_on_discrete_fields():
+    row = "0\t1\t42\t7\t0.0001\t0.001\t0.5\tfail\t1\t-"
+    _assert_matches(row.replace("0.5", "0.5000000000001"), row)
+    for changed in (row.replace("fail", "pass"), row.replace("\t42\t", "\t43\t"),
+                    row.replace("0.5", "0.50001"), row.replace("\t-", "\tzero-residual")):
+        with pytest.raises(AssertionError):
+            _assert_matches(changed, row)
+
+
+def regenerate() -> None:
+    """Rewrite every golden file from the importable somplab."""
+    import tempfile
+
+    from somplab import low_coherence_frame, write_matrix
+
+    GOLDEN.mkdir(exist_ok=True)
+    write_matrix(GOLDEN / FRAME_FILE, low_coherence_frame(20, 25, seed=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            (GOLDEN / f"{case}.report.txt").write_text(_render(case, Path(tmp)),
+                                                       encoding="utf-8")
+            (GOLDEN / f"{case}.witness.txt").write_text(
+                "".join(line + "\n" for line in _witness_lines(case)), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -252,3 +252,40 @@ def test_render_report_mentions_unsatisfiable_verdicts():
     rec = run_trial(cfg, PerturbationSpec(target_epsb=10.0, seed=1))
     assert rec.guarantee == "unsat"
     assert rec.error_bound is not None and math.isfinite(rec.error_bound)
+
+
+def _count_ric_calls(monkeypatch):
+    import somplab.harness as harness_mod
+
+    calls = []
+    real = harness_mod.ric_exact
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "ric_exact", counted)
+    return calls
+
+
+def test_run_experiment_enumerates_each_matrix_once(monkeypatch):
+    # 3 points x 4 trials: one enumeration per distinct clean matrix
+    calls = _count_ric_calls(monkeypatch)
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    rep = run_experiment(cfg, [1e-4, 1e-3, 1e-2], [1e-3], trials=4, master_seed=55)
+    assert calls == [3] * 4
+    for t in range(4):
+        deltas = {rep.records[p * 4 + t].delta for p in range(3)}
+        assert len(deltas) == 1
+
+    calls.clear()
+    Phi = gen_sensing_matrix(cfg)
+    shared = InstanceConfig(m=16, n=24, L=2, k=2, seed=0,
+                            matrix_ensemble="user-supplied", matrix=Phi)
+    run_experiment(shared, [1e-4, 1e-3], [1e-3], trials=3, master_seed=55)
+    assert calls == [3]
+
+    calls.clear()
+    run_experiment(cfg, [1e-4, 1e-3], [1e-3], trials=3, master_seed=55,
+                   checks=TrialChecks(ric=False, guarantee=False))
+    assert calls == []

@@ -1,8 +1,11 @@
 """Isometry-constant machinery against independent oracles.
 
-The production path batches eigendecompositions of subset Gram
-matrices; the oracle here walks every subset one at a time through an
-SVD, so agreement is meaningful.
+The production path skips every subset whose Gershgorin bound proves it
+cannot reach the extreme value and eigendecomposes only the rest.  Two
+oracles check it.  One walks every subset through an SVD, so agreement
+to 1e-10 is meaningful.  The other eigendecomposes every subset Gram
+matrix in one batch, which is what the kernel computed before pruning;
+the pruned kernel must reproduce its float and its witness exactly.
 """
 
 import itertools
@@ -25,6 +28,7 @@ from somplab import (
     selected_span_projector,
     submatrix_spectral_norm,
 )
+from somplab import rip
 
 
 def _rng(seed):
@@ -43,6 +47,83 @@ def _ric_oracle(A, order):
         s = np.linalg.svd(A[:, sub], compute_uv=False)
         worst = max(worst, s[0] ** 2 - 1.0, 1.0 - s[-1] ** 2)
     return worst
+
+
+def _batched_reference(A, order):
+    # every subset, one batched eigendecomposition, first maximiser wins
+    A = np.asarray(A, dtype=float)
+    gram = A.T @ A
+    idx = np.array(list(itertools.combinations(range(A.shape[1]), order)))
+    w = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+    dev = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+    j = int(np.argmax(dev))
+    return float(dev[j]), tuple(int(i) for i in idx[j]), math.sqrt(max(float(w[:, -1].max()), 0.0))
+
+
+def _reference_cases():
+    g = _unit_columns(9, 13, 40)
+    dup = _unit_columns(8, 12, 41)
+    dup[:, 7] = dup[:, 2]
+    dup[:, 9] = dup[:, 2]
+    zero = _unit_columns(8, 12, 42)
+    zero[:, 5] = 0.0
+    big = _unit_columns(8, 12, 43)
+    big[:, 3] *= 1e6
+    small = _unit_columns(8, 12, 44)
+    small[:, 6] *= 1e-6
+    cases = {
+        "gaussian": g,
+        "gaussian-unnormalised": _rng(45).standard_normal((7, 12)),
+        "coherent-pair": coherent_pair_matrix(11, 0.4),
+        "identity": np.eye(9),
+        "duplicated-columns": dup,
+        "zero-column": zero,
+        "column-scaled-1e6": big,
+        "column-scaled-1e-6": small,
+        "all-scaled-1e6": g * 1e6,
+        "all-scaled-1e-6": g * 1e-6,
+    }
+    for seed in range(12):
+        g = _rng(200 + seed)
+        m, n = int(g.integers(3, 12)), int(g.integers(6, 14))
+        cases[f"random-{seed}"] = g.standard_normal((m, n)) / math.sqrt(m)
+        cases[f"quantised-{seed}"] = g.integers(-1, 2, size=(m, n)) / 2.0
+    return cases
+
+
+@pytest.mark.parametrize("probe", [1, 64])
+@pytest.mark.parametrize("name", sorted(_reference_cases()))
+def test_pruned_kernel_matches_exhaustive_batched_reference(name, probe, monkeypatch):
+    # a first batch of one subset spreads ties over many batches
+    monkeypatch.setattr(rip, "_PROBE", probe)
+    A = _reference_cases()[name]
+    for order in range(1, min(A.shape[1], 5) + 1):
+        delta, witness, norm = _batched_reference(A, order)
+        est = ric_exact(A, order)
+        assert est.delta == delta
+        assert est.witness_subset == witness
+        assert est.subsets_examined == math.comb(A.shape[1], order)
+        assert submatrix_spectral_norm(A, order) == norm
+
+
+def test_ties_resolve_to_the_lexicographically_first_subset():
+    # every subset holding the coherent pair attains rho
+    est = ric_exact(coherent_pair_matrix(10, 0.3), 3)
+    assert est.witness_subset == (0, 1, 2)
+    for order in (1, 2, 4, 6):
+        est = ric_exact(np.eye(8), order)
+        assert est.delta == 0.0
+        assert est.witness_subset == tuple(range(order))
+
+
+def test_column_subsets_match_itertools():
+    for n in range(1, 12):
+        for order in range(1, n + 1):
+            table = rip.column_subsets(n, order)
+            want = np.array(list(itertools.combinations(range(n), order)))
+            assert table.dtype == np.uint8
+            assert np.array_equal(table, want), (n, order)
+    assert rip.column_subsets(300, 1).dtype == np.uint16
 
 
 def test_exact_constant_matches_per_subset_svd_oracle():
@@ -117,6 +198,15 @@ def test_validation_and_budget():
         ric_exact(A, 11)
     with pytest.raises(SubsetBudgetExceeded):
         ric_exact(A, 5, subset_budget=100)
+
+
+def test_overflowing_gram_is_rejected():
+    A = _unit_columns(6, 8, 46) * 1e200
+    with np.errstate(over="ignore"):
+        with pytest.raises(PreconditionViolated):
+            ric_exact(A, 2)
+        with pytest.raises(PreconditionViolated):
+            submatrix_spectral_norm(A, 2)
 
 
 def test_submatrix_spectral_norm_small_case():
