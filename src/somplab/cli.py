@@ -10,11 +10,9 @@ produced a trial whose passed guarantee was violated).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
-
-import numpy as np
 
 from .errors import InvalidConfig, ParseError, SomplabError
 from .guarantees import MODES, check_guarantee
@@ -196,120 +194,115 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-_INSTANCE_KEYS = {"m", "n", "L", "k", "ensemble", "signal_row_norm_min",
-                  "embed_overlap", "matrix"}
-_PERTURBATION_KEYS = {"eps0", "epsb", "b_mode"}
-_CHECK_KEYS = {"ric", "guarantee", "selected_scores", "filter_proximity",
-               "filter_deviation"}
-_SOLVER_KEYS = {"residual_stop_tol", "rank_tol"}
-_TOP_KEYS = {"instance", "perturbation", "trials", "master_seed", "mode",
-             "checks", "subset_budget", "solver"}
+_REQUIRED = object()   # default of a key that the config must give
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def _kind(test, want: str, convert=None):
+    """A kind of config value: one that passes ``test`` is accepted (and
+    converted); any other is an InvalidConfig naming the dotted key."""
+    def check(value, where):
+        if not test(value):
+            raise InvalidConfig(f"{where!r} must be {want}, got {value!r}")
+        return convert(value) if convert else value
+    return check
+
+
+def _integer(lo: int):
+    return _kind(lambda v: type(v) is int and v >= lo, f"an integer >= {lo}")
+
+
+def _number(lo: float):
+    # the upper comparison also rejects NaN, infinities and ints beyond float range
+    return _kind(lambda v: type(v) in (int, float) and lo <= v <= sys.float_info.max,
+                 f"a finite number >= {lo}", float)
+
+
+def _one_of(choices: tuple[str, ...]):
+    return _kind(lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
+_BOOLEAN = _kind(lambda v: type(v) is bool, "true or false")
+_PATH = _kind(lambda v: type(v) is str and v != "", "a path string")
+
+
+def _level(value, where):
+    """A perturbation level: one number, or a nonempty list of sweep levels."""
+    if value == []:
+        raise InvalidConfig(f"{where!r} must be a number or a nonempty list of numbers")
+    return [_number(0.0)(v, where) for v in (value if type(value) is list else [value])]
+
+
+def _walk(table: dict, raw, where: str) -> dict:
+    """Check ``raw`` against ``table`` and fill in the defaults.  An
+    unknown key, a missing required key and a value of the wrong kind
+    each raise InvalidConfig."""
+    name = where or "config"
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{name} must be a JSON object")
+    unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise InvalidConfig(f"unknown key {unknown[0]!r} in {where}")
+        raise InvalidConfig(f"unknown key {unknown[0]!r} in {name}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key not in raw and default is _REQUIRED:
+            raise InvalidConfig(f"missing key {key!r} in {name}")
+        value = raw.get(key, default)
+        dotted = f"{where}.{key}" if where else key
+        if isinstance(kind, dict):   # a nested section, walked even when absent
+            out[key] = _walk(kind, value, dotted)
+        else:
+            out[key] = kind(value, dotted) if key in raw else value
+    return out
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise InvalidConfig(f"missing key {key!r} in {where}")
-    return d[key]
+# Every key an experiment config may hold: key -> (kind, default), where a
+# kind is a check above or, for a nested section, its own table.
+_CONFIG = {
+    "instance": ({
+        **{size: (_integer(1), _REQUIRED) for size in ("m", "n", "L", "k")},
+        "ensemble": (_one_of(ENSEMBLES), "gaussian"),
+        "matrix": (_PATH, None),
+        "signal_row_norm_min": (_number(0.0), 0.0),
+        "embed_overlap": (_number(0.0), 0.5),
+    }, _REQUIRED),
+    "perturbation": ({
+        "eps0": (_level, 0.0),
+        "epsb": (_level, 0.0),
+        "b_mode": (_one_of(B_MODES), "gaussian"),
+    }, {}),
+    "trials": (_integer(1), _REQUIRED),
+    "master_seed": (_integer(0), _REQUIRED),
+    "mode": (_one_of(MODES), "general"),
+    "subset_budget": (_integer(1), DEFAULT_SUBSET_BUDGET),
+    "checks": ({f.name: (_BOOLEAN, f.default) for f in dataclasses.fields(TrialChecks)}, {}),
+    "solver": ({f.name: (_number(0.0), f.default) for f in dataclasses.fields(SolverOptions)}, {}),
+}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InvalidConfig(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _load_config(path: str):
+def _load_config(path: str) -> dict:
+    """Read an experiment config into the keyword arguments of run_experiment."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also a file that is not UTF-8
         raise InvalidConfig(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InvalidConfig("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    inst = _require(raw, "instance", "config")
-    if not isinstance(inst, dict):
-        raise InvalidConfig("'instance' must be an object")
-    _reject_unknown(inst, _INSTANCE_KEYS, "instance")
-    ensemble = inst.get("ensemble", "gaussian")
-    if ensemble not in ENSEMBLES:
-        raise InvalidConfig(f"unknown ensemble {ensemble!r}")
-    matrix = None
-    if "matrix" in inst:
+    conf = _walk(_CONFIG, raw, "")
+    inst = dict(conf["instance"])
+    ensemble, matrix = inst.pop("ensemble"), inst.pop("matrix")
+    if matrix is not None:
         if ensemble != "user-supplied":
-            raise InvalidConfig("'matrix' requires ensemble 'user-supplied'")
-        matrix = read_matrix(inst["matrix"])
-    cfg = InstanceConfig(
-        m=_require(inst, "m", "instance"), n=_require(inst, "n", "instance"),
-        L=_require(inst, "L", "instance"), k=_require(inst, "k", "instance"),
-        signal_row_norm_min=inst.get("signal_row_norm_min", 0.0),
-        matrix_ensemble=ensemble, matrix=matrix,
-        embed_overlap=inst.get("embed_overlap", 0.5))
-
-    pert = raw.get("perturbation", {})
-    if not isinstance(pert, dict):
-        raise InvalidConfig("'perturbation' must be an object")
-    _reject_unknown(pert, _PERTURBATION_KEYS, "perturbation")
-    eps0 = pert.get("eps0", 0.0)
-    epsb = pert.get("epsb", 0.0)
-    b_mode = pert.get("b_mode", "gaussian")
-    if b_mode not in B_MODES:
-        raise InvalidConfig(f"unknown b_mode {b_mode!r}")
-    eps0_levels = [_finite(v, "'eps0'") for v in (eps0 if isinstance(eps0, list) else [eps0])]
-    epsb_levels = [_finite(v, "'epsb'") for v in (epsb if isinstance(epsb, list) else [epsb])]
-    if not eps0_levels or not epsb_levels:
-        raise InvalidConfig("perturbation level lists must be nonempty")
-
-    checks_raw = raw.get("checks", {})
-    if not isinstance(checks_raw, dict):
-        raise InvalidConfig("'checks' must be an object")
-    _reject_unknown(checks_raw, _CHECK_KEYS, "checks")
-    for key, value in checks_raw.items():
-        if not isinstance(value, bool):
-            raise InvalidConfig(f"'checks.{key}' must be true or false, got {value!r}")
-    checks = TrialChecks(**checks_raw)
-
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise InvalidConfig("'solver' must be an object")
-    _reject_unknown(solver_raw, _SOLVER_KEYS, "solver")
-    opts = SolverOptions(**{k: _finite(v, f"'solver.{k}'") for k, v in solver_raw.items()})
-
-    mode = raw.get("mode", "general")
-    if mode not in MODES:
-        raise InvalidConfig(f"unknown mode {mode!r}")
-    trials = _require(raw, "trials", "config")
-    master_seed = _require(raw, "master_seed", "config")
-    if not _is_int(trials) or trials < 1:
-        raise InvalidConfig("'trials' must be a positive integer")
-    if not _is_int(master_seed) or master_seed < 0:
-        raise InvalidConfig("'master_seed' must be a nonnegative integer")
-    subset_budget = raw.get("subset_budget", DEFAULT_SUBSET_BUDGET)
-    if not _is_int(subset_budget) or subset_budget < 1:
-        raise InvalidConfig("'subset_budget' must be a positive integer")
-    return dict(cfg=cfg, eps0_levels=eps0_levels, epsb_levels=epsb_levels,
-                trials=trials, master_seed=master_seed, checks=checks,
-                mode=mode, b_mode=b_mode, subset_budget=subset_budget, opts=opts)
+            raise InvalidConfig("'instance.matrix' requires ensemble 'user-supplied'")
+        matrix = read_matrix(matrix)
+    pert = conf["perturbation"]
+    return dict(cfg=InstanceConfig(**inst, matrix_ensemble=ensemble, matrix=matrix),
+                eps0_levels=pert["eps0"], epsb_levels=pert["epsb"], b_mode=pert["b_mode"],
+                trials=conf["trials"], master_seed=conf["master_seed"], mode=conf["mode"],
+                subset_budget=conf["subset_budget"], checks=TrialChecks(**conf["checks"]),
+                opts=SolverOptions(**conf["solver"]))
 
 
 def _cmd_experiment(args) -> int:
-    parsed = _load_config(args.config)
-    report = run_experiment(
-        parsed["cfg"], parsed["eps0_levels"], parsed["epsb_levels"],
-        parsed["trials"], parsed["master_seed"], checks=parsed["checks"],
-        mode=parsed["mode"], b_mode=parsed["b_mode"],
-        subset_budget=parsed["subset_budget"], opts=parsed["opts"])
+    report = run_experiment(**_load_config(args.config))
     text = render_report(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

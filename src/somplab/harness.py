@@ -17,13 +17,12 @@ times, which keeps a rerun byte-identical.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidOrder, PreconditionViolated, TraceMismatch
-from .guarantees import GuaranteeReport, check_guarantee, perturbation_magnitude_for_mode
+from .guarantees import GuaranteeReport, check_guarantee
 from .model import (
     as_matrix,
     as_support,
@@ -108,7 +107,6 @@ class TrialRecord:
     filter_proximity_ok: bool | None
     filter_deviation_ok: bool | None
     stop: str                         # "-" or the early-stop reason
-    wall_time_s: float                # never serialized: reports must be reproducible
 
 
 def selected_scores_vanish(trace: IterationTrace, rel_tol: float = _SCORE_VANISH_TOL) -> bool:
@@ -268,7 +266,6 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
     and used instead of re-enumerating.  A failing step raises with
     context; nothing is skipped silently.
     """
-    started = time.perf_counter()
     Phi = gen_sensing_matrix(cfg)
     X = gen_sparse_signal(cfg)
     Y = Phi @ X
@@ -347,7 +344,6 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
         selected_scores_ok=scores_ok, filter_proximity_ok=proximity_ok,
         filter_deviation_ok=deviation_ok,
         stop=solved.terminated_early or "-",
-        wall_time_s=time.perf_counter() - started,
     )
 
 

@@ -39,6 +39,15 @@ def as_support(indices, n: int) -> SupportSet:
     return idx
 
 
+def truncated_svd(A: np.ndarray, rank_tol: float):
+    """Thin SVD (U, s, Vt) of a matrix with at least one column, keeping
+    only singular values above ``rank_tol`` times the largest; U's
+    columns are then an orthonormal basis of the numerical span."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > s[0] * rank_tol
+    return U[:, keep], s[keep], Vt[keep]
+
+
 def row_norms(X) -> np.ndarray:
     """Euclidean norm of every row of a signal matrix."""
     return np.linalg.norm(as_matrix(X, "signal"), axis=1)

@@ -25,7 +25,7 @@ from .model import as_matrix
 from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
-    column_subsets,
+    _extreme_subsets,
     measure_perturbation_levels,
 )
 
@@ -265,13 +265,6 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
     rng = _rng(seed, _FRAME_STREAM)
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=0, keepdims=True)
-    idx = column_subsets(n, order)
-
-    def deviations(M):
-        G = M.T @ M
-        sub = G[idx[:, :, None], idx[:, None, :]]
-        w = np.linalg.eigvalsh(sub)
-        return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
 
     def project_rank_m(G):
         w, V = np.linalg.eigh(G)
@@ -281,7 +274,7 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
         norms[norms == 0] = 1.0
         return M / norms
 
-    best_dev = float(deviations(A).max())
+    best_dev, _ = _extreme_subsets(A, order, deviation=True)
     best = A.copy()
     mu = 0.35
     for t in range(stage1_iters):
@@ -291,21 +284,18 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
         G2 = np.sign(off) * np.minimum(np.abs(off), mu) + np.eye(n)
         A = project_rank_m(G2)
         if t % 10 == 9:
-            d = float(deviations(A).max())
+            d, _ = _extreme_subsets(A, order, deviation=True)
             if d < best_dev:
                 best_dev, best = d, A.copy()
 
     A = best.copy()
     for _ in range(stage2_iters):
-        dev = deviations(A)
-        d = float(dev.max())
+        d, worst = _extreme_subsets(A, order, deviation=True, rel=0.98)
         if d < best_dev:
             best_dev, best = d, A.copy()
+        worst = worst[:200].astype(np.intp)
         shrink = np.ones((n, n))
-        worst = np.flatnonzero(dev >= d * 0.98)[:200]
-        for row in idx[worst]:
-            cols = np.asarray(row)
-            shrink[np.ix_(cols, cols)] = 0.97
+        shrink[worst[:, :, None], worst[:, None, :]] = 0.97
         G = (A.T @ A) * shrink
         np.fill_diagonal(G, 1.0)
         A = project_rank_m(G)

@@ -13,7 +13,9 @@ and evaluation stops once no remaining bound, widened by a float slack,
 can reach the best value found.  A subset whose bound could tie the
 best is still evaluated, so results are exactly those of evaluating
 every subset: the same float, and among equally extreme subsets the
-first in lexicographic order.
+first in lexicographic order.  The same kernel lists every subset
+within a given factor of the extreme, which the frame builder in
+``perturb`` shrinks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     SubsetBudgetExceeded,
     ZeroReference,
 )
-from .model import SupportSet, as_matrix, as_support
+from .model import SupportSet, as_matrix, as_support, truncated_svd
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
@@ -41,6 +43,9 @@ _CHUNK = 4096
 # Size of the first eigendecomposition batch: the subsets with the largest
 # bounds, whose best value sets the pruning threshold.
 _PROBE = 64
+
+# Relative singular-value cutoff of the selected-span basis.
+_RANK_TOL = 1e-12
 
 # Absolute-plus-relative slack used when float comparisons decide a
 # mathematically exact inequality.
@@ -161,37 +166,40 @@ def _subset_values(gram: np.ndarray, sub: np.ndarray, deviation: bool) -> np.nda
     return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]) if deviation else w[:, -1]
 
 
-def _extreme_subset(A: np.ndarray, order: int, deviation: bool) -> tuple[float, tuple[int, ...]]:
+def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
+                     rel: float = 1.0) -> tuple[float, np.ndarray]:
     """Largest subset value over all width-``order`` column subsets of A,
-    and the lexicographically first subset attaining it.
+    and every subset whose value is at least ``rel`` times it, in
+    lexicographic order (rel = 1 gives the subsets attaining it).
 
     A subset's value is ``max(lam_max - 1, 1 - lam_min)`` of its Gram
     submatrix when ``deviation`` is set, else ``lam_max``.  Batches of
     the largest remaining Gershgorin bounds are evaluated until no
-    remaining bound reaches the best value less the slack.  The slack
-    covers the rounding of both the bounds and the eigenvalues, so a
-    skipped subset can neither beat nor tie the result.
+    remaining bound reaches ``rel`` times the best value less the slack.
+    The slack covers the rounding of both the bounds and the
+    eigenvalues, so a skipped subset can neither beat the result nor
+    belong to the returned set.  Requires 0 < rel <= 1.
     """
     gram = A.T @ A
     if not np.isfinite(gram).all():
         raise PreconditionViolated("column inner products overflow double precision")
     idx = column_subsets(A.shape[1], order)
     bound = _gershgorin_bounds(gram, idx, deviation)
-    best, witness, size = -math.inf, len(bound), _PROBE
+    best, size = -math.inf, _PROBE
+    seen_rows, seen_vals = [], []
     rows = np.argpartition(bound, max(len(bound) - size, 0))[-size:]
     while len(rows):
         vals = _subset_values(gram, idx[rows], deviation)
-        peak = float(vals.max())
-        if peak >= best:
-            first = int(rows[vals == peak].min())
-            witness = first if peak > best else min(witness, first)
-            best = peak
+        best = max(best, float(vals.max()))
+        seen_rows.append(rows)
+        seen_vals.append(vals)
         bound[rows] = -math.inf   # evaluated
-        rows = np.flatnonzero(bound >= best - _SLACK * max(1.0, abs(best)))
+        rows = np.flatnonzero(bound >= rel * best - _SLACK * max(1.0, abs(best)))
         size = min(2 * size, _CHUNK)
         if len(rows) > size:
             rows = rows[np.argpartition(bound[rows], len(rows) - size)[-size:]]
-    return best, tuple(int(i) for i in idx[witness])
+    rows = np.concatenate(seen_rows)
+    return best, idx[np.sort(rows[np.concatenate(seen_vals) >= rel * best])]
 
 
 def ric_exact(A, order: int, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> RicEstimate:
@@ -207,8 +215,9 @@ def ric_exact(A, order: int, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> RicE
     """
     A = as_matrix(A, "sensing matrix")
     examined = _check_enumeration(A.shape[1], order, subset_budget)
-    delta, witness = _extreme_subset(A, order, deviation=True)
-    return RicEstimate(order=order, delta=delta, witness_subset=witness,
+    delta, attaining = _extreme_subsets(A, order, deviation=True)
+    return RicEstimate(order=order, delta=delta,
+                       witness_subset=tuple(int(i) for i in attaining[0]),
                        subsets_examined=examined)
 
 
@@ -217,7 +226,7 @@ def submatrix_spectral_norm(A, width: int,
     """Largest spectral norm over all width-``width`` column submatrices."""
     A = as_matrix(A, "matrix")
     _check_enumeration(A.shape[1], width, subset_budget)
-    top, _ = _extreme_subset(A, width, deviation=False)
+    top, _ = _extreme_subsets(A, width, deviation=False)
     return math.sqrt(max(top, 0.0))
 
 
@@ -268,10 +277,8 @@ def selected_span_projector(Phi, support) -> np.ndarray:
     m = Phi.shape[0]
     if not support:
         return np.zeros((m, m))
-    U, s, _ = np.linalg.svd(Phi[:, support], full_matrices=False)
-    keep = s > (s[0] * 1e-12 if s.size and s[0] > 0 else 0.0)
-    Uk = U[:, keep]
-    return Uk @ Uk.T
+    U, _, _ = truncated_svd(Phi[:, support], _RANK_TOL)
+    return U @ U.T
 
 
 def residual_sensing_matrix(Phi, support) -> np.ndarray:
@@ -280,10 +287,8 @@ def residual_sensing_matrix(Phi, support) -> np.ndarray:
     support = as_support(support, Phi.shape[1])
     if not support:
         return Phi.copy()
-    U, s, _ = np.linalg.svd(Phi[:, support], full_matrices=False)
-    keep = s > (s[0] * 1e-12 if s.size and s[0] > 0 else 0.0)
-    Uk = U[:, keep]
-    return Phi - Uk @ (Uk.T @ Phi)
+    U, _, _ = truncated_svd(Phi[:, support], _RANK_TOL)
+    return Phi - U @ (U.T @ Phi)
 
 
 def inner_product_check(Phi, u, v, delta: float) -> InequalityDiagnostic:

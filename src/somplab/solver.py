@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySupport, InvalidSparsity
-from .model import SupportSet, as_matrix, as_support
+from .model import SupportSet, as_matrix, as_support, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,10 @@ def least_squares_on_support(Y, Phi, support, rank_tol: float = 1e-12) -> Suppor
     support = as_support(support, n)
     if not support:
         raise EmptySupport("least-squares fit needs a nonempty support")
-    U, s, Vt = np.linalg.svd(Phi[:, support], full_matrices=False)
-    cutoff = s[0] * rank_tol if s.size and s[0] > 0 else 0.0
-    keep = s > cutoff
-    rank = int(np.count_nonzero(keep))
-    coeffs = Vt[keep].T @ ((U[:, keep].T @ Y) / s[keep, None])
+    U, s, Vt = truncated_svd(Phi[:, support], rank_tol)
     Z = np.zeros((n, Y.shape[1]))
-    Z[list(support)] = coeffs
-    return SupportFit(signal=Z, rank=rank, rank_deficient=rank < len(support))
+    Z[list(support)] = Vt.T @ ((U.T @ Y) / s[:, None])
+    return SupportFit(signal=Z, rank=len(s), rank_deficient=len(s) < len(support))
 
 
 def _greedy_solve(Y, Phi, k, opts, label):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,10 @@ def test_experiment_rejects_malformed_config(tmp_path, capsys):
     assert main(["experiment", "--config", str(p)]) == 1
     assert "JSON" in capsys.readouterr().err
 
+    p.write_bytes(b"\xff\xfe{}")   # not UTF-8
+    assert main(["experiment", "--config", str(p)]) == 1
+    assert "JSON" in capsys.readouterr().err
+
     cfg_path = _config(tmp_path, trials=0)
     assert main(["experiment", "--config", str(cfg_path)]) == 1
     capsys.readouterr()
@@ -325,11 +331,25 @@ def test_user_supplied_matrix_in_config(tmp_path, capsys):
     ({"perturbation": {"epsb": float("nan")}}, "epsb"),
     ({"perturbation": {"epsb": float("inf")}}, "epsb"),
     ({"solver": {"rank_tol": "tiny"}}, "solver.rank_tol"),
+    ({"solver": {"rank_tol": -1}}, "solver.rank_tol"),
+    ({"instance": {"m": 16.5, "n": 24, "L": 2, "k": 2}}, "instance.m"),
+    ({"instance": {"m": True, "n": 24, "L": 2, "k": 2}}, "instance.m"),
+    ({"instance": {"m": 16, "n": 24, "L": 2, "k": 0}}, "instance.k"),
+    ({"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "embed_overlap": "x"}},
+     "instance.embed_overlap"),
+    ({"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "signal_row_norm_min": None}},
+     "instance.signal_row_norm_min"),
+    ({"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "ensemble": "user-supplied",
+                   "matrix": 0}}, "instance.matrix"),
+    ({"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "ensemble": ["gaussian"]}},
+     "instance.ensemble"),
 ])
 def test_experiment_rejects_mistyped_fields(tmp_path, capsys, overrides, where):
     cfg_path = _config(tmp_path, **overrides)
     assert main(["experiment", "--config", str(cfg_path)]) == 1
-    assert where in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err
 
 
 def test_experiment_reads_false_checks_as_false(tmp_path, capsys):
@@ -337,3 +357,23 @@ def test_experiment_reads_false_checks_as_false(tmp_path, capsys):
                        checks={"ric": False, "guarantee": False, "selected_scores": False})
     assert main(["experiment", "--config", str(cfg_path)]) == 0
     assert "# checks: ric=0 guarantee=0 selected_scores=0" in capsys.readouterr().out
+
+
+def _dotted_keys(table, prefix=""):
+    for key, (kind, _) in table.items():
+        if isinstance(kind, dict):
+            yield from _dotted_keys(kind, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_readme_config_table_lists_every_accepted_key():
+    from somplab.cli import _CONFIG
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert documented == set(_dotted_keys(_CONFIG))

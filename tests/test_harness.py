@@ -41,9 +41,8 @@ def test_run_trial_deterministic():
     pert = PerturbationSpec(target_eps0=1e-4, target_epsb=1e-3, seed=6)
     a = run_trial(cfg, pert)
     b = run_trial(cfg, pert)
-    fields = {f.name for f in dataclasses.fields(a)} - {"wall_time_s"}
-    for name in fields:
-        assert getattr(a, name) == getattr(b, name), name
+    for f in dataclasses.fields(a):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
 def test_run_trial_records_consistent_levels():

@@ -5,7 +5,8 @@ cannot reach the extreme value and eigendecomposes only the rest.  Two
 oracles check it.  One walks every subset through an SVD, so agreement
 to 1e-10 is meaningful.  The other eigendecomposes every subset Gram
 matrix in one batch, which is what the kernel computed before pruning;
-the pruned kernel must reproduce its float and its witness exactly.
+the pruned kernel must reproduce its float, its witness and its set of
+near-extreme subsets exactly.
 """
 
 import itertools
@@ -50,14 +51,13 @@ def _ric_oracle(A, order):
 
 
 def _batched_reference(A, order):
-    # every subset, one batched eigendecomposition, first maximiser wins
+    # every subset in lexicographic order, one batched eigendecomposition:
+    # each subset's deviation and largest eigenvalue
     A = np.asarray(A, dtype=float)
     gram = A.T @ A
     idx = np.array(list(itertools.combinations(range(A.shape[1]), order)))
     w = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
-    dev = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
-    j = int(np.argmax(dev))
-    return float(dev[j]), tuple(int(i) for i in idx[j]), math.sqrt(max(float(w[:, -1].max()), 0.0))
+    return idx, np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]), w[:, -1]
 
 
 def _reference_cases():
@@ -98,12 +98,18 @@ def test_pruned_kernel_matches_exhaustive_batched_reference(name, probe, monkeyp
     monkeypatch.setattr(rip, "_PROBE", probe)
     A = _reference_cases()[name]
     for order in range(1, min(A.shape[1], 5) + 1):
-        delta, witness, norm = _batched_reference(A, order)
+        idx, dev, top = _batched_reference(A, order)
+        j = int(np.argmax(dev))   # the first maximiser is the witness
         est = ric_exact(A, order)
-        assert est.delta == delta
-        assert est.witness_subset == witness
+        assert est.delta == dev[j]
+        assert est.witness_subset == tuple(idx[j])
         assert est.subsets_examined == math.comb(A.shape[1], order)
-        assert submatrix_spectral_norm(A, order) == norm
+        assert submatrix_spectral_norm(A, order) == math.sqrt(max(float(top.max()), 0.0))
+        # the near-extreme subsets the frame builder shrinks
+        for rel in (0.5, 0.98):
+            value, near = rip._extreme_subsets(A, order, deviation=True, rel=rel)
+            assert value == dev[j]
+            assert np.array_equal(near, idx[dev >= rel * dev[j]])
 
 
 def test_ties_resolve_to_the_lexicographically_first_subset():
