@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import numpy as np
 
 from .errors import ParseError
 from .model import as_matrix
+
+# what the "surrogateescape" error handler turns undecodable bytes into
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def write_matrix(path: str | os.PathLike, A) -> None:
@@ -28,13 +32,15 @@ def read_matrix(path: str | os.PathLike):
     """Read a matrix written by write_matrix (or by hand).
 
     Raises ParseError with 1-based line and column positions on ragged
-    rows, unparsable fields, or non-finite values; an empty file is an
-    error too.
+    rows, unparsable fields, or non-finite values, and with the line of
+    the first byte that is not UTF-8; an empty file is an error too.
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if _UNDECODABLE.search(line):
+                raise ParseError("not UTF-8 text", line=lineno)
             line = line.strip()
             if not line:
                 continue

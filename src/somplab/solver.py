@@ -1,10 +1,13 @@
 """Greedy joint-sparse recovery by simultaneous orthogonal matching pursuit.
 
 One index enters the active set per iteration: the row of the matched
-filter Phi^T R whose Euclidean norm is largest (ties go to the smallest
-index).  The estimate is then re-fit by least squares restricted to the
-active columns and the residual recomputed against the full measurement
-set, which keeps the residual orthogonal to everything selected so far.
+filter Phi^T R whose Euclidean norm is largest among the indices not yet
+selected (ties go to the smallest index).  The estimate is then re-fit
+by least squares restricted to the active columns, and the residual is
+formed from those columns alone, which keeps it orthogonal to
+everything selected so far.  The inputs are validated once, on entry;
+each iteration then reads the sensing matrix once, for the matched
+filter.
 
 The solver is given one sensing matrix and uses it for both selection
 and fitting; whether that matrix is a clean or a perturbed observation
@@ -86,6 +89,13 @@ class RecoveryResult:
     terminated_early: str | None
 
 
+def _matched_filter(R, Phi):
+    """The n x L matched filter Phi^T R and its row norms.  Formed as
+    (R^T Phi)^T, which BLAS computes faster than Phi^T R."""
+    H = (R.T @ Phi).T
+    return H, np.linalg.norm(H, axis=1)
+
+
 def match_scores(R, Phi) -> np.ndarray:
     """Match score of every column index against a residual.
 
@@ -96,7 +106,15 @@ def match_scores(R, Phi) -> np.ndarray:
     Phi = as_matrix(Phi, "sensing matrix")
     if R.shape[0] != Phi.shape[0]:
         raise DimensionMismatch(f"residual has {R.shape[0]} rows, sensing matrix {Phi.shape[0]}")
-    return np.linalg.norm(Phi.T @ R, axis=1)
+    return _matched_filter(R, Phi)[1]
+
+
+def _fit(Y, A, rank_tol):
+    """Least-squares coefficients of Y on the columns of A, and the rank
+    kept after truncating singular values at ``rank_tol`` times the
+    largest."""
+    U, s, Vt = truncated_svd(A, rank_tol)
+    return Vt.T @ ((U.T @ Y) / s[:, None]), len(s)
 
 
 def least_squares_on_support(Y, Phi, support, rank_tol: float = 1e-12) -> SupportFit:
@@ -116,10 +134,10 @@ def least_squares_on_support(Y, Phi, support, rank_tol: float = 1e-12) -> Suppor
     support = as_support(support, n)
     if not support:
         raise EmptySupport("least-squares fit needs a nonempty support")
-    U, s, Vt = truncated_svd(Phi[:, support], rank_tol)
+    coefficients, rank = _fit(Y, Phi[:, support], rank_tol)
     Z = np.zeros((n, Y.shape[1]))
-    Z[list(support)] = Vt.T @ ((U.T @ Y) / s[:, None])
-    return SupportFit(signal=Z, rank=len(s), rank_deficient=len(s) < len(support))
+    Z[list(support)] = coefficients
+    return SupportFit(signal=Z, rank=rank, rank_deficient=rank < len(support))
 
 
 def _greedy_solve(Y, Phi, k, opts, label):
@@ -136,7 +154,6 @@ def _greedy_solve(Y, Phi, k, opts, label):
     y_norm = float(np.linalg.norm(Y))
     stop_at = opts.residual_stop_tol * y_norm
     R = Y
-    Z = np.zeros_like(Y, shape=(n, Y.shape[1]))
     selected: list[int] = []
     score_tables: list[np.ndarray] = []
     filters: list[np.ndarray] = []
@@ -149,17 +166,24 @@ def _greedy_solve(Y, Phi, k, opts, label):
         if r_norm <= stop_at:
             terminated_early = "zero-residual"
             break
-        H = Phi.T @ R
-        scores = np.linalg.norm(H, axis=1)
-        j = int(np.argmax(scores))  # first occurrence wins ties
-        selected.append(j)
-        fit = least_squares_on_support(Y, Phi, selected, rank_tol=opts.rank_tol)
-        Z = fit.signal
-        R = Y - Phi @ Z
+        H, scores = _matched_filter(R, Phi)
+        # once the span of Phi is used up every score is rounding noise,
+        # and a selected index must not win again
+        unselected = scores.copy()
+        unselected[selected] = -1.0
+        selected.append(int(np.argmax(unselected)))  # first occurrence wins ties
+        support = sorted(selected)
+        Phi_S = Phi[:, support]
+        coefficients, rank = _fit(Y, Phi_S, opts.rank_tol)
+        R = Y - Phi_S @ coefficients
         score_tables.append(scores)
         filters.append(H)
         residual_norms.append(float(np.linalg.norm(R)))
-        ranks.append(fit.rank_deficient)
+        ranks.append(rank < len(support))
+
+    Z = np.zeros((n, Y.shape[1]))
+    if selected:
+        Z[support] = coefficients
 
     trace = IterationTrace(
         label=label,

@@ -271,6 +271,32 @@ def test_exit_code_one_for_usage_and_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_matrix_files_that_are_not_utf8_exit_one_with_a_line(tmp_path, capsys):
+    Phi, X, phi_path, y_path = _write_instance(tmp_path)
+    bom = tmp_path / "utf16.txt"
+    bom.write_bytes(b"\xff\xfe1\x00,\x002\x00\n")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1.0,2.0\n3.0,4.0\n5.0,\xe96.0\n")
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "instance": {"m": 3, "n": 2, "L": 1, "k": 1,
+                     "ensemble": "user-supplied", "matrix": str(latin1)},
+        "trials": 1, "master_seed": 0}))
+    runs = [
+        (["ric", "--matrix", str(bom), "--order", "1"], "line 1"),
+        (["ric", "--matrix", str(latin1), "--order", "1"], "line 3"),
+        (["solve", "--phi", str(latin1), "--y", str(y_path), "--sparsity", "1"], "line 3"),
+        (["experiment", "--config", str(cfg)], "line 3"),
+    ]
+    for argv, where in runs:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"error: not UTF-8 text ({where})" in err, argv
+    with pytest.raises(ParseError) as exc:
+        read_matrix(latin1)
+    assert exc.value.line == 3
+
+
 def test_exit_code_two_for_domain_errors(tmp_path, capsys):
     Phi, X, phi_path, y_path = _write_instance(tmp_path)
     code = main(["solve", "--phi", str(phi_path), "--y", str(y_path),

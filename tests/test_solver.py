@@ -190,3 +190,129 @@ def test_trace_records_every_iteration():
     # residual norms decrease monotonically for a greedy refit
     seq = (trace.initial_residual_norm,) + trace.residual_norms
     assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
+
+
+def _reference_solve(Y, Phi, k):
+    """The greedy loop as it was before it formed the residual from the
+    selected columns: the matched filter as Phi^T R, a validated
+    ``least_squares_on_support`` refit every iteration and the residual
+    against all of Phi.  Selection skips already-selected indices, as
+    the solver does."""
+    opts = SolverOptions()
+    y_norm = float(np.linalg.norm(Y))
+    R, Z = Y, np.zeros((Phi.shape[1], Y.shape[1]))
+    selected, scores_seen, residual_norms, rank_deficient = [], [], [], []
+    for _ in range(k):
+        if (residual_norms[-1] if residual_norms else y_norm) <= opts.residual_stop_tol * y_norm:
+            return selected, Z, scores_seen, residual_norms, rank_deficient, "zero-residual"
+        scores = np.linalg.norm(Phi.T @ R, axis=1)
+        unselected = scores.copy()
+        unselected[selected] = -1.0
+        selected.append(int(np.argmax(unselected)))
+        fit = least_squares_on_support(Y, Phi, selected, rank_tol=opts.rank_tol)
+        Z = fit.signal
+        R = Y - Phi @ Z
+        scores_seen.append(scores)
+        residual_norms.append(float(np.linalg.norm(R)))
+        rank_deficient.append(fit.rank_deficient)
+    return selected, Z, scores_seen, residual_norms, rank_deficient, None
+
+
+def test_loop_matches_full_residual_reference():
+    # 500 random shapes: every third Y exactly sparse, every fifth Phi with
+    # a duplicated column (the square ones among them run out of span and
+    # must refit rank-deficiently); rounding allowances scale with ||Y||
+    # and ||Phi|| ||Y||, since a residual near zero has no relative accuracy
+    stopped = rank_deficient_runs = 0
+    for seed in range(500):
+        g = _rng(5000 + seed)
+        m = int(g.integers(5, 41))
+        L = int(g.integers(1, 6))
+        if seed % 10 == 4:
+            n, k = m, m
+        else:
+            n, k = int(g.integers(m, 2 * m + 1)), int(g.integers(1, m + 1))
+        Phi = g.standard_normal((m, n))
+        if seed % 5 == 4:
+            a, b = g.choice(n, size=2, replace=False)
+            Phi[:, b] = Phi[:, a]
+        if seed % 3 == 0:
+            s = int(g.integers(1, k + 1))
+            X = np.zeros((n, L))
+            X[g.choice(n, size=s, replace=False)] = g.standard_normal((s, L))
+            Y = Phi @ X
+        else:
+            Y = g.standard_normal((m, L))
+        res = somp_solve(Y, Phi, k)
+        selected, Z, scores_seen, residual_norms, rank_deficient, stop = _reference_solve(Y, Phi, k)
+        t = res.trace
+        assert t.selected == tuple(selected), seed
+        assert res.terminated_early == stop, seed
+        assert t.rank_deficient == tuple(rank_deficient), seed
+        assert np.linalg.norm(res.signal - Z) <= 1e-12 * np.linalg.norm(Z), seed
+        y_norm = np.linalg.norm(Y)
+        assert np.allclose(t.residual_norms, residual_norms, rtol=0, atol=1e-12 * y_norm), seed
+        scale = np.linalg.norm(Phi, 2) * y_norm
+        for got, want in zip(t.score_tables, scores_seen, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, seed
+        stopped += stop is not None
+        rank_deficient_runs += any(rank_deficient)
+    assert stopped >= 50 and rank_deficient_runs >= 20
+
+
+def test_solve_validates_inputs_once(monkeypatch):
+    import somplab.solver as solver_mod
+
+    calls = []
+    original = solver_mod.as_matrix
+
+    def counting(a, name="matrix"):
+        calls.append(name)
+        return original(a, name)
+
+    monkeypatch.setattr(solver_mod, "as_matrix", counting)
+    g = _rng(11)
+    Phi = g.standard_normal((30, 60))
+    Y = g.standard_normal((30, 4))
+    for k in (1, 5, 30):
+        calls.clear()
+        res = somp_solve(Y, Phi, k)
+        assert len(res.trace.selected) == k
+        assert len(calls) <= 2
+
+
+def _duplicated_column_instance():
+    # column 1 repeats column 0, so Phi has rank 9 and Y (generic) lies
+    # outside its span: after nine selections every score is rounding noise
+    g = _rng(0)
+    Phi = g.standard_normal((10, 10))
+    Phi[:, 1] = Phi[:, 0]
+    return Phi, g.standard_normal((10, 2))
+
+
+def test_exhausted_span_does_not_reselect_a_column(tmp_path, capsys):
+    from somplab import write_matrix
+    from somplab.cli import main
+
+    Phi, Y = _duplicated_column_instance()
+    res = somp_solve(Y, Phi, 10)
+    assert sorted(res.trace.selected) == list(range(10))
+    assert res.support == tuple(range(10))
+    assert res.trace.rank_deficient[-1]
+    assert not any(res.trace.rank_deficient[:-1])
+
+    phi_path, y_path = tmp_path / "phi.txt", tmp_path / "y.txt"
+    write_matrix(phi_path, Phi)
+    write_matrix(y_path, Y)
+    code = main(["solve", "--phi", str(phi_path), "--y", str(y_path), "--sparsity", "10"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert out.out.strip() == ",".join(str(j) for j in range(10))
+
+
+def test_match_scores_equal_first_score_table():
+    # at this shape Phi^T R and (R^T Phi)^T round differently on OpenBLAS,
+    # so a second matched-filter kernel would show
+    for seed in range(5):
+        Phi, X, Y = _instance(seed, m=128, n=256, L=8, k=3)
+        assert np.array_equal(match_scores(Y, Phi), somp_solve(Y, Phi, 3).trace.score_tables[0])
