@@ -16,7 +16,7 @@ import sys
 
 from .errors import InvalidConfig, ParseError, SomplabError
 from .guarantees import MODES, check_guarantee
-from .harness import TrialChecks, render_report, run_experiment
+from .harness import CHECKS_NEEDING_RIC, TrialChecks, render_report, run_experiment
 from .matrixio import read_matrix, write_matrix
 from .model import min_support_row_norm
 from .perturb import (
@@ -287,6 +287,9 @@ def _load_config(path: str) -> dict:
     except ValueError as exc:   # also a file that is not UTF-8
         raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     conf = _walk(_CONFIG, raw, "")
+    for key in CHECKS_NEEDING_RIC:
+        if conf["checks"][key] and not conf["checks"]["ric"]:
+            raise InvalidConfig(f"'checks.{key}' needs 'checks.ric' enabled")
     inst = dict(conf["instance"])
     ensemble, matrix = inst.pop("ensemble"), inst.pop("matrix")
     if matrix is not None:

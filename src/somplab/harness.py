@@ -7,11 +7,30 @@ one invariant that must never break: a trial whose sufficient condition
 passed and whose recovery still went wrong is a red alert, not a
 statistic.
 
+A trial runs in three stages, and a sweep runs each stage only as often
+as its inputs change:
+
+- clean, once per trial: the instance draw (Phi, X, Y, true support,
+  t0), the references of the levels eps0 and eps (||Phi||_2 and Phi's
+  largest submatrix spectral norms), the exact constant of Phi and,
+  when a filter check is on, the clean solve and the filter-proximity
+  verdict.  The parts that depend on Phi alone are computed once per
+  sweep for a user-supplied matrix;
+- sensing, once per (trial, eps0 level): the sensing perturbation E,
+  its levels eps0 and eps, and Phi + E;
+- point, once per sweep point: the measurement perturbation B and
+  epsb against ||Y||_F, the guarantee, the perturbed solve and its
+  diagnostics.
+
+``run_trial`` applies the same three stages to one perturbation spec.
+
 Determinism: the seeds of trial t derive from SeedSequence([master_seed,
 t]) (two 64-bit words: instance seed, perturbation seed).  Sweep points
 share trial seeds on purpose, so levels are compared on identical
-instances and noise directions.  Reports render to text without wall
-times, which keeps a rerun byte-identical.
+instances and noise directions; points at one eps0 level share E bit for
+bit.  Records are reported point by point whatever order they were
+computed in, and reports render to text without wall times, which keeps
+a rerun byte-identical.
 """
 
 from __future__ import annotations
@@ -24,6 +43,7 @@ import numpy as np
 from .errors import InvalidOrder, PreconditionViolated, TraceMismatch
 from .guarantees import GuaranteeReport, check_guarantee
 from .model import (
+    SupportSet,
     as_matrix,
     as_support,
     min_support_row_norm,
@@ -33,15 +53,26 @@ from .model import (
 from .perturb import (
     InstanceConfig,
     PerturbationSpec,
-    apply_perturbation,
-    calibrate_perturbation,
+    _measured,
+    _sensed,
+    _sensing_references,
     gen_sensing_matrix,
     gen_sparse_signal,
 )
-from .rip import DEFAULT_SUBSET_BUDGET, RicEstimate, residual_sensing_matrix, ric_exact
+from .rip import (
+    DEFAULT_SUBSET_BUDGET,
+    PerturbationLevels,
+    RicEstimate,
+    residual_sensing_matrix,
+    ric_exact,
+)
 from .solver import IterationTrace, RecoveryResult, SolverOptions, somp_solve, solve_perturbed
 
 _SCORE_VANISH_TOL = 1e-10
+
+# The checks that need the exact constant, which only the isometry check
+# (``TrialChecks.ric``) or a precomputed estimate provides.
+CHECKS_NEEDING_RIC = ("guarantee", "filter_proximity")
 
 
 @dataclass(frozen=True)
@@ -254,72 +285,116 @@ def filter_deviation_diagnostic(trace_perturbed: IterationTrace, trace_clean: It
                                      diverged_at=diverged_at, passed=passed)
 
 
-def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
-              checks: TrialChecks = TrialChecks(), mode: str = "general",
-              subset_budget: int = DEFAULT_SUBSET_BUDGET,
-              delta: RicEstimate | None = None,
-              opts: SolverOptions | None = None) -> TrialRecord:
-    """Run one generate/perturb/solve/check trial and record the outcome.
+@dataclass(frozen=True)
+class _Matrix:
+    """A clean sensing matrix and the results that depend on it alone;
+    a user-supplied matrix's are shared by every trial of a sweep."""
 
-    ``delta`` may carry a precomputed order-(k+1) estimate of the clean
-    sensing matrix (useful when many trials share it); it is validated
-    and used instead of re-enumerating.  A failing step raises with
-    context; nothing is skipped silently.
-    """
+    Phi: np.ndarray
+    delta: RicEstimate | None
+    refs: tuple[float, tuple[float, ...]]   # the references of eps0 and eps
+
+
+@dataclass(frozen=True)
+class _Clean:
+    """The clean side of a trial, shared by every sweep point."""
+
+    cfg: InstanceConfig
+    matrix: _Matrix
+    X: np.ndarray
+    Y: np.ndarray
+    true_support: SupportSet
+    t0: float | None
+    clean_trace: IterationTrace | None
+    proximity_ok: bool | None
+
+
+@dataclass(frozen=True)
+class _Sensed:
+    """A trial's sensing perturbation, shared by the points at one eps0 level."""
+
+    Phi_obs: np.ndarray
+    eps0: float
+    eps: float
+
+
+def _require_delta(checks: TrialChecks, given: bool) -> None:
+    """Refuse checks that need the exact constant when nothing provides it."""
+    if checks.ric or given:
+        return
+    for name in CHECKS_NEEDING_RIC:
+        if getattr(checks, name):
+            raise PreconditionViolated(
+                f"{name.replace('_', ' ')} check needs the isometry check enabled")
+
+
+def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int,
+                  delta: RicEstimate | None) -> _Matrix:
+    """Draw the clean sensing matrix and do its own work; a given
+    ``delta`` stands in for the enumerated constant."""
     Phi = gen_sensing_matrix(cfg)
+    if checks.ric and delta is None:
+        delta = ric_exact(Phi, cfg.k + 1, subset_budget)
+    return _Matrix(Phi=Phi, delta=delta,
+                   refs=_sensing_references(Phi, max(cfg.k, 1), subset_budget))
+
+
+def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks,
+                 subset_budget: int, opts: SolverOptions | None) -> _Clean:
+    """Draw the signal on ``matrix`` and do the trial's clean-side work."""
+    Phi, delta = matrix.Phi, matrix.delta
     X = gen_sparse_signal(cfg)
     Y = Phi @ X
     true_support = support_of(X)
+    t0 = min_support_row_norm(X).t0 if checks.guarantee else None
 
-    spec = calibrate_perturbation(Phi, Y, pert, order=max(cfg.k, 1), subset_budget=subset_budget)
-    Y_obs, Phi_obs = apply_perturbation(Y, Phi, spec)
+    clean_trace = proximity_ok = None
+    if checks.filter_proximity or checks.filter_deviation:
+        clean_trace = somp_solve(Y, Phi, cfg.k, opts).trace
+    if checks.filter_proximity and delta.delta < 1.0:   # else the bound is undefined
+        proximity_ok = True
+        for i in range(len(clean_trace.selected)):
+            prefix = clean_trace.selected[:i]
+            if not set(prefix) <= set(true_support):
+                continue  # hypothesis gone; nothing to assert here
+            X_rest = X.copy()
+            X_rest[list(prefix)] = 0.0
+            diag = matched_filter_oracle(Phi, prefix, X_rest, subset_budget, delta=delta)
+            proximity_ok = proximity_ok and diag.passed
+    return _Clean(cfg=cfg, matrix=matrix, X=X, Y=Y, true_support=true_support,
+                  t0=t0, clean_trace=clean_trace, proximity_ok=proximity_ok)
 
-    if delta is not None and delta.order != cfg.k + 1:
-        raise PreconditionViolated(
-            f"provided estimate has order {delta.order}, need k + 1 = {cfg.k + 1}")
-    if checks.ric and delta is None:
-        delta = ric_exact(Phi, cfg.k + 1, subset_budget)
+
+def _sensing_stage(clean: _Clean, pert: PerturbationSpec, subset_budget: int) -> _Sensed:
+    """Realize the spec's sensing perturbation E and measure eps0 and eps."""
+    Phi = clean.matrix.Phi
+    E, eps0, eps = _sensed(pert, Phi, clean.matrix.refs, subset_budget)
+    return _Sensed(Phi_obs=Phi + E, eps0=eps0, eps=eps)
+
+
+def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
+                 checks: TrialChecks, mode: str, opts: SolverOptions | None) -> TrialRecord:
+    """Realize the measurement perturbation, evaluate the guarantee,
+    solve from the perturbed observations and record the outcome."""
+    cfg, Phi, delta = clean.cfg, clean.matrix.Phi, clean.matrix.delta
+    B, epsb = _measured(pert, clean.Y)
+    levels = PerturbationLevels(eps0=sensed.eps0, eps=sensed.eps, epsb=epsb,
+                                order=max(cfg.k, 1))
 
     report: GuaranteeReport | None = None
     if checks.guarantee:
-        if delta is None:
-            raise PreconditionViolated("guarantee check needs the isometry check enabled")
-        t0 = min_support_row_norm(X).t0
-        report = check_guarantee(Phi, Y, t0, cfg.k, spec.realized, delta, mode=mode)
+        report = check_guarantee(Phi, clean.Y, clean.t0, cfg.k, levels, delta, mode=mode)
 
-    solved = solve_perturbed(Y_obs, Phi_obs, cfg.k, opts)
-    support_exact = solved.support == true_support
-    rel_error = relative_frobenius_error(solved.signal, X)
+    solved = solve_perturbed(clean.Y + B, sensed.Phi_obs, cfg.k, opts)
+    support_exact = solved.support == clean.true_support
+    rel_error = relative_frobenius_error(solved.signal, clean.X)
 
     scores_ok = selected_scores_vanish(solved.trace) if checks.selected_scores else None
 
-    proximity_ok = None
-    deviation_ok = None
-    if checks.filter_proximity or checks.filter_deviation:
-        clean = somp_solve(Y, Phi, cfg.k, opts)
-        if checks.filter_proximity:
-            if delta is None:
-                raise PreconditionViolated(
-                    "filter proximity check needs the isometry check enabled")
-            if delta.delta >= 1.0:
-                proximity_ok = None  # bound undefined at this isometry constant
-            else:
-                proximity_ok = True
-                for i in range(len(clean.trace.selected)):
-                    prefix = clean.trace.selected[:i]
-                    if not set(prefix) <= set(true_support):
-                        continue  # hypothesis gone; nothing to assert here
-                    X_rest = X.copy()
-                    X_rest[list(prefix)] = 0.0
-                    diag = matched_filter_oracle(Phi, prefix, X_rest, subset_budget,
-                                                 delta=delta)
-                    proximity_ok = proximity_ok and diag.passed
-        if checks.filter_deviation:
-            if report is not None and math.isfinite(report.eps_h):
-                dev = filter_deviation_diagnostic(solved.trace, clean.trace, report.eps_h)
-                deviation_ok = dev.passed
-            else:
-                deviation_ok = None  # no finite bound to compare against
+    deviation_ok = None  # also when there is no finite bound to compare against
+    if checks.filter_deviation and report is not None and math.isfinite(report.eps_h):
+        deviation_ok = filter_deviation_diagnostic(solved.trace, clean.clean_trace,
+                                                   report.eps_h).passed
 
     verdict = "-"
     bound_ok = None
@@ -333,18 +408,41 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
         if error_bound is not None:
             bound_ok = rel_error <= error_bound
 
-    lv = spec.realized
     return TrialRecord(
-        m=cfg.m, n=cfg.n, L=cfg.L, k=cfg.k, seed=cfg.seed, pert_seed=spec.seed,
-        eps0_target=spec.target_eps0, epsb_target=spec.target_epsb,
-        eps0=lv.eps0, eps=lv.eps, epsb=lv.epsb,
+        m=cfg.m, n=cfg.n, L=cfg.L, k=cfg.k, seed=cfg.seed, pert_seed=pert.seed,
+        eps0_target=pert.target_eps0, epsb_target=pert.target_epsb,
+        eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
         delta=None if delta is None else delta.delta,
         guarantee=verdict, support_exact=support_exact, rel_error=rel_error,
         error_bound=error_bound, bound_ok=bound_ok,
-        selected_scores_ok=scores_ok, filter_proximity_ok=proximity_ok,
+        selected_scores_ok=scores_ok, filter_proximity_ok=clean.proximity_ok,
         filter_deviation_ok=deviation_ok,
         stop=solved.terminated_early or "-",
     )
+
+
+def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
+              checks: TrialChecks = TrialChecks(), mode: str = "general",
+              subset_budget: int = DEFAULT_SUBSET_BUDGET,
+              delta: RicEstimate | None = None,
+              opts: SolverOptions | None = None) -> TrialRecord:
+    """Run one generate/perturb/solve/check trial and record the outcome.
+
+    ``delta`` may carry a precomputed order-(k+1) estimate of the clean
+    sensing matrix (useful when many trials share it); it is validated
+    and used instead of re-enumerating.  A failing step raises with
+    context; nothing is skipped silently.  The stages are those of a
+    sweep, so a sweep's record equals ``run_trial`` on its trial's
+    config and spec.
+    """
+    if delta is not None and delta.order != cfg.k + 1:
+        raise PreconditionViolated(
+            f"provided estimate has order {delta.order}, need k + 1 = {cfg.k + 1}")
+    _require_delta(checks, delta is not None)
+    clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget, delta), checks,
+                         subset_budget, opts)
+    return _point_stage(clean, _sensing_stage(clean, pert, subset_budget), pert,
+                        checks, mode, opts)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -433,34 +531,38 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     ``eps0_levels`` x ``epsb_levels`` form the sweep grid (scalars are
     promoted to one-element lists).  Each point runs ``trials`` trials
     whose seeds depend only on (master_seed, trial index), so points see
-    identical instances and noise directions at different scales.
+    identical instances and noise directions at different scales.  The
+    sweep runs trial by trial and each stage once per change of its
+    inputs (see the module docstring); records come out point by point.
     """
     eps0_levels = [float(e) for e in np.atleast_1d(eps0_levels)]
     epsb_levels = [float(e) for e in np.atleast_1d(epsb_levels)]
     if trials < 1:
         raise PreconditionViolated("need at least one trial per point")
-    all_records: list[TrialRecord] = []
-    points: list[PointSummary] = []
-    # Exact constants of the clean matrices, enumerated once per sweep:
-    # every point reuses trial t's matrix, and a user-supplied matrix is
-    # shared by all trials.
-    deltas: dict[int, RicEstimate] = {}
-    for e0 in eps0_levels:
-        for eb in epsb_levels:
-            recs = []
-            for t in range(trials):
-                iseed, pseed = trial_seeds(master_seed, t)
-                tcfg = replace(cfg, seed=iseed)
-                key = 0 if cfg.matrix_ensemble == "user-supplied" else t
-                if checks.ric and key not in deltas:
-                    deltas[key] = ric_exact(gen_sensing_matrix(tcfg), cfg.k + 1, subset_budget)
-                tpert = PerturbationSpec(target_eps0=e0, target_epsb=eb,
-                                         seed=pseed, b_mode=b_mode)
-                recs.append(run_trial(tcfg, tpert, checks=checks, mode=mode,
-                                      subset_budget=subset_budget,
-                                      delta=deltas.get(key), opts=opts))
-            points.append(_summarize(e0, eb, recs))
-            all_records.extend(recs)
+    _require_delta(checks, False)
+    grid = [(e0, eb) for e0 in eps0_levels for eb in epsb_levels]
+    all_records: list[TrialRecord] = [None] * (len(grid) * trials)   # point-major
+    # Trial by trial, so only one trial's clean side is alive at a time.
+    shared = None   # a user-supplied matrix's own work, done once
+    for t in range(trials):
+        iseed, pseed = trial_seeds(master_seed, t)
+        tcfg = replace(cfg, seed=iseed)
+        matrix = shared
+        if matrix is None:
+            matrix = _matrix_stage(tcfg, checks, subset_budget, None)
+            if cfg.matrix_ensemble == "user-supplied":
+                shared = matrix
+        clean = _clean_stage(tcfg, matrix, checks, subset_budget, opts)
+        for i, e0 in enumerate(eps0_levels):
+            specs = [PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=pseed, b_mode=b_mode)
+                     for eb in epsb_levels]
+            sensed = _sensing_stage(clean, specs[0], subset_budget)
+            for j, tpert in enumerate(specs):
+                point = i * len(epsb_levels) + j
+                all_records[point * trials + t] = _point_stage(clean, sensed, tpert,
+                                                               checks, mode, opts)
+    points = [_summarize(e0, eb, all_records[p * trials:(p + 1) * trials])
+              for p, (e0, eb) in enumerate(grid)]
 
     passed = [r for r in all_records if r.guarantee == "pass"]
     red_alert = any(r.guarantee == "pass"

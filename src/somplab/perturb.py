@@ -15,18 +15,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    PreconditionViolated,
-    ZeroReference,
-)
+from .errors import DimensionMismatch, InvalidConfig, PreconditionViolated
 from .model import as_matrix
 from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
     _extreme_subsets,
-    measure_perturbation_levels,
+    _frobenius_reference,
+    _sensing_levels,
+    _spectral_reference,
+    _width_references,
 )
 
 ENSEMBLES = ("gaussian", "identity-embedded", "user-supplied")
@@ -178,38 +176,65 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     Y = as_matrix(Y, "measurements")
     if Phi.shape[0] != Y.shape[0]:
         raise DimensionMismatch(f"sensing matrix has {Phi.shape[0]} rows, measurements {Y.shape[0]}")
-    spectral_phi = float(np.linalg.norm(Phi, 2))
-    frob_y = float(np.linalg.norm(Y))
-    if spectral_phi == 0.0:
-        raise ZeroReference("sensing matrix has zero spectral norm")
-    if frob_y == 0.0:
-        raise ZeroReference("measurements have zero Frobenius norm")
+    refs = _sensing_references(Phi, order, subset_budget)
+    E, eps0, eps = _sensed(spec, Phi, refs, subset_budget)
+    B, epsb = _measured(spec, Y)
+    return replace(spec, E=E, B=B,
+                   realized=PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order))
 
-    if spec.E is not None or spec.B is not None:
+
+# The calibration in the pieces a sweep runs at different rates: the
+# references once per clean matrix, E and its levels once per sensing
+# perturbation, B and its level once per measurement perturbation.
+
+def _given(spec: PerturbationSpec) -> bool:
+    # a spec that carries either perturbation keeps both as given (a
+    # missing one is zero) and draws neither
+    return spec.E is not None or spec.B is not None
+
+
+def _sensing_references(Phi: np.ndarray, order: int,
+                        subset_budget: int) -> tuple[float, tuple[float, ...]]:
+    """||Phi||_2 and Phi's largest width-w submatrix spectral norms for
+    w = 1..order: the references of eps0 and eps."""
+    return _spectral_reference(Phi), _width_references(Phi, order, subset_budget)
+
+
+def _sensed(spec: PerturbationSpec, Phi: np.ndarray, refs: tuple[float, tuple[float, ...]],
+            subset_budget: int) -> tuple[np.ndarray, float, float]:
+    """The spec's E against a clean Phi with references ``refs``, and its
+    levels eps0 and eps."""
+    spectral_phi, widths = refs
+    if _given(spec):
         E = as_matrix(spec.E, "sensing perturbation") if spec.E is not None else np.zeros_like(Phi)
-        B = as_matrix(spec.B, "measurement perturbation") if spec.B is not None else np.zeros_like(Y)
+    elif spec.target_eps0 == 0.0:
+        E = np.zeros_like(Phi)
     else:
-        if spec.target_eps0 == 0.0:
-            E = np.zeros_like(Phi)
-        else:
-            E0 = _rng(spec.seed, _SENSING_NOISE_STREAM).standard_normal(Phi.shape)
-            E = E0 * (spec.target_eps0 * spectral_phi / float(np.linalg.norm(E0, 2)))
-        if spec.target_epsb == 0.0:
-            B = np.zeros_like(Y)
-        elif spec.b_mode == "gaussian":
-            B0 = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM).standard_normal(Y.shape)
-            B = B0 * (spec.target_epsb * frob_y / float(np.linalg.norm(B0)))
-        else:  # column-skewed: all of the budget lands on the weakest column
-            j = int(np.argmin(np.linalg.norm(Y, axis=0)))
-            b = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM).standard_normal(Y.shape[0])
-            B = np.zeros_like(Y)
-            B[:, j] = b * (spec.target_epsb * frob_y / float(np.linalg.norm(b)))
+        E0 = _rng(spec.seed, _SENSING_NOISE_STREAM).standard_normal(Phi.shape)
+        E = E0 * (spec.target_eps0 * spectral_phi / float(np.linalg.norm(E0, 2)))
     if E.shape != Phi.shape:
         raise DimensionMismatch(f"sensing perturbation shape {E.shape} != {Phi.shape}")
+    return (E, *_sensing_levels(E, spectral_phi, widths, subset_budget))
+
+
+def _measured(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The spec's B against clean measurements Y, and its level epsb."""
+    frob_y = _frobenius_reference(Y)
+    if _given(spec):
+        B = as_matrix(spec.B, "measurement perturbation") if spec.B is not None else np.zeros_like(Y)
+    elif spec.target_epsb == 0.0:
+        B = np.zeros_like(Y)
+    elif spec.b_mode == "gaussian":
+        B0 = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM).standard_normal(Y.shape)
+        B = B0 * (spec.target_epsb * frob_y / float(np.linalg.norm(B0)))
+    else:  # column-skewed: all of the budget lands on the weakest column
+        j = int(np.argmin(np.linalg.norm(Y, axis=0)))
+        b = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM).standard_normal(Y.shape[0])
+        B = np.zeros_like(Y)
+        B[:, j] = b * (spec.target_epsb * frob_y / float(np.linalg.norm(b)))
     if B.shape != Y.shape:
         raise DimensionMismatch(f"measurement perturbation shape {B.shape} != {Y.shape}")
-    realized = measure_perturbation_levels(Phi, E, Y, B, order, subset_budget)
-    return replace(spec, E=E, B=B, realized=realized)
+    return B, float(np.linalg.norm(B)) / frob_y
 
 
 def apply_perturbation(Y, Phi, spec: PerturbationSpec):

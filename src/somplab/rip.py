@@ -247,22 +247,54 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
         raise DimensionMismatch(f"perturbation shape {E.shape} != sensing shape {Phi.shape}")
     if B.shape != Y.shape:
         raise DimensionMismatch(f"perturbation shape {B.shape} != measurement shape {Y.shape}")
+    spectral_phi = _spectral_reference(Phi)
+    frob_y = _frobenius_reference(Y)
+    eps0, eps = _sensing_levels(E, spectral_phi, _width_references(Phi, order, subset_budget),
+                                subset_budget)
+    return PerturbationLevels(eps0=eps0, eps=eps, epsb=float(np.linalg.norm(B)) / frob_y,
+                              order=order)
+
+
+# The level arithmetic in pieces, so that a sweep computes the references
+# of a clean matrix once and the levels of each sensing perturbation once.
+
+def _spectral_reference(Phi: np.ndarray) -> float:
+    """||Phi||_2, the reference of eps0."""
     spectral_phi = float(np.linalg.norm(Phi, 2))
-    frob_y = float(np.linalg.norm(Y))
     if spectral_phi == 0.0:
         raise ZeroReference("sensing matrix has zero spectral norm")
+    return spectral_phi
+
+
+def _frobenius_reference(Y: np.ndarray) -> float:
+    """||Y||_F, the reference of epsb."""
+    frob_y = float(np.linalg.norm(Y))
     if frob_y == 0.0:
         raise ZeroReference("measurements have zero Frobenius norm")
-    eps0 = float(np.linalg.norm(E, 2)) / spectral_phi
-    epsb = float(np.linalg.norm(B)) / frob_y
-    eps = 0.0
+    return frob_y
+
+
+def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[float, ...]:
+    """The references of eps: Phi's largest width-w submatrix spectral
+    norm for w = 1..order."""
+    widths = []
     for width in range(1, order + 1):
-        num = submatrix_spectral_norm(E, width, subset_budget)
         den = submatrix_spectral_norm(Phi, width, subset_budget)
         if den == 0.0:
             raise ZeroReference(f"all width-{width} submatrices of the sensing matrix are zero")
-        eps = max(eps, num / den)
-    return PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order)
+        widths.append(den)
+    return tuple(widths)
+
+
+def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...],
+                    subset_budget: int) -> tuple[float, float]:
+    """eps0 and eps of a sensing perturbation against the references of
+    its clean matrix."""
+    eps0 = float(np.linalg.norm(E, 2)) / spectral_phi
+    eps = 0.0
+    for width, den in enumerate(widths, 1):
+        eps = max(eps, submatrix_spectral_norm(E, width, subset_budget) / den)
+    return eps0, eps
 
 
 def selected_span_projector(Phi, support) -> np.ndarray:

@@ -369,6 +369,9 @@ def test_user_supplied_matrix_in_config(tmp_path, capsys):
                    "matrix": 0}}, "instance.matrix"),
     ({"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "ensemble": ["gaussian"]}},
      "instance.ensemble"),
+    ({"checks": {"ric": False}}, "checks.guarantee"),
+    ({"checks": {"ric": False, "guarantee": False, "filter_proximity": True}},
+     "checks.filter_proximity"),
 ])
 def test_experiment_rejects_mistyped_fields(tmp_path, capsys, overrides, where):
     cfg_path = _config(tmp_path, **overrides)

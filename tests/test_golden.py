@@ -4,8 +4,12 @@ The files in ``tests/golden/`` were rendered by the code before the
 pruned isometry kernel and the per-sweep enumeration memo landed, with
 ``python tests/test_golden.py`` (which rewrites them from whatever
 ``somplab`` it imports).  One case is a Gaussian sweep with default
-checks; the other sweeps a user-supplied low-coherence frame with both
-filter diagnostics on, so guarantees pass there.
+checks; another sweeps a user-supplied low-coherence frame with both
+filter diagnostics on, so guarantees pass there.  The grid case,
+rendered by the code before sweeps ran trial by trial, varies both
+levels at once (zero levels included) in measurement mode with
+column-skewed observation noise and both filter diagnostics on, so
+reordering the work of a sweep cannot reorder or change its rows.
 
 Discrete report fields (verdicts, flags, seeds, stop reasons, the red
 alert) and the exact-isometry witness subsets must match exactly.
@@ -40,6 +44,15 @@ CASES = {
         "checks": {"filter_proximity": True, "filter_deviation": True},
         "trials": 4,
         "master_seed": 23,
+    },
+    "grid_sweep": {
+        "instance": {"m": 16, "n": 24, "L": 3, "k": 3, "signal_row_norm_min": 1.0},
+        "perturbation": {"eps0": [0.0, 1e-3], "epsb": [0.0, 1e-2],
+                         "b_mode": "column-skewed"},
+        "checks": {"filter_proximity": True, "filter_deviation": True},
+        "mode": "measurement",
+        "trials": 4,
+        "master_seed": 31,
     },
 }
 

@@ -9,6 +9,7 @@ from somplab import (
     InvalidOrder,
     PerturbationSpec,
     PreconditionViolated,
+    SolverOptions,
     TraceMismatch,
     TrialChecks,
     filter_deviation_diagnostic,
@@ -288,3 +289,100 @@ def test_run_experiment_enumerates_each_matrix_once(monkeypatch):
     run_experiment(cfg, [1e-4, 1e-3], [1e-3], trials=3, master_seed=55,
                    checks=TrialChecks(ric=False, guarantee=False))
     assert calls == []
+
+
+def test_run_experiment_refuses_checks_without_ric_before_any_trial(monkeypatch):
+    import somplab.harness as harness_mod
+
+    draws = []
+    real = harness_mod.gen_sensing_matrix
+    monkeypatch.setattr(harness_mod, "gen_sensing_matrix",
+                        lambda cfg: draws.append(cfg.seed) or real(cfg))
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    for checks in (TrialChecks(ric=False),
+                   TrialChecks(ric=False, guarantee=False, filter_proximity=True)):
+        with pytest.raises(PreconditionViolated, match="isometry check"):
+            run_experiment(cfg, [1e-3], [1e-3], trials=3, master_seed=0, checks=checks)
+    assert draws == []
+
+
+def _count_sweep_work(monkeypatch, clean_matrices):
+    """Count width enumerations of the one subset kernel, split by whether
+    they run on a clean matrix (Phi side) or on a perturbation (E side),
+    and the clean solves the harness starts."""
+    import somplab.harness as harness_mod
+    import somplab.rip as rip_mod
+
+    widths, solves = [], []
+    real_kernel = rip_mod._extreme_subsets
+    real_solve = harness_mod.somp_solve
+
+    def kernel(A, order, deviation, *args, **kwargs):
+        if not deviation:   # a submatrix spectral norm, not an isometry constant
+            side = "phi" if any(np.array_equal(A, P) for P in clean_matrices) else "E"
+            widths.append((side, order))
+        return real_kernel(A, order, deviation, *args, **kwargs)
+
+    def solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(rip_mod, "_extreme_subsets", kernel)
+    monkeypatch.setattr(harness_mod, "somp_solve", solve)
+    return widths, solves
+
+
+def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
+    from collections import Counter
+
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    trials, seed = 3, 71
+    phis = [gen_sensing_matrix(dataclasses.replace(cfg, seed=trial_seeds(seed, t)[0]))
+            for t in range(trials)]
+    widths, solves = _count_sweep_work(monkeypatch, phis)
+    # three eps0 levels, one of them zero, times two epsb levels
+    kw = dict(eps0_levels=[0.0, 1e-4, 1e-3], epsb_levels=[1e-3, 1e-2], trials=trials,
+              master_seed=seed)
+    run_experiment(cfg, **kw, checks=TrialChecks(filter_deviation=True))
+    # Phi side: one set of widths 1..k per clean matrix; E side: one set
+    # per (trial, eps0 level); one clean solve per trial
+    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 9, ("E", 2): 9}
+    assert len(solves) == trials
+
+    widths.clear()
+    solves.clear()
+    run_experiment(cfg, **kw)
+    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 9, ("E", 2): 9}
+    assert solves == []
+
+    # a user-supplied matrix is one clean matrix for the whole sweep
+    Phi = _rng(5).standard_normal((40, 12)) / np.sqrt(40)
+    shared = InstanceConfig(m=40, n=12, L=2, k=2, matrix_ensemble="user-supplied", matrix=Phi)
+    widths, solves = _count_sweep_work(monkeypatch, [Phi])
+    run_experiment(shared, **kw, checks=TrialChecks(filter_proximity=True))
+    assert Counter(widths) == {("phi", 1): 1, ("phi", 2): 1, ("E", 1): 9, ("E", 2): 9}
+    assert len(solves) == trials
+
+
+@pytest.mark.parametrize("filters", [False, True])
+def test_sweep_records_equal_run_trial(filters):
+    # one code path: every sweep record is run_trial on its trial's config and spec
+    cfg = InstanceConfig(m=48, n=16, L=2, k=2, signal_row_norm_min=0.5)
+    checks = TrialChecks(filter_proximity=filters, filter_deviation=filters)
+    opts = SolverOptions(residual_stop_tol=1e-10)
+    e0s, ebs, trials, seed = [1e-4, 1e-2], [0.0, 1e-2], 3, 81
+    rep = run_experiment(cfg, e0s, ebs, trials, seed, checks=checks, b_mode="column-skewed",
+                         opts=opts)
+    assert len(rep.records) == 4 * trials
+    for p, (e0, eb) in enumerate((e0, eb) for e0 in e0s for eb in ebs):
+        for t in range(trials):
+            iseed, pseed = trial_seeds(seed, t)
+            want = run_trial(dataclasses.replace(cfg, seed=iseed),
+                             PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=pseed,
+                                              b_mode="column-skewed"),
+                             checks=checks, opts=opts)
+            got = rep.records[p * trials + t]
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), (p, t, f.name)
+    if filters:
+        assert any(r.filter_proximity_ok is not None for r in rep.records)
