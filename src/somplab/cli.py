@@ -15,8 +15,8 @@ import json
 import sys
 
 from .errors import InvalidConfig, ParseError, SomplabError
-from .guarantees import MODES, check_guarantee
-from .harness import CHECKS_NEEDING_RIC, TrialChecks, render_report, run_experiment
+from .guarantees import MODES, check_guarantee, levels_outside_mode
+from .harness import CHECKS_NEEDING_RIC, TrialChecks, broken_promise, render_report, run_experiment
 from .matrixio import read_matrix, write_matrix
 from .model import min_support_row_norm
 from .perturb import (
@@ -27,7 +27,7 @@ from .perturb import (
     apply_perturbation,
     calibrate_perturbation,
 )
-from .rip import DEFAULT_SUBSET_BUDGET, ric_exact
+from .rip import DEFAULT_SUBSET_BUDGET, PerturbationLevels, ric_exact
 from .solver import SolverOptions, somp_solve
 
 
@@ -136,8 +136,6 @@ def _cmd_ric(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .rip import PerturbationLevels
-
     Phi = read_matrix(args.phi)
     k = args.sparsity
     noisy = args.mode != "noiseless"
@@ -154,13 +152,18 @@ def _cmd_check(args) -> int:
     eps = args.eps if args.eps is not None else args.eps0
     levels = PerturbationLevels(eps0=args.eps0, eps=eps, epsb=args.epsb, order=k)
     delta = ric_exact(Phi, k + 1, subset_budget=args.budget)
-    report = check_guarantee(Phi, Y, t0, k, levels, delta, mode=args.mode)
-    print(f"mode={report.mode}")
+    print(f"mode={args.mode}")
     print(f"order={delta.order}")
     print(f"delta={delta.delta!r}")
     print(f"eps0={levels.eps0!r}")
     print(f"eps={levels.eps!r}")
     print(f"epsb={levels.epsb!r}")
+    outside = levels_outside_mode(args.mode, levels)
+    if outside:
+        got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
+        print(f"condition n/a (mode {args.mode} assumes zero {', '.join(outside)}; got {got})")
+        return 0
+    report = check_guarantee(Phi, Y, t0, k, levels, delta, mode=args.mode)
     print(f"eps_h={report.eps_h!r}")
     print(f"q_threshold={'-' if report.q_threshold is None else repr(report.q_threshold)}")
     print(f"error_bound={'-' if report.error_bound is None else repr(report.error_bound)}")
@@ -312,10 +315,13 @@ def _cmd_experiment(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if report.red_alert:
-        print("red alert: a passed guarantee was violated", file=sys.stderr)
-        return 3
-    return 0
+    for i, rec in enumerate(report.records):
+        promise = broken_promise(rec)
+        if promise:
+            point, trial = divmod(i, report.trials_per_point)
+            print(f"red alert: point={point} trial={trial} seed={rec.seed} "
+                  f"pert_seed={rec.pert_seed} broke={promise}", file=sys.stderr)
+    return 3 if report.red_alert else 0
 
 
 _COMMANDS = {"solve": _cmd_solve, "ric": _cmd_ric, "check": _cmd_check,

@@ -30,6 +30,17 @@ from .rip import PerturbationLevels, RicEstimate
 
 MODES = ("noiseless", "measurement", "sensing", "general")
 
+# The levels each mode assumes are zero.  A certificate evaluated where
+# a measured level breaks its mode's assumption promises nothing.
+ZERO_LEVELS = {"noiseless": ("eps0", "eps", "epsb"), "measurement": ("eps0", "eps"),
+               "sensing": ("epsb",), "general": ()}
+
+
+def levels_outside_mode(mode: str, levels: PerturbationLevels) -> tuple[str, ...]:
+    """Names of the levels that ``mode`` assumes zero but are not; the
+    guarantee of ``mode`` does not apply (verdict n/a) when any are."""
+    return tuple(name for name in ZERO_LEVELS[mode] if getattr(levels, name) != 0)
+
 
 def recovery_threshold(sparsity: float, ratio: float) -> float:
     """Isometry-constant threshold at a given signal-to-perturbation ratio.

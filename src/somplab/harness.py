@@ -5,7 +5,11 @@ perturbation, solves from the perturbed observations, and records what
 the guarantee machinery predicted next to what actually happened.  The
 one invariant that must never break: a trial whose sufficient condition
 passed and whose recovery still went wrong is a red alert, not a
-statistic.
+statistic; ``broken_promise`` is that rule.  A trial whose measured
+levels break its mode's assumption gets no certificate (verdict "n/a").
+Sweep points and the whole sweep are summarized by one rule, where each
+rate counts only the trials that evaluated its flag, and rendered by one
+formatter.
 
 A trial runs in three stages, and a sweep runs each stage only as often
 as its inputs change:
@@ -36,12 +40,12 @@ a rerun byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import InvalidOrder, PreconditionViolated, TraceMismatch
-from .guarantees import GuaranteeReport, check_guarantee
+from .guarantees import check_guarantee, levels_outside_mode
 from .model import (
     SupportSet,
     as_matrix,
@@ -69,6 +73,10 @@ from .rip import (
 from .solver import IterationTrace, RecoveryResult, SolverOptions, somp_solve, solve_perturbed
 
 _SCORE_VANISH_TOL = 1e-10
+
+# Absolute-plus-relative slack used when float comparisons decide a
+# mathematically exact inequality.
+_SLACK = 1e-12
 
 # The checks that need the exact constant, which only the isometry check
 # (``TrialChecks.ric``) or a precomputed estimate provides.
@@ -117,10 +125,6 @@ class FilterDeviationDiagnostic:
 class TrialRecord:
     """Everything observed in one trial, ready for tabulation."""
 
-    m: int
-    n: int
-    L: int
-    k: int
     seed: int
     pert_seed: int
     eps0_target: float
@@ -129,7 +133,7 @@ class TrialRecord:
     eps: float
     epsb: float
     delta: float | None
-    guarantee: str                    # "pass" | "fail" | "unsat" | "-"
+    guarantee: str                    # "pass" | "fail" | "unsat" | "n/a" | "-"
     support_exact: bool
     rel_error: float
     error_bound: float | None
@@ -249,7 +253,7 @@ def matched_filter_oracle(Phi, support, x_star, subset_budget: int = DEFAULT_SUB
     dev = float(np.max(np.linalg.norm(H[others] - x_star[others], axis=1)))
     x_norm = float(np.linalg.norm(x_star))
     bound = d / (1.0 - d) * x_norm
-    passed = dev <= bound + 1e-12 * max(1.0, x_norm)
+    passed = dev <= bound + _SLACK * max(1.0, x_norm)
     return FilterProximityDiagnostic(max_deviation=dev, bound=bound, delta=d,
                                      order=order, passed=passed)
 
@@ -280,7 +284,7 @@ def filter_deviation_diagnostic(trace_perturbed: IterationTrace, trace_clean: It
     deviations = tuple(
         float(np.linalg.norm(trace_perturbed.filter_matrices[i] - trace_clean.filter_matrices[i]))
         for i in range(compare_until))
-    passed = all(d <= bound + 1e-12 * max(1.0, bound) for d in deviations)
+    passed = all(d <= bound + _SLACK * max(1.0, bound) for d in deviations)
     return FilterDeviationDiagnostic(deviations=deviations, bound=bound,
                                      diverged_at=diverged_at, passed=passed)
 
@@ -381,9 +385,13 @@ def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
     levels = PerturbationLevels(eps0=sensed.eps0, eps=sensed.eps, epsb=epsb,
                                 order=max(cfg.k, 1))
 
-    report: GuaranteeReport | None = None
-    if checks.guarantee:
+    verdict, report = "-", None
+    if checks.guarantee and levels_outside_mode(mode, levels):
+        verdict = "n/a"   # the mode's certificate promises nothing here
+    elif checks.guarantee:
         report = check_guarantee(Phi, clean.Y, clean.t0, cfg.k, levels, delta, mode=mode)
+        verdict = ("unsat" if report.q_threshold is None
+                   else "pass" if report.condition_holds else "fail")
 
     solved = solve_perturbed(clean.Y + B, sensed.Phi_obs, cfg.k, opts)
     support_exact = solved.support == clean.true_support
@@ -396,20 +404,13 @@ def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
         deviation_ok = filter_deviation_diagnostic(solved.trace, clean.clean_trace,
                                                    report.eps_h).passed
 
-    verdict = "-"
+    error_bound = None if report is None else report.error_bound
     bound_ok = None
-    error_bound = None
-    if report is not None:
-        if report.q_threshold is None:
-            verdict = "unsat"
-        else:
-            verdict = "pass" if report.condition_holds else "fail"
-        error_bound = report.error_bound
-        if error_bound is not None:
-            bound_ok = rel_error <= error_bound
+    if error_bound is not None:
+        bound_ok = rel_error <= error_bound + _SLACK * max(1.0, error_bound)
 
     return TrialRecord(
-        m=cfg.m, n=cfg.n, L=cfg.L, k=cfg.k, seed=cfg.seed, pert_seed=pert.seed,
+        seed=cfg.seed, pert_seed=pert.seed,
         eps0_target=pert.target_eps0, epsb_target=pert.target_epsb,
         eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
         delta=None if delta is None else delta.delta,
@@ -458,10 +459,11 @@ def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PointSummary:
-    """Aggregates of one sweep point."""
+    """Aggregates of one sweep point, or of the whole sweep (its targets
+    None).  A rate is the share of the trials that evaluated its flag."""
 
-    eps0_target: float
-    epsb_target: float
+    eps0_target: float | None
+    epsb_target: float | None
     trials: int
     support_recovery_rate: float
     mean_rel_error: float
@@ -484,40 +486,42 @@ class ExperimentReport:
     checks: TrialChecks
     points: tuple[PointSummary, ...]
     records: tuple[TrialRecord, ...]
-    support_recovery_rate: float
-    mean_rel_error: float
-    max_rel_error: float
-    bound_rate: float | None
-    guarantee_pass_count: int
-    recovery_rate_given_pass: float | None
-    bound_rate_given_pass: float | None
+    overall: PointSummary
     red_alert: bool
 
 
-def _bound_rate(records) -> float | None:
-    # unconditional: over every trial that evaluated a bound at all
-    scored = [r for r in records if r.bound_ok is not None]
-    if not scored:
+def broken_promise(rec: TrialRecord) -> str | None:
+    """The promise a trial with a passed guarantee broke: "support"
+    (recovery missed the true support), "bound" (the error bound was
+    exceeded) or None.  Any such trial is a red alert."""
+    if rec.guarantee != "pass":
         return None
-    return sum(bool(r.bound_ok) for r in scored) / len(scored)
+    if not rec.support_exact:
+        return "support"
+    if rec.bound_ok is False:
+        return "bound"
+    return None
+
+
+def _rate(flags) -> float | None:
+    """Share of true flags among the evaluated ones (not None), if any."""
+    scored = [f for f in flags if f is not None]
+    return sum(scored) / len(scored) if scored else None
 
 
 def _summarize(eps0_target, epsb_target, records) -> PointSummary:
-    n = len(records)
     passed = [r for r in records if r.guarantee == "pass"]
     return PointSummary(
         eps0_target=eps0_target,
         epsb_target=epsb_target,
-        trials=n,
-        support_recovery_rate=sum(r.support_exact for r in records) / n,
-        mean_rel_error=sum(r.rel_error for r in records) / n,
+        trials=len(records),
+        support_recovery_rate=_rate(r.support_exact for r in records),
+        mean_rel_error=sum(r.rel_error for r in records) / len(records),
         max_rel_error=max(r.rel_error for r in records),
-        bound_rate=_bound_rate(records),
+        bound_rate=_rate(r.bound_ok for r in records),
         guarantee_pass_count=len(passed),
-        recovery_rate_given_pass=(sum(r.support_exact for r in passed) / len(passed)
-                                  if passed else None),
-        bound_rate_given_pass=(sum(bool(r.bound_ok) for r in passed) / len(passed)
-                               if passed else None),
+        recovery_rate_given_pass=_rate(r.support_exact for r in passed),
+        bound_rate_given_pass=_rate(r.bound_ok for r in passed),
     )
 
 
@@ -561,27 +565,14 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
                 point = i * len(epsb_levels) + j
                 all_records[point * trials + t] = _point_stage(clean, sensed, tpert,
                                                                checks, mode, opts)
-    points = [_summarize(e0, eb, all_records[p * trials:(p + 1) * trials])
-              for p, (e0, eb) in enumerate(grid)]
-
-    passed = [r for r in all_records if r.guarantee == "pass"]
-    red_alert = any(r.guarantee == "pass"
-                    and (not r.support_exact or r.bound_ok is False)
-                    for r in all_records)
     return ExperimentReport(
         cfg=cfg, mode=mode, b_mode=b_mode, trials_per_point=trials,
         master_seed=master_seed, checks=checks,
-        points=tuple(points), records=tuple(all_records),
-        support_recovery_rate=sum(r.support_exact for r in all_records) / len(all_records),
-        mean_rel_error=sum(r.rel_error for r in all_records) / len(all_records),
-        max_rel_error=max(r.rel_error for r in all_records),
-        bound_rate=_bound_rate(all_records),
-        guarantee_pass_count=len(passed),
-        recovery_rate_given_pass=(sum(r.support_exact for r in passed) / len(passed)
-                                  if passed else None),
-        bound_rate_given_pass=(sum(bool(r.bound_ok) for r in passed) / len(passed)
-                               if passed else None),
-        red_alert=red_alert,
+        points=tuple(_summarize(e0, eb, all_records[p * trials:(p + 1) * trials])
+                     for p, (e0, eb) in enumerate(grid)),
+        records=tuple(all_records),
+        overall=_summarize(None, None, all_records),
+        red_alert=any(broken_promise(r) for r in all_records),
     )
 
 
@@ -600,6 +591,15 @@ _COLUMNS = ("point", "trial", "seed", "pert_seed", "eps0_target", "epsb_target",
             "rel_error", "error_bound", "bound_ok", "selected_scores_ok",
             "filter_proximity_ok", "filter_deviation_ok", "stop")
 
+_SUMMARY_FIELDS = ("trials", "support_recovery_rate", "mean_rel_error", "max_rel_error",
+                   "bound_rate", "guarantee_pass_count", "recovery_rate_given_pass",
+                   "bound_rate_given_pass")
+
+
+def _summary_line(head: str, summary: PointSummary) -> str:
+    return " ".join([head] + [f"{name}={_fmt(getattr(summary, name))}"
+                              for name in _SUMMARY_FIELDS])
+
 
 def render_report(report: ExperimentReport) -> str:
     """Render an experiment to reproducible text: a tab-separated trial
@@ -612,38 +612,18 @@ def render_report(report: ExperimentReport) -> str:
         f"ensemble={cfg.matrix_ensemble} signal_row_norm_min={_fmt(float(cfg.signal_row_norm_min))}",
         f"# sweep: mode={report.mode} b_mode={report.b_mode} "
         f"trials_per_point={report.trials_per_point} master_seed={report.master_seed}",
-        f"# checks: ric={_fmt(report.checks.ric)} guarantee={_fmt(report.checks.guarantee)} "
-        f"selected_scores={_fmt(report.checks.selected_scores)} "
-        f"filter_proximity={_fmt(report.checks.filter_proximity)} "
-        f"filter_deviation={_fmt(report.checks.filter_deviation)}",
+        " ".join(["# checks:"] + [f"{f.name}={_fmt(getattr(report.checks, f.name))}"
+                                  for f in fields(TrialChecks)]),
         "\t".join(_COLUMNS),
     ]
-    per_point = report.trials_per_point
     for i, rec in enumerate(report.records):
-        point, trial = divmod(i, per_point)
-        row = (point, trial, rec.seed, rec.pert_seed, rec.eps0_target, rec.epsb_target,
-               rec.eps0, rec.eps, rec.epsb, rec.delta, rec.guarantee, rec.support_exact,
-               rec.rel_error, rec.error_bound, rec.bound_ok, rec.selected_scores_ok,
-               rec.filter_proximity_ok, rec.filter_deviation_ok, rec.stop)
+        point, trial = divmod(i, report.trials_per_point)
+        row = [point, trial] + [getattr(rec, name) for name in _COLUMNS[2:]]
         lines.append("\t".join(_fmt(v) for v in row))
     lines.append("summary:")
     for i, p in enumerate(report.points):
-        lines.append(
-            f"point={i} eps0={_fmt(p.eps0_target)} epsb={_fmt(p.epsb_target)} "
-            f"trials={p.trials} support_recovery_rate={_fmt(p.support_recovery_rate)} "
-            f"mean_rel_error={_fmt(p.mean_rel_error)} max_rel_error={_fmt(p.max_rel_error)} "
-            f"bound_rate={_fmt(p.bound_rate)} "
-            f"guarantee_pass_count={p.guarantee_pass_count} "
-            f"recovery_rate_given_pass={_fmt(p.recovery_rate_given_pass)} "
-            f"bound_rate_given_pass={_fmt(p.bound_rate_given_pass)}")
-    lines.append(
-        f"overall trials={len(report.records)} "
-        f"support_recovery_rate={_fmt(report.support_recovery_rate)} "
-        f"mean_rel_error={_fmt(report.mean_rel_error)} "
-        f"max_rel_error={_fmt(report.max_rel_error)} "
-        f"bound_rate={_fmt(report.bound_rate)} "
-        f"guarantee_pass_count={report.guarantee_pass_count} "
-        f"recovery_rate_given_pass={_fmt(report.recovery_rate_given_pass)} "
-        f"bound_rate_given_pass={_fmt(report.bound_rate_given_pass)} "
-        f"red_alert={_fmt(report.red_alert)}")
+        lines.append(_summary_line(
+            f"point={i} eps0={_fmt(p.eps0_target)} epsb={_fmt(p.epsb_target)}", p))
+    lines.append(_summary_line("overall", report.overall)
+                 + f" red_alert={_fmt(report.red_alert)}")
     return "\n".join(lines) + "\n"

@@ -161,6 +161,29 @@ def test_check_subcommand_general_mode(tmp_path, capsys):
     assert "condition unsatisfiable" in out
 
 
+def test_check_subcommand_is_na_outside_its_mode(tmp_path, capsys):
+    from somplab import coherent_pair_matrix
+
+    p = tmp_path / "pair.txt"
+    A = coherent_pair_matrix(8, 0.1)
+    write_matrix(p, A)
+    y = tmp_path / "y.txt"
+    write_matrix(y, A @ (2.0 * np.eye(8)[:, :1]))
+    noisy = ["--y", str(y), "--t0", "2.0"]
+    runs = [
+        (["--mode", "noiseless", "--epsb", "0.5"], "assumes zero epsb; got epsb=0.5"),
+        (["--mode", "measurement", "--eps0", "0.05", *noisy],
+         "assumes zero eps0, eps; got eps0=0.05, eps=0.05"),
+        (["--mode", "sensing", "--eps0", "1e-5", "--epsb", "1e-4", *noisy],
+         "assumes zero epsb; got epsb=0.0001"),
+    ]
+    for extra, why in runs:
+        code = main(["check", "--phi", str(p), "--sparsity", "1", *extra])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == f"condition n/a (mode {extra[1]} {why})"
+
+
 def test_check_subcommand_requires_noisy_inputs(tmp_path, capsys):
     _, X, phi_path, _ = _write_instance(tmp_path)
     code = main(["check", "--phi", str(phi_path), "--sparsity", "2",
@@ -314,15 +337,81 @@ def test_exit_code_three_on_red_alert(tmp_path, capsys, monkeypatch):
     import somplab.cli as cli_mod
     from somplab import run_experiment as real_run
 
-    cfg_path = _config(tmp_path, trials=2, perturbation={"epsb": 1e-3})
+    cfg_path = _config(tmp_path, trials=2)   # 2 points x 2 trials
+    broken = {1: dict(support_exact=False), 2: dict(bound_ok=False)}
 
     def poisoned(*args, **kwargs):
-        return dataclasses.replace(real_run(*args, **kwargs), red_alert=True)
+        rep = real_run(*args, **kwargs)
+        records = [dataclasses.replace(r, guarantee="pass", **broken[i]) if i in broken else r
+                   for i, r in enumerate(rep.records)]
+        return dataclasses.replace(rep, records=tuple(records), red_alert=True)
 
     monkeypatch.setattr(cli_mod, "run_experiment", poisoned)
     code = main(["experiment", "--config", str(cfg_path)])
     assert code == 3
-    assert "red alert" in capsys.readouterr().err
+    rep = poisoned(**cli_mod._load_config(str(cfg_path)))
+    r1, r2 = rep.records[1], rep.records[2]
+    assert capsys.readouterr().err.splitlines() == [
+        f"red alert: point=0 trial=1 seed={r1.seed} pert_seed={r1.pert_seed} broke=support",
+        f"red alert: point=1 trial=0 seed={r2.seed} pert_seed={r2.pert_seed} broke=bound",
+    ]
+
+
+FRAME = Path(__file__).resolve().parent / "golden" / "frame_20x25.txt"
+
+
+def _frame_sweep(tmp_path, capsys, **overrides):
+    """Sweep the checked-in 20 x 25 frame; (exit code, rows, summary lines)."""
+    raw = {"instance": {"m": 20, "n": 25, "L": 3, "k": 2, "signal_row_norm_min": 1.0,
+                        "ensemble": "user-supplied", "matrix": str(FRAME)},
+           "checks": {"filter_deviation": True}, "trials": 5, "master_seed": 3, **overrides}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(raw))
+    code = main(["experiment", "--config", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[4].split("\t")
+    rows = [dict(zip(header, line.split("\t"))) for line in lines[5:lines.index("summary:")]]
+    summary = [dict(f.split("=") for f in line.split() if "=" in f)
+               for line in lines[lines.index("summary:") + 1:]]
+    for s in summary:
+        if s["bound_rate"] == "-":   # no trial evaluated a bound, passed or not
+            assert s["bound_rate_given_pass"] == "-"
+    return code, rows, summary
+
+
+def test_zero_level_sweep_keeps_exact_recoveries_within_the_bound(tmp_path, capsys):
+    # eps0 = epsb = 0: the error bound is exactly 0.0 and recovery exact to rounding
+    code, rows, summary = _frame_sweep(tmp_path, capsys)
+    assert code == 0
+    assert [r["guarantee"] for r in rows] == ["pass"] * 5
+    assert all(r["error_bound"] == "0.0" and r["bound_ok"] == "1" for r in rows)
+    assert max(float(r["rel_error"]) for r in rows) < 1e-14
+    assert summary[-1]["red_alert"] == "0"
+
+
+@pytest.mark.parametrize("mode, perturbation", [
+    ("measurement", {"eps0": [0.05]}),
+    ("noiseless", {"epsb": 0.5}),
+])
+def test_certificates_outside_their_mode_are_na(tmp_path, capsys, mode, perturbation):
+    code, rows, summary = _frame_sweep(tmp_path, capsys, mode=mode, trials=20,
+                                       perturbation=perturbation)
+    assert code == 0
+    assert [r["guarantee"] for r in rows] == ["n/a"] * 20
+    for r in rows:
+        assert r["error_bound"] == r["bound_ok"] == r["filter_deviation_ok"] == "-"
+    assert summary[-1]["guarantee_pass_count"] == "0"
+    assert summary[-1]["red_alert"] == "0"
+
+
+def test_noiseless_rates_given_pass_count_only_evaluated_flags(tmp_path, capsys):
+    # noiseless mode has no error bound: passed trials leave the bound rate undefined
+    code, rows, summary = _frame_sweep(tmp_path, capsys, mode="noiseless")
+    assert code == 0
+    assert [r["guarantee"] for r in rows] == ["pass"] * 5
+    for s in summary:
+        assert (s["guarantee_pass_count"], s["recovery_rate_given_pass"]) == ("5", "1.0")
+        assert s["bound_rate"] == s["bound_rate_given_pass"] == "-"
 
 
 def test_user_supplied_matrix_in_config(tmp_path, capsys):

@@ -209,7 +209,7 @@ def test_run_experiment_aggregates_match_records():
             assert p.bound_rate == sum(bool(r.bound_ok) for r in scored) / len(scored)
         else:
             assert p.bound_rate is None
-    assert rep.support_recovery_rate == sum(r.support_exact for r in rep.records) / 12
+    assert rep.overall.support_recovery_rate == sum(r.support_exact for r in rep.records) / 12
     assert not rep.red_alert
 
 
