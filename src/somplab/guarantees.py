@@ -179,7 +179,9 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     ``delta`` must be the exact isometry estimate at order k + 1 for the
     clean sensing matrix; ``t0`` the weakest occupied-row norm of the
     true signal (unused in noiseless mode); ``levels`` the measured
-    relative perturbation levels (all-zero when omitted).  Out-of-domain
+    relative perturbation levels (all-zero when omitted).  Levels that
+    ``mode`` assumes zero but are not raise PreconditionViolated, since
+    that mode's certificate promises nothing there.  Out-of-domain
     closed forms are folded into the verdict, never raised.
     """
     if mode not in MODES:
@@ -190,14 +192,22 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     if delta.order != k + 1:
         raise PreconditionViolated(
             f"isometry estimate has order {delta.order}, need k + 1 = {k + 1}")
-    Phi = as_matrix(Phi, "sensing matrix")
-    spectral_phi = float(np.linalg.norm(Phi, 2))
-    frob_y = None
-    if Y is not None:
-        frob_y = float(np.linalg.norm(as_matrix(Y, "measurements")))
     if levels is None:
         levels = PerturbationLevels(eps0=0.0, eps=0.0, epsb=0.0, order=k)
+    outside = levels_outside_mode(mode, levels)
+    if outside:
+        got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
+        raise PreconditionViolated(f"mode {mode!r} assumes zero {', '.join(outside)}; got {got}")
+    Phi = as_matrix(Phi, "sensing matrix")
+    frob_y = None if Y is None else float(np.linalg.norm(as_matrix(Y, "measurements")))
+    return _evaluate_guarantee(float(np.linalg.norm(Phi, 2)), frob_y, t0, k, levels, delta, mode)
 
+
+def _evaluate_guarantee(spectral_phi: float, frob_y: float | None, t0: float | None, k: int,
+                        levels: PerturbationLevels, delta: RicEstimate,
+                        mode: str) -> GuaranteeReport:
+    """``check_guarantee`` on validated inputs, given ||Phi||_2 and
+    ||Y||_F (None without measurements) instead of Phi and Y."""
     note = ""
     if mode == "noiseless":
         eps_h = 0.0

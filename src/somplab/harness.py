@@ -14,17 +14,17 @@ formatter.
 A trial runs in three stages, and a sweep runs each stage only as often
 as its inputs change:
 
-- clean, once per trial: the instance draw (Phi, X, Y, true support,
-  t0), the references of the levels eps0 and eps (||Phi||_2 and Phi's
-  largest submatrix spectral norms), the exact constant of Phi and,
+- clean, once per trial: the instance draw (Phi, X, Y, ||Y||_F, true
+  support, t0), the references of the levels eps0 and eps (||Phi||_2 and
+  Phi's largest submatrix spectral norms), the exact constant of Phi and,
   when a filter check is on, the clean solve and the filter-proximity
   verdict.  The parts that depend on Phi alone are computed once per
   sweep for a user-supplied matrix;
 - sensing, once per (trial, eps0 level): the sensing perturbation E,
   its levels eps0 and eps, and Phi + E;
 - point, once per sweep point: the measurement perturbation B and
-  epsb against ||Y||_F, the guarantee, the perturbed solve and its
-  diagnostics.
+  epsb against ||Y||_F, the guarantee (evaluated on the clean ||Phi||_2
+  and ||Y||_F held above), the perturbed solve and its diagnostics.
 
 ``run_trial`` applies the same three stages to one perturbation spec.
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidOrder, PreconditionViolated, TraceMismatch
-from .guarantees import check_guarantee, levels_outside_mode
+from .guarantees import _evaluate_guarantee, levels_outside_mode
 from .model import (
     SupportSet,
     as_matrix,
@@ -307,6 +307,7 @@ class _Clean:
     matrix: _Matrix
     X: np.ndarray
     Y: np.ndarray
+    frob_y: float   # ||Y||_F, an input of the guarantee at every point
     true_support: SupportSet
     t0: float | None
     clean_trace: IterationTrace | None
@@ -365,8 +366,9 @@ def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks,
             X_rest[list(prefix)] = 0.0
             diag = matched_filter_oracle(Phi, prefix, X_rest, subset_budget, delta=delta)
             proximity_ok = proximity_ok and diag.passed
-    return _Clean(cfg=cfg, matrix=matrix, X=X, Y=Y, true_support=true_support,
-                  t0=t0, clean_trace=clean_trace, proximity_ok=proximity_ok)
+    return _Clean(cfg=cfg, matrix=matrix, X=X, Y=Y, frob_y=float(np.linalg.norm(Y)),
+                  true_support=true_support, t0=t0, clean_trace=clean_trace,
+                  proximity_ok=proximity_ok)
 
 
 def _sensing_stage(clean: _Clean, pert: PerturbationSpec, subset_budget: int) -> _Sensed:
@@ -380,7 +382,7 @@ def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
                  checks: TrialChecks, mode: str, opts: SolverOptions | None) -> TrialRecord:
     """Realize the measurement perturbation, evaluate the guarantee,
     solve from the perturbed observations and record the outcome."""
-    cfg, Phi, delta = clean.cfg, clean.matrix.Phi, clean.matrix.delta
+    cfg, delta = clean.cfg, clean.matrix.delta
     B, epsb = _measured(pert, clean.Y)
     levels = PerturbationLevels(eps0=sensed.eps0, eps=sensed.eps, epsb=epsb,
                                 order=max(cfg.k, 1))
@@ -389,7 +391,8 @@ def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
     if checks.guarantee and levels_outside_mode(mode, levels):
         verdict = "n/a"   # the mode's certificate promises nothing here
     elif checks.guarantee:
-        report = check_guarantee(Phi, clean.Y, clean.t0, cfg.k, levels, delta, mode=mode)
+        report = _evaluate_guarantee(clean.matrix.refs[0], clean.frob_y, clean.t0, cfg.k,
+                                     levels, delta, mode)
         verdict = ("unsat" if report.q_threshold is None
                    else "pass" if report.condition_holds else "fail")
 

@@ -256,3 +256,14 @@ def test_check_guarantee_rejects_bad_sparsity():
         check_guarantee(Phi, None, None, 0, None, delta, mode="noiseless")
     with pytest.raises(PreconditionViolated):
         check_guarantee(Phi, None, None, 1.5, None, delta, mode="noiseless")
+
+
+def test_check_guarantee_refuses_levels_outside_its_mode():
+    # measurement mode assumes eps0 = eps = 0; with them nonzero it would
+    # otherwise report a passing condition that promises nothing
+    Phi, delta = _noiseless_setup(0.1)
+    X = np.zeros((8, 1))
+    X[0] = 2.0
+    levels = PerturbationLevels(eps0=0.05, eps=0.05, epsb=0.0, order=1)
+    with pytest.raises(PreconditionViolated, match="eps0, eps"):
+        check_guarantee(Phi, Phi @ X, 2.0, 1, levels, delta, mode="measurement")

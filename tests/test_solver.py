@@ -316,3 +316,79 @@ def test_match_scores_equal_first_score_table():
     for seed in range(5):
         Phi, X, Y = _instance(seed, m=128, n=256, L=8, k=3)
         assert np.array_equal(match_scores(Y, Phi), somp_solve(Y, Phi, 3).trace.score_tables[0])
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_large_solve_matches_reference(seed):
+    # the shape of the solve_large benchmark: 40 filter updates against the
+    # matched filter recomputed from a refit residual
+    from somplab import InstanceConfig, gen_sensing_matrix, gen_sparse_signal
+
+    cfg = InstanceConfig(m=256, n=2048, L=16, k=40, seed=seed)
+    Phi = gen_sensing_matrix(cfg)
+    Y = Phi @ gen_sparse_signal(cfg)
+    res = somp_solve(Y, Phi, 40)
+    selected, _Z, scores_seen, _norms, _ranks, _stop = _reference_solve(Y, Phi, 40)
+    assert res.trace.selected == tuple(selected)
+    scale = np.linalg.norm(Phi, 2) * np.linalg.norm(Y)
+    for got, want in zip(res.trace.score_tables, scores_seen, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.array_equal(res.signal, least_squares_on_support(Y, Phi, res.support).signal)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (1, 0), (22, 5), (3, 29), (28, 27)])
+def test_duplicated_columns_tie_to_the_smaller_index(lo, hi):
+    # Y leans on column 9 first and on the duplicated pair second, so the
+    # pair ties in the updated filter of the second iteration; at the last
+    # two positions the product can round the two identical rows differently
+    for seed in range(20):
+        g = _rng(300 + seed)
+        Phi = g.standard_normal((24, 30))
+        Phi /= np.linalg.norm(Phi, axis=0)
+        Phi[:, hi] = Phi[:, lo]
+        Y = 10.0 * np.outer(Phi[:, 9], g.standard_normal(4)) \
+            + np.outer(Phi[:, lo], g.standard_normal(4))
+        selected = somp_solve(Y, Phi, 3).trace.selected
+        assert selected[:2] == (9, min(lo, hi)), (seed, selected)
+
+
+def test_one_least_squares_fit_per_solve(monkeypatch):
+    import somplab.solver as solver_mod
+
+    calls = []
+    original = solver_mod.truncated_svd
+
+    def counting(A, rank_tol):
+        calls.append(A.shape)
+        return original(A, rank_tol)
+
+    monkeypatch.setattr(solver_mod, "truncated_svd", counting)
+    g = _rng(12)
+    Phi = g.standard_normal((30, 60))
+    Y = g.standard_normal((30, 4))
+    for k in (1, 5, 30):
+        calls.clear()
+        assert len(somp_solve(Y, Phi, k).trace.selected) == k
+        assert calls == [(30, k)]
+
+
+def test_filters_are_distinct_arrays_equal_to_the_direct_filter():
+    # two duplicated pairs leave Phi with rank 6 < m = 8, so the last two
+    # iterations select dependent columns and the filter stands
+    g = _rng(13)
+    Phi = g.standard_normal((8, 8))
+    Phi[:, 1], Phi[:, 5] = Phi[:, 0], Phi[:, 4]
+    Y = g.standard_normal((8, 3))
+    assert somp_solve(Y, Phi, 8).trace.rank_deficient == (False,) * 6 + (True, True)
+    cases = [(Phi, Y, 8)] + [_instance(seed, m=12, n=30, L=4, k=5)[::2] + (5,)
+                             for seed in range(5)]
+    for Phi, Y, k in cases:
+        res = somp_solve(Y, Phi, k)
+        filters = res.trace.filter_matrices
+        assert len(filters) == k
+        scale = np.linalg.norm(Phi, 2) * np.linalg.norm(Y)
+        for i, H in enumerate(filters):
+            prefix = res.trace.selected[:i]
+            R = Y - Phi @ least_squares_on_support(Y, Phi, prefix).signal if prefix else Y
+            assert np.max(np.abs(H - Phi.T @ R)) <= 1e-12 * scale
+            assert not any(np.shares_memory(H, other) for other in filters[:i])
