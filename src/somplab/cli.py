@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache   # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="somplab", description="joint-sparse recovery toolbox")
     sub = p.add_subparsers(dest="command", required=True)

@@ -6,20 +6,25 @@ C(n, k), which is why every enumerating operation takes a subset budget
 and refuses work beyond it instead of silently crawling.
 
 Most subsets cannot be the extreme one, and the kernel proves it
-cheaply: Gershgorin discs bound each subset Gram matrix's eigenvalues
-from one vectorised pass over the Gram entries.  Subsets then go to a
-batched symmetric eigendecomposition in descending order of that bound,
-and evaluation stops once no remaining bound, widened by a float slack,
-can reach the best value found.  A subset whose bound could tie the
-best is still evaluated, so results are exactly those of evaluating
-every subset: the same float, and among equally extreme subsets the
-first in lexicographic order.  The same kernel lists every subset
-within a given factor of the extreme, which the frame builder in
-``perturb`` shrinks.
+cheaply, in two stages.  First, Gershgorin discs bound each subset Gram
+matrix's eigenvalues from one vectorised pass over the Gram entries of
+every subset.  Second, a subset whose disc bound reaches the best value
+found so far (less a float slack) gets the tighter bound of Brauer's
+ovals of Cassini, computed from the same centres and radii.  Subsets go
+to a batched symmetric eigendecomposition in descending order of their
+bounds, and evaluation stops once no remaining bound can reach the best
+value.  A subset whose bound could tie the best is still evaluated, so
+results are exactly those of evaluating every subset: the same float,
+and among equally extreme subsets the first in lexicographic order.
+The same kernel lists every subset within a given factor of the
+extreme, which the frame builder in ``perturb`` shrinks.  The subset
+table of each (n, order) is built once and kept read-only in a small
+cache, since a sweep enumerates the same few shapes for every matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -135,28 +140,79 @@ def column_subsets(n: int, order: int) -> np.ndarray:
     return table
 
 
-def _gershgorin_bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.ndarray:
-    """Upper bound on each subset's value from the Gershgorin discs of its
-    Gram submatrix: on ``max(lam_max - 1, 1 - lam_min)`` when
-    ``deviation`` is set, else on ``lam_max``."""
+@functools.lru_cache(maxsize=8)
+def _subset_table(n: int, order: int) -> np.ndarray:
+    """``column_subsets(n, order)``, built once per shape and shared
+    read-only.  Eight shapes cover every width a sweep at order <= 8
+    enumerates; the least recently used table goes first."""
+    table = column_subsets(n, order)
+    table.flags.writeable = False
+    return table
+
+
+def _disc_chunks(gram: np.ndarray, idx: np.ndarray):
+    """Blocks of at most ``_CHUNK`` listed subsets: each block's offset and
+    the centres and radii of its subsets' Gershgorin discs, one row per
+    subset position and one column per subset."""
     n = gram.shape[0]
     flat = np.abs(gram).ravel()
     diag = np.diag(gram)
     pairs = list(combinations(range(idx.shape[1]), 2))
-    out = np.empty(len(idx))
     for start in range(0, len(idx), _CHUNK):
-        cols = idx[start:start + _CHUNK].T.astype(np.intp)   # one row per subset position
+        cols = idx[start:start + _CHUNK].T.astype(np.intp)
         rows = cols * n
         radius = np.zeros(cols.shape)
         for a, b in pairs:
             off = flat.take(rows[a] + cols[b])
             radius[a] += off
             radius[b] += off
-        centre = diag.take(cols)
+        yield start, diag.take(cols), radius
+
+
+def _gershgorin_bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.ndarray:
+    """Upper bound on each subset's value from the Gershgorin discs of its
+    Gram submatrix: on ``max(lam_max - 1, 1 - lam_min)`` when
+    ``deviation`` is set, else on ``lam_max``."""
+    out = np.empty(len(idx))
+    for start, centre, radius in _disc_chunks(gram, idx):
         top = (centre + radius).max(axis=0)
         if deviation:
             top = np.maximum(top - 1.0, 1.0 - (centre - radius).min(axis=0))
         out[start:start + len(top)] = top
+    return out
+
+
+def _cassini_bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.ndarray:
+    """Upper bound on each subset's value, as ``_gershgorin_bounds`` gives,
+    from Brauer's ovals of Cassini instead of the discs.
+
+    Every eigenvalue lies in some oval |z - a_i| |z - a_j| <= r_i r_j
+    (i < j, centres a and radii r of the discs), so lam_max is at most
+    the largest (a_i + a_j)/2 + sqrt(((a_i - a_j)/2)^2 + r_i r_j) and
+    lam_min at least the smallest mirror value.  The ovals lie inside the
+    union of the two discs, so the bound never exceeds the Gershgorin
+    bound beyond rounding.  One column has no pair: its bound is the
+    diagonal, which the discs already give.  Centres are halved before
+    they are added, so no sum overflows; a radius that overflowed, times
+    a zero one, is NaN, and a subset with a NaN bound gets an infinite
+    one instead, so that it is never pruned.
+    """
+    pairs = list(combinations(range(idx.shape[1]), 2))
+    if not pairs:
+        return _gershgorin_bounds(gram, idx, deviation)
+    out = np.empty(len(idx))
+    for start, centre, radius in _disc_chunks(gram, idx):
+        half = 0.5 * centre
+        up = np.full(centre.shape[1], -math.inf)
+        lo = np.full(centre.shape[1], math.inf)
+        for a, b in pairs:
+            mid = half[a] + half[b]
+            gap = half[a] - half[b]
+            root = np.sqrt(gap * gap + radius[a] * radius[b])
+            np.maximum(up, mid + root, out=up)
+            np.minimum(lo, mid - root, out=lo)
+        out[start:start + len(up)] = np.maximum(up - 1.0, 1.0 - lo) if deviation else up
+    out[np.isnan(out)] = math.inf
     return out
 
 
@@ -174,17 +230,20 @@ def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
 
     A subset's value is ``max(lam_max - 1, 1 - lam_min)`` of its Gram
     submatrix when ``deviation`` is set, else ``lam_max``.  Batches of
-    the largest remaining Gershgorin bounds are evaluated until no
-    remaining bound reaches ``rel`` times the best value less the slack.
-    The slack covers the rounding of both the bounds and the
-    eigenvalues, so a skipped subset can neither beat the result nor
-    belong to the returned set.  Requires 0 < rel <= 1.
+    the largest remaining bounds are evaluated until no remaining bound
+    reaches the floor: ``rel`` times the best value, less the slack.  A
+    subset starts with its Gershgorin bound; the first time that bound
+    reaches the floor it is replaced by the tighter Cassini bound, which
+    must reach the floor too.  The slack covers the rounding of the
+    bounds and the eigenvalues, so a skipped subset can neither beat the
+    result nor belong to the returned set.  Requires 0 < rel <= 1.
     """
     gram = A.T @ A
     if not np.isfinite(gram).all():
         raise PreconditionViolated("column inner products overflow double precision")
-    idx = column_subsets(A.shape[1], order)
+    idx = _subset_table(A.shape[1], order)
     bound = _gershgorin_bounds(gram, idx, deviation)
+    tight = np.zeros(len(bound), dtype=bool)   # bound is already the Cassini one
     best, size = -math.inf, _PROBE
     seen_rows, seen_vals = [], []
     rows = np.argpartition(bound, max(len(bound) - size, 0))[-size:]
@@ -194,7 +253,13 @@ def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
         seen_rows.append(rows)
         seen_vals.append(vals)
         bound[rows] = -math.inf   # evaluated
-        rows = np.flatnonzero(bound >= rel * best - _SLACK * max(1.0, abs(best)))
+        floor = rel * best - _SLACK * max(1.0, abs(best))
+        rows = np.flatnonzero(bound >= floor)
+        loose = rows[~tight[rows]]
+        if len(loose):
+            bound[loose] = _cassini_bounds(gram, idx[loose], deviation)
+            tight[loose] = True
+            rows = rows[bound[rows] >= floor]
         size = min(2 * size, _CHUNK)
         if len(rows) > size:
             rows = rows[np.argpartition(bound[rows], len(rows) - size)[-size:]]

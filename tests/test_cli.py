@@ -495,3 +495,23 @@ def test_readme_config_table_lists_every_accepted_key():
         if line.startswith("| `"):
             documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
     assert documented == set(_dotted_keys(_CONFIG))
+
+
+def test_main_answers_each_call_as_a_fresh_process_would(tmp_path, capsys):
+    # the parser is built once per process and shared by later calls
+    from somplab import cli
+
+    _, _, phi_path, _ = _write_instance(tmp_path, m=10, n=12)
+    cfg_path = _config(tmp_path, trials=2)
+    calls = [["experiment", "--config", str(cfg_path)],
+             ["ric", "--matrix", str(phi_path), "--order", "2"],
+             ["ric", "--matrix", str(phi_path)],   # usage error: no --order
+             ["experiment", "--config", str(cfg_path)]]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert [code for code, _ in fresh] == [0, 0, 1, 0]
+    for argv, want in zip(calls, fresh):
+        assert (main(argv), capsys.readouterr()) == want
+    assert cli._build_parser.cache_info().misses == 1

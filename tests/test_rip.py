@@ -1,7 +1,8 @@
 """Isometry-constant machinery against independent oracles.
 
-The production path skips every subset whose Gershgorin bound proves it
-cannot reach the extreme value and eigendecomposes only the rest.  Two
+The production path skips every subset whose Gershgorin or Cassini bound
+proves it cannot reach the extreme value and eigendecomposes only the
+rest.  Two
 oracles check it.  One walks every subset through an SVD, so agreement
 to 1e-10 is meaningful.  The other eigendecomposes every subset Gram
 matrix in one batch, which is what the kernel computed before pruning;
@@ -91,13 +92,26 @@ def _reference_cases():
     return cases
 
 
+def _desk_gaussian():
+    # the shape and order of the default certificate sweep
+    return _rng(47).standard_normal((32, 40)) / math.sqrt(32)
+
+
+def _kernel_cases():
+    # matrix and orders of each case the pruned kernel is checked on
+    cases = {name: (A, range(1, min(A.shape[1], 5) + 1))
+             for name, A in _reference_cases().items()}
+    cases["gaussian-32x40"] = (_desk_gaussian(), (4,))
+    return cases
+
+
 @pytest.mark.parametrize("probe", [1, 64])
-@pytest.mark.parametrize("name", sorted(_reference_cases()))
+@pytest.mark.parametrize("name", sorted(_kernel_cases()))
 def test_pruned_kernel_matches_exhaustive_batched_reference(name, probe, monkeypatch):
     # a first batch of one subset spreads ties over many batches
     monkeypatch.setattr(rip, "_PROBE", probe)
-    A = _reference_cases()[name]
-    for order in range(1, min(A.shape[1], 5) + 1):
+    A, orders = _kernel_cases()[name]
+    for order in orders:
         idx, dev, top = _batched_reference(A, order)
         j = int(np.argmax(dev))   # the first maximiser is the witness
         est = ric_exact(A, order)
@@ -110,6 +124,78 @@ def test_pruned_kernel_matches_exhaustive_batched_reference(name, probe, monkeyp
             value, near = rip._extreme_subsets(A, order, deviation=True, rel=rel)
             assert value == dev[j]
             assert np.array_equal(near, idx[dev >= rel * dev[j]])
+
+
+@pytest.mark.parametrize("name", sorted(_reference_cases()))
+def test_cassini_bound_is_sound_and_no_looser_than_gershgorin(name):
+    A = _reference_cases()[name]
+    for order in range(1, min(A.shape[1], 5) + 1):
+        idx, dev, top = _batched_reference(A, order)
+        gram = A.T @ A
+        bottom = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])[:, 0]
+        # the kernel's rounding allowance scales with the subset's largest
+        # eigenvalue, also on the lam_min side, where a 1e6 column leaves
+        # 1e-4 of noise
+        allowance = rip._SLACK * np.maximum(1.0, top)
+        # the negated Gram turns the bound on lam_min into one on lam_max
+        for g, deviation, value in ((gram, True, dev), (gram, False, top),
+                                    (-gram, False, -bottom)):
+            cassini = rip._cassini_bounds(g, idx, deviation)
+            gershgorin = rip._gershgorin_bounds(g, idx, deviation)
+            assert np.all(cassini >= value - allowance), (order, deviation)
+            assert np.all(cassini <= gershgorin + allowance), (order, deviation)
+
+
+def test_cassini_bound_of_an_overflowing_radius_is_infinite():
+    # row 0's radius overflows and row 3's is zero: their product is NaN
+    big = 1e308
+    g = np.array([[big, big, big, 0.0],
+                  [big, big, 0.0, 0.0],
+                  [big, 0.0, big, 0.0],
+                  [0.0, 0.0, 0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for deviation in (True, False):
+            assert rip._cassini_bounds(g, np.array([[0, 1, 2, 3]]), deviation)[0] == math.inf
+
+
+def _eigendecomposed(monkeypatch, A, order):
+    # ric_exact and the number of subsets it eigendecomposed
+    count = []
+    real = rip._subset_values
+
+    def counted(gram, sub, deviation):
+        count.append(len(sub))
+        return real(gram, sub, deviation)
+
+    monkeypatch.setattr(rip, "_subset_values", counted)
+    return ric_exact(A, order), sum(count)
+
+
+def test_cassini_stage_prunes_most_gershgorin_survivors(monkeypatch):
+    A = _desk_gaussian()
+    est, tightened = _eigendecomposed(monkeypatch, A, 4)
+    monkeypatch.setattr(rip, "_cassini_bounds", rip._gershgorin_bounds)
+    gershgorin_only, loose = _eigendecomposed(monkeypatch, A, 4)
+    assert est == gershgorin_only
+    assert tightened < loose / 4
+    # when every subset ties, none can be pruned and the first one wins
+    for order in (1, 2, 4, 6):
+        est, evaluated = _eigendecomposed(monkeypatch, np.eye(8), order)
+        assert est.witness_subset == tuple(range(order))
+        assert evaluated == math.comb(8, order)
+
+
+def test_subset_table_is_built_once_per_shape_and_read_only():
+    table = rip._subset_table(17, 3)
+    assert rip._subset_table(17, 3) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    fresh = rip.column_subsets(17, 3)
+    assert fresh is not table and fresh.flags.writeable
+    assert np.array_equal(fresh, list(itertools.combinations(range(17), 3)))
+    fresh[0, 0] = 5
+    assert np.array_equal(rip._subset_table(17, 3), rip.column_subsets(17, 3))
 
 
 def test_ties_resolve_to_the_lexicographically_first_subset():
