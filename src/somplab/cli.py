@@ -29,7 +29,7 @@ from .perturb import (
     calibrate_perturbation,
 )
 from .rip import DEFAULT_SUBSET_BUDGET, PerturbationLevels, ric_exact
-from .solver import SolverOptions, somp_solve
+from .solver import somp_solve
 
 
 class _UsageError(Exception):
@@ -227,6 +227,7 @@ def _one_of(choices: tuple[str, ...]):
 
 
 _BOOLEAN = _kind(lambda v: type(v) is bool, "true or false")
+_OVERLAP = _kind(lambda v: type(v) in (int, float) and 0 < v <= 1, "a number in (0, 1]", float)
 _PATH = _kind(lambda v: type(v) is str and v != "", "a path string")
 
 
@@ -268,7 +269,7 @@ _CONFIG = {
         "ensemble": (_one_of(ENSEMBLES), "gaussian"),
         "matrix": (_PATH, None),
         "signal_row_norm_min": (_number(0.0), 0.0),
-        "embed_overlap": (_number(0.0), 0.5),
+        "embed_overlap": (_OVERLAP, 0.5),
     }, _REQUIRED),
     "perturbation": ({
         "eps0": (_level, 0.0),
@@ -280,7 +281,6 @@ _CONFIG = {
     "mode": (_one_of(MODES), "general"),
     "subset_budget": (_integer(1), DEFAULT_SUBSET_BUDGET),
     "checks": ({f.name: (_BOOLEAN, f.default) for f in dataclasses.fields(TrialChecks)}, {}),
-    "solver": ({f.name: (_number(0.0), f.default) for f in dataclasses.fields(SolverOptions)}, {}),
 }
 
 
@@ -296,6 +296,9 @@ def _load_config(path: str) -> dict:
         if conf["checks"][key] and not conf["checks"]["ric"]:
             raise InvalidConfig(f"'checks.{key}' needs 'checks.ric' enabled")
     inst = dict(conf["instance"])
+    if inst["k"] > min(inst["m"], inst["n"]):
+        raise InvalidConfig(f"'instance.k' must be at most min(m, n) = "
+                            f"{min(inst['m'], inst['n'])}, got {inst['k']}")
     ensemble, matrix = inst.pop("ensemble"), inst.pop("matrix")
     if matrix is not None:
         if ensemble != "user-supplied":
@@ -305,8 +308,7 @@ def _load_config(path: str) -> dict:
     return dict(cfg=InstanceConfig(**inst, matrix_ensemble=ensemble, matrix=matrix),
                 eps0_levels=pert["eps0"], epsb_levels=pert["epsb"], b_mode=pert["b_mode"],
                 trials=conf["trials"], master_seed=conf["master_seed"], mode=conf["mode"],
-                subset_budget=conf["subset_budget"], checks=TrialChecks(**conf["checks"]),
-                opts=SolverOptions(**conf["solver"]))
+                subset_budget=conf["subset_budget"], checks=TrialChecks(**conf["checks"]))
 
 
 def _cmd_experiment(args) -> int:

@@ -64,19 +64,16 @@ from .perturb import (
     gen_sparse_signal,
 )
 from .rip import (
+    _SLACK,
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
     RicEstimate,
     residual_sensing_matrix,
     ric_exact,
 )
-from .solver import IterationTrace, RecoveryResult, SolverOptions, somp_solve, solve_perturbed
+from .solver import RESIDUAL_STOP_TOL, IterationTrace, RecoveryResult, somp_solve
 
 _SCORE_VANISH_TOL = 1e-10
-
-# Absolute-plus-relative slack used when float comparisons decide a
-# mathematically exact inequality.
-_SLACK = 1e-12
 
 # The checks that need the exact constant, which only the isometry check
 # (``TrialChecks.ric``) or a precomputed estimate provides.
@@ -158,7 +155,7 @@ def selected_scores_vanish(trace: IterationTrace, rel_tol: float = _SCORE_VANISH
     return True
 
 
-def reference_omp_smv(y, Phi, k: int, opts: SolverOptions | None = None) -> RecoveryResult:
+def reference_omp_smv(y, Phi, k: int) -> RecoveryResult:
     """Plain single-vector orthogonal matching pursuit, written separately.
 
     Serves as an independent cross-check of the joint solver in the
@@ -178,10 +175,9 @@ def reference_omp_smv(y, Phi, k: int, opts: SolverOptions | None = None) -> Reco
     if int(k) != k or not 1 <= int(k) <= min(m, n):
         raise PreconditionViolated(f"sparsity {k} outside 1..min({m}, {n})")
     k = int(k)
-    opts = opts if opts is not None else SolverOptions()
 
     y_norm = float(np.linalg.norm(y))
-    stop_at = opts.residual_stop_tol * y_norm
+    stop_at = RESIDUAL_STOP_TOL * y_norm
     r = y.copy()
     x = np.zeros(n)
     picked: list[int] = []
@@ -204,7 +200,6 @@ def reference_omp_smv(y, Phi, k: int, opts: SolverOptions | None = None) -> Reco
         rnorms.append(float(np.linalg.norm(r)))
         ranks.append(rank < len(picked))
     trace = IterationTrace(
-        label="reference",
         selected=tuple(picked),
         score_tables=tuple(tables),
         filter_matrices=tuple(filters),
@@ -344,8 +339,7 @@ def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int,
                    refs=_sensing_references(Phi, max(cfg.k, 1), subset_budget))
 
 
-def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks,
-                 subset_budget: int, opts: SolverOptions | None) -> _Clean:
+def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks) -> _Clean:
     """Draw the signal on ``matrix`` and do the trial's clean-side work."""
     Phi, delta = matrix.Phi, matrix.delta
     X = gen_sparse_signal(cfg)
@@ -355,7 +349,7 @@ def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks,
 
     clean_trace = proximity_ok = None
     if checks.filter_proximity or checks.filter_deviation:
-        clean_trace = somp_solve(Y, Phi, cfg.k, opts).trace
+        clean_trace = somp_solve(Y, Phi, cfg.k).trace
     if checks.filter_proximity and delta.delta < 1.0:   # else the bound is undefined
         proximity_ok = True
         for i in range(len(clean_trace.selected)):
@@ -364,7 +358,7 @@ def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks,
                 continue  # hypothesis gone; nothing to assert here
             X_rest = X.copy()
             X_rest[list(prefix)] = 0.0
-            diag = matched_filter_oracle(Phi, prefix, X_rest, subset_budget, delta=delta)
+            diag = matched_filter_oracle(Phi, prefix, X_rest, delta=delta)
             proximity_ok = proximity_ok and diag.passed
     return _Clean(cfg=cfg, matrix=matrix, X=X, Y=Y, frob_y=float(np.linalg.norm(Y)),
                   true_support=true_support, t0=t0, clean_trace=clean_trace,
@@ -379,7 +373,7 @@ def _sensing_stage(clean: _Clean, pert: PerturbationSpec, subset_budget: int) ->
 
 
 def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
-                 checks: TrialChecks, mode: str, opts: SolverOptions | None) -> TrialRecord:
+                 checks: TrialChecks, mode: str) -> TrialRecord:
     """Realize the measurement perturbation, evaluate the guarantee,
     solve from the perturbed observations and record the outcome."""
     cfg, delta = clean.cfg, clean.matrix.delta
@@ -396,7 +390,7 @@ def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
         verdict = ("unsat" if report.q_threshold is None
                    else "pass" if report.condition_holds else "fail")
 
-    solved = solve_perturbed(clean.Y + B, sensed.Phi_obs, cfg.k, opts)
+    solved = somp_solve(clean.Y + B, sensed.Phi_obs, cfg.k)
     support_exact = solved.support == clean.true_support
     rel_error = relative_frobenius_error(solved.signal, clean.X)
 
@@ -428,8 +422,7 @@ def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
 def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
               checks: TrialChecks = TrialChecks(), mode: str = "general",
               subset_budget: int = DEFAULT_SUBSET_BUDGET,
-              delta: RicEstimate | None = None,
-              opts: SolverOptions | None = None) -> TrialRecord:
+              delta: RicEstimate | None = None) -> TrialRecord:
     """Run one generate/perturb/solve/check trial and record the outcome.
 
     ``delta`` may carry a precomputed order-(k+1) estimate of the clean
@@ -443,10 +436,8 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
         raise PreconditionViolated(
             f"provided estimate has order {delta.order}, need k + 1 = {cfg.k + 1}")
     _require_delta(checks, delta is not None)
-    clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget, delta), checks,
-                         subset_budget, opts)
-    return _point_stage(clean, _sensing_stage(clean, pert, subset_budget), pert,
-                        checks, mode, opts)
+    clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget, delta), checks)
+    return _point_stage(clean, _sensing_stage(clean, pert, subset_budget), pert, checks, mode)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -531,8 +522,7 @@ def _summarize(eps0_target, epsb_target, records) -> PointSummary:
 def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
                    master_seed: int, checks: TrialChecks = TrialChecks(),
                    mode: str = "general", b_mode: str = "gaussian",
-                   subset_budget: int = DEFAULT_SUBSET_BUDGET,
-                   opts: SolverOptions | None = None) -> ExperimentReport:
+                   subset_budget: int = DEFAULT_SUBSET_BUDGET) -> ExperimentReport:
     """Run a deterministic sweep over perturbation levels.
 
     ``eps0_levels`` x ``epsb_levels`` form the sweep grid (scalars are
@@ -559,7 +549,7 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
             matrix = _matrix_stage(tcfg, checks, subset_budget, None)
             if cfg.matrix_ensemble == "user-supplied":
                 shared = matrix
-        clean = _clean_stage(tcfg, matrix, checks, subset_budget, opts)
+        clean = _clean_stage(tcfg, matrix, checks)
         for i, e0 in enumerate(eps0_levels):
             specs = [PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=pseed, b_mode=b_mode)
                      for eb in epsb_levels]
@@ -567,7 +557,7 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
             for j, tpert in enumerate(specs):
                 point = i * len(epsb_levels) + j
                 all_records[point * trials + t] = _point_stage(clean, sensed, tpert,
-                                                               checks, mode, opts)
+                                                               checks, mode)
     return ExperimentReport(
         cfg=cfg, mode=mode, b_mode=b_mode, trials_per_point=trials,
         master_seed=master_seed, checks=checks,

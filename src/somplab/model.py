@@ -39,12 +39,17 @@ def as_support(indices, n: int) -> SupportSet:
     return idx
 
 
-def truncated_svd(A: np.ndarray, rank_tol: float):
+# Relative singular-value cutoff of every numerical span and rank: the
+# least-squares fit, the solver's basis and the selected-span projector.
+RANK_TOL = 1e-12
+
+
+def truncated_svd(A: np.ndarray):
     """Thin SVD (U, s, Vt) of a matrix with at least one column, keeping
-    only singular values above ``rank_tol`` times the largest; U's
+    only singular values above ``RANK_TOL`` times the largest; U's
     columns are then an orthonormal basis of the numerical span."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > s[0] * rank_tol
+    keep = s > s[0] * RANK_TOL
     return U[:, keep], s[keep], Vt[keep]
 
 

@@ -49,9 +49,6 @@ _CHUNK = 4096
 # bounds, whose best value sets the pruning threshold.
 _PROBE = 64
 
-# Relative singular-value cutoff of the selected-span basis.
-_RANK_TOL = 1e-12
-
 # Absolute-plus-relative slack used when float comparisons decide a
 # mathematically exact inequality.
 _SLACK = 1e-12
@@ -374,7 +371,7 @@ def selected_span_projector(Phi, support) -> np.ndarray:
     m = Phi.shape[0]
     if not support:
         return np.zeros((m, m))
-    U, _, _ = truncated_svd(Phi[:, support], _RANK_TOL)
+    U, _, _ = truncated_svd(Phi[:, support])
     return U @ U.T
 
 
@@ -384,7 +381,7 @@ def residual_sensing_matrix(Phi, support) -> np.ndarray:
     support = as_support(support, Phi.shape[1])
     if not support:
         return Phi.copy()
-    U, _, _ = truncated_svd(Phi[:, support], _RANK_TOL)
+    U, _, _ = truncated_svd(Phi[:, support])
     return Phi - U @ (U.T @ Phi)
 
 

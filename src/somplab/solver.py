@@ -9,7 +9,7 @@ The loop keeps an orthonormal basis Q of the selected columns and its
 triangular factor T.  A selected column is orthogonalized against the
 whole basis, once more when cancellation took most of its norm, and
 enters the basis only if T still passes the rank rule of the
-least-squares fit (smallest singular value above ``rank_tol`` times the
+least-squares fit (smallest singular value above ``RANK_TOL`` times the
 largest).  A column that fails leaves the residual and the filter as
 they were, and it and every later iteration are marked rank-deficient.
 Each new basis vector q updates the residual to R - q (q^T R), which
@@ -25,9 +25,7 @@ inputs are validated once, on entry.
 
 The solver is given one sensing matrix and uses it for both selection
 and fitting; whether that matrix is a clean or a perturbed observation
-is the caller's concern.  ``solve_perturbed`` exists so call sites that
-operate on perturbed observations say so explicitly and get a trace
-labeled accordingly.
+is the caller's concern.
 """
 
 from __future__ import annotations
@@ -38,30 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySupport, InvalidSparsity
-from .model import SupportSet, as_matrix, as_support, truncated_svd
+from .model import RANK_TOL, SupportSet, as_matrix, as_support, truncated_svd
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical knobs for the greedy loop.
-
-    ``residual_stop_tol`` stops iteration once the residual Frobenius
-    norm falls to that fraction of the measurements' norm, which keeps
-    the selection step away from numerically empty residuals.
-    ``rank_tol`` is the relative singular-value cutoff of the restricted
-    least-squares fit; the same cutoff decides whether a selected column
-    enters the solver's basis or counts as dependent on those before it.
-    """
-
-    residual_stop_tol: float = 1e-12
-    rank_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.residual_stop_tol < 0 or self.rank_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-
-_DEFAULT_OPTIONS = SolverOptions()
+# Iteration stops once the residual's Frobenius norm falls to this
+# fraction of ||Y||_F, which keeps selection away from numerically empty
+# residuals.
+RESIDUAL_STOP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,7 +64,6 @@ class IterationTrace:
     clean runs can be compared filter-by-filter.
     """
 
-    label: str
     selected: tuple[int, ...]
     score_tables: tuple[np.ndarray, ...]
     filter_matrices: tuple[np.ndarray, ...]
@@ -128,20 +107,20 @@ def match_scores(R, Phi) -> np.ndarray:
     return _matched_filter(R, Phi)[1]
 
 
-def _fit(Y, A, rank_tol):
+def _fit(Y, A):
     """Least-squares coefficients of Y on the columns of A, and the rank
-    kept after truncating singular values at ``rank_tol`` times the
+    kept after truncating singular values at ``RANK_TOL`` times the
     largest."""
-    U, s, Vt = truncated_svd(A, rank_tol)
+    U, s, Vt = truncated_svd(A)
     return Vt.T @ ((U.T @ Y) / s[:, None]), len(s)
 
 
-def least_squares_on_support(Y, Phi, support, rank_tol: float = 1e-12) -> SupportFit:
+def least_squares_on_support(Y, Phi, support) -> SupportFit:
     """Least-squares signal estimate restricted to the given support.
 
     Solves min ||Y - Phi Z||_F over signals supported on ``support`` via
     a singular value decomposition of the selected columns, truncating
-    singular values at ``rank_tol`` times the largest one.  Rows outside
+    singular values at ``RANK_TOL`` times the largest one.  Rows outside
     the support are exactly zero in the returned signal.  A truncated
     (rank-deficient) fit is flagged, not an error.
     """
@@ -153,7 +132,7 @@ def least_squares_on_support(Y, Phi, support, rank_tol: float = 1e-12) -> Suppor
     support = as_support(support, n)
     if not support:
         raise EmptySupport("least-squares fit needs a nonempty support")
-    coefficients, rank = _fit(Y, Phi[:, support], rank_tol)
+    coefficients, rank = _fit(Y, Phi[:, support])
     Z = np.zeros((n, Y.shape[1]))
     Z[list(support)] = coefficients
     return SupportFit(signal=Z, rank=rank, rank_deficient=rank < len(support))
@@ -178,7 +157,15 @@ def _select(scores, selected):
     return int((unselected >= top - _TIE_TOL * top).argmax())
 
 
-def _greedy_solve(Y, Phi, k, opts, label):
+def somp_solve(Y, Phi, k: int) -> RecoveryResult:
+    """Recover a jointly k-row-sparse signal from Y using Phi.
+
+    Runs k greedy iterations (select, grow the basis, update residual),
+    stopping early only when the residual norm falls to
+    ``RESIDUAL_STOP_TOL * ||Y||_F``, then fits the signal on the selected
+    support by least squares.  With Y = 0 the stop comes before the first
+    selection and the result has an empty support.
+    """
     Y = as_matrix(Y, "measurements")
     Phi = as_matrix(Phi, "sensing matrix")
     if Y.shape[0] != Phi.shape[0]:
@@ -187,10 +174,9 @@ def _greedy_solve(Y, Phi, k, opts, label):
     if int(k) != k or not 1 <= int(k) <= min(m, n):
         raise InvalidSparsity(f"sparsity {k} outside 1..min({m}, {n})")
     k = int(k)
-    opts = opts if opts is not None else _DEFAULT_OPTIONS
 
     y_norm = float(np.linalg.norm(Y))
-    stop_at = opts.residual_stop_tol * y_norm
+    stop_at = RESIDUAL_STOP_TOL * y_norm
     # Row i of Qt is the i-th kept basis vector q_i, and Phi_kept = Qt^T T.
     # W[i] = q_i^T R when q_i was kept (q_i^T Y in exact arithmetic), so
     # R = Y - Qt^T W and Phi^T R = Phi^T Y - Gt^T W with Gt[i] = q_i^T Phi.
@@ -248,18 +234,18 @@ def _greedy_solve(Y, Phi, k, opts, label):
             # Frobenius norm; only when those bounds cannot decide the rank
             # test are the singular values computed.
             bound = rho * floor / (rho + math.sqrt(c_sq) + floor)
-            if bound > opts.rank_tol * math.sqrt(fro_sq + c_sq + rho * rho):
+            if bound > RANK_TOL * math.sqrt(fro_sq + c_sq + rho * rho):
                 independent = True
             else:
                 s = np.linalg.svd(T[:kept + 1, :kept + 1], compute_uv=False)
-                independent = s[-1] > opts.rank_tol * s[0]
+                independent = s[-1] > RANK_TOL * s[0]
                 bound = s[-1]
         else:
             u = v
             rho = bound = math.sqrt(v @ v)
             T[0, 0] = rho
             c_sq = 0.0
-            independent = rho > opts.rank_tol * rho
+            independent = rho > RANK_TOL * rho
         if independent:
             q = u / rho
             Qt[kept] = q
@@ -274,10 +260,9 @@ def _greedy_solve(Y, Phi, k, opts, label):
     Z = np.zeros((n, Y.shape[1]))
     support = sorted(selected)
     if support:
-        Z[support] = _fit(Y, Phi[:, support], opts.rank_tol)[0]
+        Z[support] = _fit(Y, Phi[:, support])[0]
 
     trace = IterationTrace(
-        label=label,
         selected=tuple(selected),
         score_tables=tuple(score_tables),
         filter_matrices=tuple(filters),
@@ -293,23 +278,6 @@ def _greedy_solve(Y, Phi, k, opts, label):
     )
 
 
-def somp_solve(Y, Phi, k: int, opts: SolverOptions | None = None) -> RecoveryResult:
-    """Recover a jointly k-row-sparse signal from Y using Phi.
-
-    Runs k greedy iterations (select, grow the basis, update residual),
-    stopping early only when the residual norm falls below
-    ``opts.residual_stop_tol * ||Y||_F``, then fits the signal on the
-    selected support by least squares.  With Y = 0 the stop comes before
-    the first selection and the result has an empty support.
-    """
-    return _greedy_solve(Y, Phi, k, opts, label="nominal")
-
-
-def solve_perturbed(Y_obs, Phi_obs, k: int, opts: SolverOptions | None = None) -> RecoveryResult:
-    """Same greedy solve, applied to perturbed observations.
-
-    Identical to ``somp_solve``; it exists so call sites make the
-    perturbed-observation setting explicit and the trace is labeled for
-    later pairing against a clean run.
-    """
-    return _greedy_solve(Y_obs, Phi_obs, k, opts, label="perturbed")
+# The same solve under its former name, kept only because
+# ``perfbench/tracing.py`` wraps it by that name.
+solve_perturbed = somp_solve

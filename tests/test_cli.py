@@ -256,7 +256,8 @@ def test_experiment_rejects_unknown_keys(tmp_path, capsys):
                       {"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "zap": 3}},
                       {"perturbation": {"eps0": 0.0, "boom": 1}},
                       {"checks": {"nope": True}},
-                      {"solver": {"nope": 1.0}}):
+                      {"solver": {"nope": 1.0}},
+                      {"solver": {"rank_tol": 1e-12}}):   # the solver has no settings
         cfg_path = _config(tmp_path, **overrides)
         assert main(["experiment", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
@@ -445,8 +446,9 @@ def test_user_supplied_matrix_in_config(tmp_path, capsys):
     ({"perturbation": {"epsb": [1e-3, "2e-3"]}}, "epsb"),
     ({"perturbation": {"epsb": float("nan")}}, "epsb"),
     ({"perturbation": {"epsb": float("inf")}}, "epsb"),
-    ({"solver": {"rank_tol": "tiny"}}, "solver.rank_tol"),
-    ({"solver": {"rank_tol": -1}}, "solver.rank_tol"),
+    ({"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "embed_overlap": 0}},
+     "instance.embed_overlap"),
+    ({"instance": {"m": 8, "n": 10, "L": 2, "k": 9}}, "instance.k"),
     ({"instance": {"m": 16.5, "n": 24, "L": 2, "k": 2}}, "instance.m"),
     ({"instance": {"m": True, "n": 24, "L": 2, "k": 2}}, "instance.m"),
     ({"instance": {"m": 16, "n": 24, "L": 2, "k": 0}}, "instance.k"),

@@ -146,6 +146,19 @@ def test_cassini_bound_is_sound_and_no_looser_than_gershgorin(name):
             assert np.all(cassini <= gershgorin + allowance), (order, deviation)
 
 
+def test_floor_slack_covers_bounds_rounded_one_ulp_low(monkeypatch):
+    # every subset of an orthonormal set ties at deviation 0; bounds that
+    # come out one ulp below the true value must still reach the floor
+    for name in ("_gershgorin_bounds", "_cassini_bounds"):
+        real = getattr(rip, name)
+        monkeypatch.setattr(rip, name, lambda *args, real=real:
+                            np.nextafter(real(*args), -np.inf))
+    value, near = rip._extreme_subsets(np.eye(8), 4, True)
+    assert value == 0.0
+    assert tuple(near[0]) == (0, 1, 2, 3)
+    assert len(near) == math.comb(8, 4)
+
+
 def test_cassini_bound_of_an_overflowing_radius_is_infinite():
     # row 0's radius overflows and row 3's is zero: their product is NaN
     big = 1e308
