@@ -1,9 +1,11 @@
 """Exact restricted isometry constants and measured perturbation sizes.
 
-The constant is found by enumerating every column subset of the given
-order, so it is exact, and only practical for small matrices.  The same
-enumeration machinery measures how large a perturbation is relative to
-the matrix it lands on.
+The constant accounts for every column subset of the given order, so it
+is exact, and only practical for small matrices.  Most subsets are
+ruled out by cheap eigenvalue bounds, and on larger shapes most are
+never even listed; the count of examined subsets still covers them all.
+The same machinery measures how large a perturbation is relative to the
+matrix it lands on.
 """
 
 import numpy as np

@@ -24,7 +24,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionMismatch(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -2,24 +2,30 @@
 
 Every width-k column subset is accounted for, so the reported constants
 are exact up to floating point; nothing is sampled.  Cost grows as
-C(n, k), which is why every enumerating operation takes a subset budget
-and refuses work beyond it instead of silently crawling.
+C(n, k) at worst, which is why every enumerating operation takes a
+subset budget and refuses work beyond it instead of silently crawling.
 
 Most subsets cannot be the extreme one, and the kernel proves it
 cheaply, in two stages.  First, Gershgorin discs bound each subset Gram
-matrix's eigenvalues from one vectorised pass over the Gram entries of
-every subset.  Second, a subset whose disc bound reaches the best value
-found so far (less a float slack) gets the tighter bound of Brauer's
-ovals of Cassini, computed from the same centres and radii.  Subsets go
-to a batched symmetric eigendecomposition in descending order of their
+matrix's eigenvalues.  A shape with at most ``_CHUNK`` subsets bounds
+every subset in one vectorised pass over its Gram entries.  A larger
+shape first eigendecomposes a seed, each column with its most coherent
+partners, and lists only the subsets whose disc bound can reach the
+seed's best value: for each column, the partner sets whose coupling
+magnitudes, read from its Gram row sorted in descending order, sum high
+enough.  Second, a subset whose disc bound reaches the best value found
+so far (less a float slack) gets the tighter bound of Brauer's ovals of
+Cassini, computed from the same centres and radii.  Subsets go to a
+batched symmetric eigendecomposition in descending order of their
 bounds, and evaluation stops once no remaining bound can reach the best
 value.  A subset whose bound could tie the best is still evaluated, so
 results are exactly those of evaluating every subset: the same float,
 and among equally extreme subsets the first in lexicographic order.
 The same kernel lists every subset within a given factor of the
 extreme, which the frame builder in ``perturb`` shrinks.  The subset
-table of each (n, order) is built once and kept read-only in a small
-cache, since a sweep enumerates the same few shapes for every matrix.
+table of each shape bounded in full is built once and kept read-only in
+a small cache, since a sweep enumerates the same few shapes for every
+matrix.
 """
 
 from __future__ import annotations
@@ -42,11 +48,13 @@ from .model import SupportSet, as_matrix, as_support, truncated_svd
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
-# Subsets per vectorised Gershgorin block and per batched eigendecomposition.
+# Subsets per vectorised bound block and per batched eigendecomposition.  A
+# shape with no more subsets than one block bounds them all instead of listing.
 _CHUNK = 4096
 
-# Size of the first eigendecomposition batch: the subsets with the largest
-# bounds, whose best value sets the pruning threshold.
+# Size of the first eigendecomposition batch of a shape bounded in full: the
+# subsets with the largest bounds, whose best value sets the pruning
+# threshold.  Later batches double from it.
 _PROBE = 64
 
 # Absolute-plus-relative slack used when float comparisons decide a
@@ -140,8 +148,10 @@ def column_subsets(n: int, order: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _subset_table(n: int, order: int) -> np.ndarray:
     """``column_subsets(n, order)``, built once per shape and shared
-    read-only.  Eight shapes cover every width a sweep at order <= 8
-    enumerates; the least recently used table goes first."""
+    read-only.  The kernel asks for it when it bounds every subset: for
+    shapes of at most ``_CHUNK`` subsets, and for larger ones whose
+    listing would not be smaller.  Eight shapes cover every width a sweep
+    at order <= 8 enumerates; the least recently used table goes first."""
     table = column_subsets(n, order)
     table.flags.writeable = False
     return table
@@ -219,33 +229,104 @@ def _subset_values(gram: np.ndarray, sub: np.ndarray, deviation: bool) -> np.nda
     return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]) if deviation else w[:, -1]
 
 
-def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
-                     rel: float = 1.0) -> tuple[float, np.ndarray]:
-    """Largest subset value over all width-``order`` column subsets of A,
-    and every subset whose value is at least ``rel`` times it, in
-    lexicographic order (rel = 1 gives the subsets attaining it).
+def _lex_ranker(n: int, width: int):
+    """A function from sorted width-``width`` subsets of range(n), one per
+    row, to their rows in ``column_subsets(n, width)``.
 
-    A subset's value is ``max(lam_max - 1, 1 - lam_min)`` of its Gram
-    submatrix when ``deviation`` is set, else ``lam_max``.  Batches of
-    the largest remaining bounds are evaluated until no remaining bound
-    reaches the floor: ``rel`` times the best value, less the slack.  A
-    subset starts with its Gershgorin bound; the first time that bound
-    reaches the floor it is replaced by the tighter Cassini bound, which
-    must reach the floor too.  The slack covers the rounding of the
-    bounds and the eigenvalues, so a skipped subset can neither beat the
-    result nor belong to the returned set.  Requires 0 < rel <= 1.
-    """
-    gram = A.T @ A
-    if not np.isfinite(gram).all():
-        raise PreconditionViolated("column inner products overflow double precision")
-    idx = _subset_table(A.shape[1], order)
-    bound = _gershgorin_bounds(gram, idx, deviation)
+    The row of s_0 < ... < s_{w-1} is C(n, w) - 1 less the sum of
+    C(n - 1 - s_j, w - j).  Pascal's rule builds the binomials a column
+    at a time.  None that a subset reaches exceeds C(n, w), so larger
+    ones are clipped to it and stay in int64."""
+    total = math.comb(n, width)
+    choose = np.empty((width, n), dtype=np.int64)   # row j: C(n - 1 - s, w - j) at s
+    col = np.ones(n, dtype=np.int64)
+    for j in range(width - 1, -1, -1):   # C(x, y) is the sum of C(t, y - 1) over t < x
+        col = np.minimum(np.concatenate(([0], np.cumsum(col[:-1]))), total)
+        choose[j] = col[::-1]
+
+    def ranks(sub: np.ndarray) -> np.ndarray:
+        out = np.full(len(sub), total - 1, dtype=np.int64)
+        for j in range(width):
+            out -= choose[j].take(sub[:, j])
+        return out
+
+    return ranks
+
+
+def _distinct(sub: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``sub`` in lexicographic order, and their
+    ``rank`` values."""
+    ranks = rank(sub)
+    order = np.argsort(ranks)
+    ranks = ranks[order]
+    first = np.ones(len(ranks), dtype=bool)
+    np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+    return sub[order[first]], ranks[first]
+
+
+def _window_sums(coupling: np.ndarray, span: int) -> np.ndarray:
+    """Sums of ``span`` consecutive entries of each row, added left to
+    right, so a row whose entries descend gives descending sums."""
+    width = coupling.shape[1] - span + 1
+    sums = coupling[:, :width].copy()
+    for t in range(1, span):
+        sums += coupling[:, t:t + width]
+    return sums
+
+
+def _reaching_picks(coupling: np.ndarray, need: np.ndarray, picks: int, limit: int):
+    """Every way to pick ``picks`` positions of one row of ``coupling``
+    (each row descending) whose entries sum to at least that row's
+    ``need``: the rows and the positions, one way per row of the result;
+    None once a level would hold ``limit`` ways or more.
+
+    Positions are picked in increasing order.  A partial pick is extended
+    by the positions after its last one from which the next entries can
+    still make up what it lacks.  The sums of a descending row descend,
+    so those positions run up to the row's first sum that falls short,
+    and one sorted search finds it for every partial pick.  Memory stays
+    in proportion to the ways kept."""
+    row = np.arange(len(need))
+    last = np.full(len(need), -1)
+    surplus = -need   # the sum picked so far, less the need
+    chosen = np.empty((len(need), 0), dtype=np.intp)
+    for left in range(picks, 0, -1):
+        reach = _window_sums(coupling, left)
+        width = reach.shape[1]
+        # numpy orders complex numbers by real part, then imaginary part:
+        # (row, -sum) pairs are sorted, and a search in them counts the
+        # leading sums of a row that cover a partial pick's shortfall
+        keys = np.empty(reach.shape, dtype=complex)
+        keys.real, keys.imag = np.arange(len(reach))[:, None], -reach
+        wanted = np.empty(len(row), dtype=complex)
+        wanted.real, wanted.imag = row, surplus
+        end = np.searchsorted(keys.ravel(), wanted, side="right") - row * width
+        counts = np.maximum(end - last - 1, 0)
+        ways = int(counts.sum())
+        if ways >= limit:
+            return None
+        parent = np.repeat(np.arange(len(counts)), counts)
+        last = np.arange(ways) + (last + 1 - np.cumsum(counts) + counts)[parent]
+        row = row[parent]
+        surplus = surplus[parent] + coupling[row, last]
+        chosen = np.column_stack((chosen[parent], last))
+    return row, chosen
+
+
+def _search(gram: np.ndarray, idx: np.ndarray, bound: np.ndarray, deviation: bool,
+            rel: float, seed=None) -> tuple[float, np.ndarray]:
+    """``_extreme_subsets`` over the subsets ``idx``, rows in lexicographic
+    order, from a first ``bound`` of each row (overwritten as it goes).
+    ``seed`` holds rows already evaluated and their values; without it
+    the ``_PROBE`` largest bounds are evaluated first."""
     tight = np.zeros(len(bound), dtype=bool)   # bound is already the Cassini one
+    if seed is None:
+        rows = np.argpartition(bound, max(len(bound) - _PROBE, 0))[-_PROBE:]
+        seed = rows, _subset_values(gram, idx[rows], deviation)
+    rows, vals = seed
     best, size = -math.inf, _PROBE
     seen_rows, seen_vals = [], []
-    rows = np.argpartition(bound, max(len(bound) - size, 0))[-size:]
-    while len(rows):
-        vals = _subset_values(gram, idx[rows], deviation)
+    while True:
         best = max(best, float(vals.max()))
         seen_rows.append(rows)
         seen_vals.append(vals)
@@ -257,11 +338,94 @@ def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
             bound[loose] = _cassini_bounds(gram, idx[loose], deviation)
             tight[loose] = True
             rows = rows[bound[rows] >= floor]
+        if not len(rows):
+            break
         size = min(2 * size, _CHUNK)
         if len(rows) > size:
             rows = rows[np.argpartition(bound[rows], len(rows) - size)[-size:]]
+        vals = _subset_values(gram, idx[rows], deviation)
     rows = np.concatenate(seen_rows)
     return best, idx[np.sort(rows[np.concatenate(seen_vals) >= rel * best])]
+
+
+def _table_search(gram: np.ndarray, order: int, deviation: bool, rel: float,
+                  seed=None) -> tuple[float, np.ndarray]:
+    """``_search`` over every row of the cached subset table, from its
+    Gershgorin bounds."""
+    idx = _subset_table(gram.shape[0], order)
+    return _search(gram, idx, _gershgorin_bounds(gram, idx, deviation), deviation, rel, seed)
+
+
+def _listed_search(gram: np.ndarray, order: int, deviation: bool,
+                   rel: float) -> tuple[float, np.ndarray]:
+    """``_extreme_subsets`` that bounds only the subsets whose Gershgorin
+    bound can reach a seeded floor.
+
+    The seed is each column with its ``order - 1`` most coherent
+    partners, and its best value sets the first floor.  A subset's
+    Gershgorin bound is its largest row bound: d_i plus the sum of
+    |g_ij| over the other columns j, where d_i is max(g_ii - 1, 1 - g_ii)
+    for the deviation and g_ii for lam_max.  So the subsets that reach
+    the floor are those of an anchor i and ``order - 1`` partners whose
+    couplings sum to the floor less d_i, and ``_reaching_picks`` lists
+    them from each row of |G| sorted in descending order.  A subset left
+    out has a bound below this floor, and no later floor of the search
+    is lower (with rel below ``_SLACK`` the floor is negative and leaves
+    nothing out).  The listed subsets start at the Cassini stage.  A
+    listing that would hold C(n, order) rows or more falls back to the
+    full table.  Either way the seed's values enter the search, so no
+    subset is eigendecomposed twice.
+    """
+    n = gram.shape[0]
+    total = math.comb(n, order)
+    dtype = np.min_scalar_type(n - 1)
+    rank = _lex_ranker(n, order)
+    apart = -np.abs(gram)
+    np.fill_diagonal(apart, 1.0)   # every column comes last among its own partners
+    partners = np.argsort(apart, axis=1, kind="stable")[:, :n - 1]
+    coupling = -np.sort(apart, axis=1)[:, :n - 1]
+    seed = np.sort(np.column_stack((np.arange(n), partners[:, :order - 1])), axis=1)
+    seed, seed_ranks = _distinct(seed.astype(dtype), rank)
+    seed_vals = _subset_values(gram, seed, deviation)
+    best = float(seed_vals.max())
+    diag = np.diag(gram)
+    own = np.maximum(diag - 1.0, 1.0 - diag) if deviation else diag
+    floor = rel * best - _SLACK * max(1.0, abs(best))
+    listed = _reaching_picks(coupling, floor - own, order - 1, total)
+    if listed is None:
+        return _table_search(gram, order, deviation, rel, (seed_ranks, seed_vals))
+    anchor, chosen = listed
+    found = np.sort(np.column_stack((anchor, partners[anchor[:, None], chosen])), axis=1)
+    idx, ranks = _distinct(np.concatenate((seed, found.astype(dtype))), rank)
+    return _search(gram, idx, np.full(len(idx), math.inf), deviation, rel,
+                   (np.searchsorted(ranks, seed_ranks), seed_vals))
+
+
+def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
+                     rel: float = 1.0) -> tuple[float, np.ndarray]:
+    """Largest subset value over all width-``order`` column subsets of A,
+    and every subset whose value is at least ``rel`` times it, in
+    lexicographic order (rel = 1 gives the subsets attaining it).
+
+    A subset's value is ``max(lam_max - 1, 1 - lam_min)`` of its Gram
+    submatrix when ``deviation`` is set, else ``lam_max``.  Batches of
+    the largest remaining bounds are evaluated until no remaining bound
+    reaches the floor: ``rel`` times the best value, less the slack.  A
+    shape with at most ``_CHUNK`` subsets starts every row of its cached
+    table at its Gershgorin bound; a larger one starts from a seed and
+    the subsets ``_listed_search`` lists.  The first time a subset's
+    bound reaches the floor it is replaced by the tighter Cassini bound,
+    which must reach the floor too.  The slack covers the rounding of
+    the bounds, the listing's sums and the eigenvalues, so a skipped
+    subset can neither beat the result nor belong to the returned set.
+    Requires 0 < rel <= 1.
+    """
+    gram = A.T @ A
+    if not np.isfinite(gram).all():
+        raise PreconditionViolated("column inner products overflow double precision")
+    if math.comb(gram.shape[0], order) <= _CHUNK:
+        return _table_search(gram, order, deviation, rel)
+    return _listed_search(gram, order, deviation, rel)
 
 
 def ric_exact(A, order: int, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> RicEstimate:

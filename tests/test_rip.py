@@ -7,7 +7,10 @@ oracles check it.  One walks every subset through an SVD, so agreement
 to 1e-10 is meaningful.  The other eigendecomposes every subset Gram
 matrix in one batch, which is what the kernel computed before pruning;
 the pruned kernel must reproduce its float, its witness and its set of
-near-extreme subsets exactly.
+near-extreme subsets exactly.  Past one block of subsets the kernel only
+lists the subsets whose Gershgorin bound can reach a seeded floor; that
+listing is forced on the small oracle cases too, and checked against
+the full table on larger shapes.
 """
 
 import itertools
@@ -127,6 +130,79 @@ def test_pruned_kernel_matches_exhaustive_batched_reference(name, probe, monkeyp
 
 
 @pytest.mark.parametrize("name", sorted(_reference_cases()))
+def test_listing_matches_exhaustive_batched_reference(name, monkeypatch):
+    # the listing, forced on shapes that would bound their whole table
+    A = _reference_cases()[name]
+    gram = A.T @ A
+    for order in range(1, min(A.shape[1], 5) + 1):
+        idx, dev, top = _batched_reference(A, order)
+        for probe, deviation, rel in itertools.product((1, 64), (True, False), (1.0, 0.98, 0.5)):
+            monkeypatch.setattr(rip, "_PROBE", probe)
+            value = dev if deviation else top
+            best, near = rip._listed_search(gram, order, deviation, rel)
+            assert best == value.max(), (order, probe, deviation, rel)
+            assert np.array_equal(near, idx[value >= rel * best]), (order, probe, deviation, rel)
+
+
+def _evaluated(monkeypatch):
+    # every subset the kernel eigendecomposes, batch by batch
+    batches = []
+    real = rip._subset_values
+
+    def spied(gram, sub, deviation):
+        batches.append(np.array(sub))
+        return real(gram, sub, deviation)
+
+    monkeypatch.setattr(rip, "_subset_values", spied)
+    return batches
+
+
+def _evaluated_once(batches, n):
+    ranks = rip._lex_ranker(n, batches[0].shape[1])(np.concatenate(batches))
+    return len(np.unique(ranks)) == len(ranks)
+
+
+def test_listing_matches_the_table_at_64x80(monkeypatch):
+    A = _rng(48).standard_normal((64, 80)) / 8.0
+    batches = _evaluated(monkeypatch)
+    best, near = rip._extreme_subsets(A, 4, True, rel=0.98)
+    assert _evaluated_once(batches, 80)
+    assert sum(map(len, batches)) < 1000
+    want_best, want_near = rip._table_search(A.T @ A, 4, True, 0.98)
+    assert best == want_best
+    assert np.array_equal(near, want_near)
+
+
+def test_listing_falls_back_to_the_table_when_not_smaller(monkeypatch):
+    listings = []
+    real = rip._reaching_picks
+    monkeypatch.setattr(rip, "_reaching_picks",
+                        lambda *args: listings.append(real(*args)) or listings[-1])
+    batches = _evaluated(monkeypatch)
+    # every subset ties: the listing would hold all of them, several times
+    value, near = rip._extreme_subsets(np.eye(40), 4, True)
+    assert listings == [None]
+    assert value == 0.0
+    assert np.array_equal(near, rip.column_subsets(40, 4))
+    assert sum(map(len, batches)) == math.comb(40, 4)
+    assert _evaluated_once(batches, 40)
+
+
+def test_listing_on_duplicated_columns_matches_the_table(monkeypatch):
+    A = _desk_gaussian()
+    A[:, [7, 9, 30]] = A[:, [2, 2, 11]]
+    batches = _evaluated(monkeypatch)
+    for deviation, rel in itertools.product((True, False), (1.0, 0.98)):
+        batches.clear()
+        best, near = rip._extreme_subsets(A, 4, deviation, rel)
+        assert _evaluated_once(batches, 40)
+        assert sum(map(len, batches)) < math.comb(40, 4) / 10
+        want_best, want_near = rip._table_search(A.T @ A, 4, deviation, rel)
+        assert best == want_best
+        assert np.array_equal(near, want_near)
+
+
+@pytest.mark.parametrize("name", sorted(_reference_cases()))
 def test_cassini_bound_is_sound_and_no_looser_than_gershgorin(name):
     A = _reference_cases()[name]
     for order in range(1, min(A.shape[1], 5) + 1):
@@ -146,17 +222,51 @@ def test_cassini_bound_is_sound_and_no_looser_than_gershgorin(name):
             assert np.all(cassini <= gershgorin + allowance), (order, deviation)
 
 
+def _pair_coupled(n):
+    # columns 0 and 1 have squared norm 1.5 and inner product 0.5, every
+    # other column is a unit vector orthogonal to all; each Gram entry is
+    # exact, and every width-4 subset holding both ties at deviation 1
+    A = np.zeros((n + 1, n))
+    A[:3, 0] = (1.0, 0.5, 0.5)
+    A[:3, 1] = (1.0, -0.5, -0.5)
+    A[np.arange(3, n + 1), np.arange(2, n)] = 1.0
+    return A
+
+
+def _equiangular_cluster(n, c):
+    # c unit columns with pairwise inner products of exactly 1/4, the rest
+    # orthonormal: the Gershgorin bound of a width-4 subset of the cluster
+    # is its deviation, 3/4, and needs all three couplings of a row
+    A = np.zeros((1 + 3 * c + n - c, n))
+    A[0, :c] = 0.5
+    for i in range(c):
+        A[1 + 3 * i:4 + 3 * i, i] = 0.5
+    A[np.arange(1 + 3 * c, 1 + 3 * c + n - c), np.arange(c, n)] = 1.0
+    return A
+
+
 def test_floor_slack_covers_bounds_rounded_one_ulp_low(monkeypatch):
-    # every subset of an orthonormal set ties at deviation 0; bounds that
-    # come out one ulp below the true value must still reach the floor
-    for name in ("_gershgorin_bounds", "_cassini_bounds"):
+    # bounds and listing sums that come out one ulp below the true value
+    # must still reach the floor
+    for name in ("_gershgorin_bounds", "_cassini_bounds", "_window_sums"):
         real = getattr(rip, name)
         monkeypatch.setattr(rip, name, lambda *args, real=real:
                             np.nextafter(real(*args), -np.inf))
+    # every subset of an orthonormal set ties at deviation 0 (the table)
     value, near = rip._extreme_subsets(np.eye(8), 4, True)
     assert value == 0.0
     assert tuple(near[0]) == (0, 1, 2, 3)
     assert len(near) == math.comb(8, 4)
+    # the listing: every subset holding columns 0 and 1 ties, and each row
+    # sum that reaches the floor equals it
+    value, near = rip._extreme_subsets(_pair_coupled(40), 4, True)
+    assert value == 1.0
+    assert np.array_equal(near, [s for s in itertools.combinations(range(40), 4)
+                                 if s[:2] == (0, 1)])
+    # a partial subset must be bounded by all of its best completion
+    value, near = rip._extreme_subsets(_equiangular_cluster(40, 6), 4, True, rel=0.98)
+    assert value == pytest.approx(0.75, abs=1e-12)
+    assert np.array_equal(near, list(itertools.combinations(range(6), 4)))
 
 
 def test_cassini_bound_of_an_overflowing_radius_is_infinite():
@@ -228,6 +338,7 @@ def test_column_subsets_match_itertools():
             want = np.array(list(itertools.combinations(range(n), order)))
             assert table.dtype == np.uint8
             assert np.array_equal(table, want), (n, order)
+            assert np.array_equal(rip._lex_ranker(n, order)(table), np.arange(len(want)))
     assert rip.column_subsets(300, 1).dtype == np.uint16
 
 
