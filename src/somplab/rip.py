@@ -515,7 +515,10 @@ def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[
 def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...],
                     subset_budget: int) -> tuple[float, float]:
     """eps0 and eps of a sensing perturbation against the references of
-    its clean matrix."""
+    its clean matrix.  An all-zero E ties every subset, which would send
+    each one to the eigensolver; its levels are zero without that."""
+    if not E.any():
+        return 0.0, 0.0
     eps0 = float(np.linalg.norm(E, 2)) / spectral_phi
     eps = 0.0
     for width, den in enumerate(widths, 1):

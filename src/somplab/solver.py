@@ -15,13 +15,18 @@ they were, and it and every later iteration are marked rank-deficient.
 Each new basis vector q updates the residual to R - q (q^T R), which
 stays orthogonal to everything selected.
 
-The matched filter Phi^T Y is formed once.  Each basis vector adds one
-row q^T Phi to G = Q^T Phi, which is one pass over Phi, and each later
-iteration's filter is Phi^T Y - G^T W with W = Q^T R, one small product
-written to a fresh array, so the trace keeps every iteration's filter.
-After the loop a single least-squares fit on the selected columns gives
-the signal, the same fit ``least_squares_on_support`` makes.  The
-inputs are validated once, on entry.
+The matched filter is held transposed, in one contiguous L x n buffer
+that starts as Y^T Phi.  Each basis vector q adds one row g = q^T Phi to
+G = Q^T Phi, which is one pass over Phi, and updates the buffer in place
+by the rank-one product w g with w = q^T R: the basis is orthonormal,
+so in exact arithmetic the buffer stays Phi^T R transposed.  The scores
+are its column norms.  The trace keeps the factors, not the filters:
+``filter_matrices[i]`` forms Phi^T Y - G^T W from the first filter and
+the rows of G and W that iteration had folded in, so it equals the
+running filter up to rounding.  After the loop a single least-squares
+fit on the selected columns gives the signal, the same fit
+``least_squares_on_support`` makes.  The inputs are validated once, on
+entry.
 
 The solver is given one sensing matrix and uses it for both selection
 and fitting; whether that matrix is a clean or a perturbed observation
@@ -31,6 +36,7 @@ is the caller's concern.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +65,17 @@ class IterationTrace:
 
     ``score_tables[i]`` holds all n match scores of iteration i + 1, so
     the scores at already-selected indices (which must vanish) can be
-    audited afterwards.  ``filter_matrices[i]`` is the full n x L
-    matched filter the scores were taken from, kept so perturbed and
-    clean runs can be compared filter-by-filter.
+    audited afterwards; the solver takes them from its running filter.
+    ``filter_matrices[i]`` is the full n x L matched filter of that
+    iteration, so perturbed and clean runs can be compared
+    filter-by-filter.  The solver's trace forms it afresh on each access,
+    from factors it keeps instead of the filters, and its row norms equal
+    the score table up to rounding.
     """
 
     selected: tuple[int, ...]
     score_tables: tuple[np.ndarray, ...]
-    filter_matrices: tuple[np.ndarray, ...]
+    filter_matrices: Sequence[np.ndarray]
     residual_norms: tuple[float, ...]
     initial_residual_norm: float
     rank_deficient: tuple[bool, ...]
@@ -87,11 +96,34 @@ class RecoveryResult:
     terminated_early: str | None
 
 
-def _matched_filter(R, Phi):
-    """The n x L matched filter Phi^T R and its row norms.  Formed as
-    (R^T Phi)^T, which BLAS computes faster than Phi^T R."""
-    H = (R.T @ Phi).T
-    return H, np.linalg.norm(H, axis=1)
+class _Filters(Sequence):
+    """The matched filters of a solve, formed on access: filter i is
+    (Ht0 - W[:c]^T Gt[:c])^T, where Ht0 = Y^T Phi and c counts the basis
+    vectors folded into the filter by iteration i + 1."""
+
+    def __init__(self, Ht0, W, Gt, counts):
+        self._Ht0, self._W, self._Gt, self._counts = Ht0, W, Gt, counts
+
+    def __len__(self):
+        return len(self._counts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        c = self._counts[i]
+        if not c:
+            return self._Ht0.T.copy()
+        Ht = self._W[:c].T @ self._Gt[:c]
+        np.subtract(self._Ht0, Ht, out=Ht)
+        return Ht.T
+
+
+def _column_norms(Ht, scratch):
+    """Euclidean norms of the columns of Ht, with ``scratch`` (an array
+    of Ht's shape) as workspace."""
+    np.multiply(Ht, Ht, out=scratch)
+    norms = np.add.reduce(scratch, axis=0)
+    return np.sqrt(norms, out=norms)
 
 
 def match_scores(R, Phi) -> np.ndarray:
@@ -104,7 +136,8 @@ def match_scores(R, Phi) -> np.ndarray:
     Phi = as_matrix(Phi, "sensing matrix")
     if R.shape[0] != Phi.shape[0]:
         raise DimensionMismatch(f"residual has {R.shape[0]} rows, sensing matrix {Phi.shape[0]}")
-    return _matched_filter(R, Phi)[1]
+    Ht = R.T @ Phi   # BLAS forms R^T Phi faster than Phi^T R
+    return _column_norms(Ht, Ht)
 
 
 def _fit(Y, A):
@@ -180,6 +213,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     # Row i of Qt is the i-th kept basis vector q_i, and Phi_kept = Qt^T T.
     # W[i] = q_i^T R when q_i was kept (q_i^T Y in exact arithmetic), so
     # R = Y - Qt^T W and Phi^T R = Phi^T Y - Gt^T W with Gt[i] = q_i^T Phi.
+    # Ht is that filter transposed, updated by one row pair at a time.
     Qt = np.empty((k, m))
     T = np.zeros((k, k))
     W = np.empty((k, Y.shape[1]))
@@ -187,9 +221,10 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     kept = filtered = 0   # basis vectors, and those folded into the filter
     floor = fro_sq = 0.0  # bounds sigma_min(T) from below, and ||T||_F^2
     R, r_norm = Y, y_norm
+    Ht0 = None
     selected: list[int] = []
     score_tables: list[np.ndarray] = []
-    filters: list[np.ndarray] = []
+    counts: list[int] = []
     residual_norms: list[float] = []
     ranks: list[bool] = []
     terminated_early = None
@@ -199,21 +234,22 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
             terminated_early = "zero-residual"
             break
         if i == 0:
-            H, scores = _matched_filter(Y, Phi)
-            Ht0 = H.T
+            Ht0 = Y.T @ Phi
+            Ht = Ht0.copy()
+            scratch = np.empty_like(Ht)
+            scores = _column_norms(Ht, scratch)
         elif kept > filtered:
             Gt[filtered] = Qt[filtered] @ Phi
+            np.multiply(W[filtered, :, None], Gt[filtered], out=scratch)
+            Ht -= scratch
             filtered = kept
-            Ht = W[:kept].T @ Gt[:kept]
-            np.subtract(Ht0, Ht, out=Ht)
-            H = Ht.T
-            scores = np.linalg.norm(H, axis=1)
+            scores = _column_norms(Ht, scratch)
         else:   # the last column was not kept, so the filter stands
-            H, scores = H.copy(), scores.copy()
+            scores = scores.copy()
         j = _select(scores, selected)
         selected.append(j)
         score_tables.append(scores)
-        filters.append(H)
+        counts.append(filtered)
 
         v = Phi[:, j]
         if kept:
@@ -265,7 +301,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     trace = IterationTrace(
         selected=tuple(selected),
         score_tables=tuple(score_tables),
-        filter_matrices=tuple(filters),
+        filter_matrices=_Filters(Ht0, W, Gt, tuple(counts)),
         residual_norms=tuple(residual_norms),
         initial_residual_norm=y_norm,
         rank_deficient=tuple(ranks),

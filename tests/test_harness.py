@@ -348,14 +348,15 @@ def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
               master_seed=seed)
     run_experiment(cfg, **kw, checks=TrialChecks(filter_deviation=True))
     # Phi side: one set of widths 1..k per clean matrix; E side: one set
-    # per (trial, eps0 level); one clean solve per trial
-    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 9, ("E", 2): 9}
+    # per (trial, nonzero eps0 level), since an all-zero E needs none; one
+    # clean solve per trial
+    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 6, ("E", 2): 6}
     assert len(solves) == trials
 
     widths.clear()
     solves.clear()
     run_experiment(cfg, **kw)
-    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 9, ("E", 2): 9}
+    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 6, ("E", 2): 6}
     assert solves == []
 
     # a user-supplied matrix is one clean matrix for the whole sweep
@@ -363,7 +364,7 @@ def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
     shared = InstanceConfig(m=40, n=12, L=2, k=2, matrix_ensemble="user-supplied", matrix=Phi)
     widths, solves = _count_sweep_work(monkeypatch, [Phi])
     run_experiment(shared, **kw, checks=TrialChecks(filter_proximity=True))
-    assert Counter(widths) == {("phi", 1): 1, ("phi", 2): 1, ("E", 1): 9, ("E", 2): 9}
+    assert Counter(widths) == {("phi", 1): 1, ("phi", 2): 1, ("E", 1): 6, ("E", 2): 6}
     assert len(solves) == trials
 
 

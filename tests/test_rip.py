@@ -458,6 +458,30 @@ def test_measured_levels_zero_perturbation():
     assert levels.eps0 == 0.0 and levels.eps == 0.0 and levels.epsb == 0.0
 
 
+def test_zero_sensing_perturbation_skips_the_width_kernels(monkeypatch):
+    # an all-zero E ties every subset, so the kernel would eigendecompose
+    # each one; its levels are known to be zero without it
+    import somplab.rip as rip_mod
+
+    Phi = _unit_columns(8, 10, 11)
+    widths = rip_mod._width_references(Phi, 3, 10**6)
+    calls = []
+    original = rip_mod.submatrix_spectral_norm
+
+    def counting(A, width, subset_budget=rip_mod.DEFAULT_SUBSET_BUDGET):
+        calls.append(width)
+        return original(A, width, subset_budget)
+
+    monkeypatch.setattr(rip_mod, "submatrix_spectral_norm", counting)
+    levels = rip_mod._sensing_levels(np.zeros_like(Phi), 1.0, widths, 10**6)
+    assert levels == (0.0, 0.0) and calls == []
+    E = np.zeros_like(Phi)
+    E[3, 4] = 1e-3
+    eps0, eps = rip_mod._sensing_levels(E, 1.0, widths, 10**6)
+    assert calls == [1, 2, 3]
+    assert eps0 == pytest.approx(1e-3, rel=1e-12) and eps > 0.0
+
+
 def test_measured_levels_reject_zero_references():
     Phi = _unit_columns(8, 10, 13)
     Y = np.ones((8, 2))
