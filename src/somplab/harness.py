@@ -24,9 +24,12 @@ as its inputs change:
   its levels eps0 and eps, and Phi + E;
 - point, once per sweep point: the measurement perturbation B and
   epsb against ||Y||_F, the guarantee (evaluated on the clean ||Phi||_2
-  and ||Y||_F held above), the perturbed solve and its diagnostics.
+  and ||Y||_F held above), the perturbed solve and its diagnostics.  The
+  direction of a generated B is drawn once per trial, at its first
+  nonzero epsb level, and each point only scales it.
 
-``run_trial`` applies the same three stages to one perturbation spec.
+``run_trial`` applies the same three stages to one perturbation spec,
+through the same calls.
 
 Determinism: the seeds of trial t derive from SeedSequence([master_seed,
 t]) (two 64-bit words: instance seed, perturbation seed).  Sweep points
@@ -57,7 +60,7 @@ from .model import (
 from .perturb import (
     InstanceConfig,
     PerturbationSpec,
-    _measured,
+    _measurement,
     _sensed,
     _sensing_references,
     gen_sensing_matrix,
@@ -372,12 +375,13 @@ def _sensing_stage(clean: _Clean, pert: PerturbationSpec, subset_budget: int) ->
     return _Sensed(Phi_obs=Phi + E, eps0=eps0, eps=eps)
 
 
-def _point_stage(clean: _Clean, sensed: _Sensed, pert: PerturbationSpec,
+def _point_stage(clean: _Clean, sensed: _Sensed, measured, pert: PerturbationSpec,
                  checks: TrialChecks, mode: str) -> TrialRecord:
-    """Realize the measurement perturbation, evaluate the guarantee,
+    """Realize the measurement perturbation at the spec's level, from the
+    trial's ``_measurement`` of the clean Y, evaluate the guarantee,
     solve from the perturbed observations and record the outcome."""
     cfg, delta = clean.cfg, clean.matrix.delta
-    B, epsb = _measured(pert, clean.Y)
+    B, epsb = measured(pert.target_epsb)
     levels = PerturbationLevels(eps0=sensed.eps0, eps=sensed.eps, epsb=epsb,
                                 order=max(cfg.k, 1))
 
@@ -437,7 +441,8 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
             f"provided estimate has order {delta.order}, need k + 1 = {cfg.k + 1}")
     _require_delta(checks, delta is not None)
     clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget, delta), checks)
-    return _point_stage(clean, _sensing_stage(clean, pert, subset_budget), pert, checks, mode)
+    sensed = _sensing_stage(clean, pert, subset_budget)
+    return _point_stage(clean, sensed, _measurement(pert, clean.Y), pert, checks, mode)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -550,13 +555,14 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
             if cfg.matrix_ensemble == "user-supplied":
                 shared = matrix
         clean = _clean_stage(tcfg, matrix, checks)
+        measured = _measurement(PerturbationSpec(seed=pseed, b_mode=b_mode), clean.Y)
         for i, e0 in enumerate(eps0_levels):
             specs = [PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=pseed, b_mode=b_mode)
                      for eb in epsb_levels]
             sensed = _sensing_stage(clean, specs[0], subset_budget)
             for j, tpert in enumerate(specs):
                 point = i * len(epsb_levels) + j
-                all_records[point * trials + t] = _point_stage(clean, sensed, tpert,
+                all_records[point * trials + t] = _point_stage(clean, sensed, measured, tpert,
                                                                checks, mode)
     return ExperimentReport(
         cfg=cfg, mode=mode, b_mode=b_mode, trials_per_point=trials,

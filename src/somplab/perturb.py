@@ -10,6 +10,7 @@ measurement noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -178,14 +179,15 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
         raise DimensionMismatch(f"sensing matrix has {Phi.shape[0]} rows, measurements {Y.shape[0]}")
     refs = _sensing_references(Phi, order, subset_budget)
     E, eps0, eps = _sensed(spec, Phi, refs, subset_budget)
-    B, epsb = _measured(spec, Y)
+    B, epsb = _measurement(spec, Y)(spec.target_epsb)
     return replace(spec, E=E, B=B,
                    realized=PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order))
 
 
 # The calibration in the pieces a sweep runs at different rates: the
 # references once per clean matrix, E and its levels once per sensing
-# perturbation, B and its level once per measurement perturbation.
+# perturbation, the measurement noise direction once per trial and B and
+# its level once per measurement level.
 
 def _given(spec: PerturbationSpec) -> bool:
     # a spec that carries either perturbation keeps both as given (a
@@ -217,24 +219,45 @@ def _sensed(spec: PerturbationSpec, Phi: np.ndarray, refs: tuple[float, tuple[fl
     return (E, *_sensing_levels(E, spectral_phi, widths, subset_budget))
 
 
-def _measured(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarray, float]:
-    """The spec's B against clean measurements Y, and its level epsb."""
-    frob_y = _frobenius_reference(Y)
-    if _given(spec):
-        B = as_matrix(spec.B, "measurement perturbation") if spec.B is not None else np.zeros_like(Y)
-    elif spec.target_epsb == 0.0:
-        B = np.zeros_like(Y)
-    elif spec.b_mode == "gaussian":
-        B0 = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM).standard_normal(Y.shape)
-        B = B0 * (spec.target_epsb * frob_y / float(np.linalg.norm(B0)))
-    else:  # column-skewed: all of the budget lands on the weakest column
-        j = int(np.argmin(np.linalg.norm(Y, axis=0)))
-        b = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM).standard_normal(Y.shape[0])
-        B = np.zeros_like(Y)
-        B[:, j] = b * (spec.target_epsb * frob_y / float(np.linalg.norm(b)))
-    if B.shape != Y.shape:
-        raise DimensionMismatch(f"measurement perturbation shape {B.shape} != {Y.shape}")
-    return B, float(np.linalg.norm(B)) / frob_y
+def _measurement_noise(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The direction of the spec's generated measurement perturbation
+    and the norm it is scaled by: a standard normal B0 and ||B0||_F, or,
+    column-skewed, a standard normal vector b on the weakest column of Y
+    (zero elsewhere) and ||b||."""
+    rng = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM)
+    if spec.b_mode == "gaussian":
+        B0 = rng.standard_normal(Y.shape)
+        return B0, float(np.linalg.norm(B0))
+    j = int(np.argmin(np.linalg.norm(Y, axis=0)))
+    b = rng.standard_normal(Y.shape[0])
+    B0 = np.zeros_like(Y)
+    B0[:, j] = b
+    return B0, float(np.linalg.norm(b))
+
+
+def _measurement(spec: PerturbationSpec, Y: np.ndarray):
+    """A function from a target epsb to the spec's B against clean
+    measurements Y and its level epsb.  A generated B is the direction
+    of ``_measurement_noise`` times target ||Y||_F / its norm; the
+    direction is drawn at the first nonzero target and only scaled for
+    every later one, so the sweep points of a trial share it."""
+    noise = functools.cache(lambda: _measurement_noise(spec, Y))
+
+    def measured(target_epsb: float) -> tuple[np.ndarray, float]:
+        frob_y = _frobenius_reference(Y)
+        if _given(spec):
+            B = (as_matrix(spec.B, "measurement perturbation") if spec.B is not None
+                 else np.zeros_like(Y))
+        elif target_epsb == 0.0:
+            B = np.zeros_like(Y)
+        else:
+            B0, size = noise()
+            B = B0 * (target_epsb * frob_y / size)
+        if B.shape != Y.shape:
+            raise DimensionMismatch(f"measurement perturbation shape {B.shape} != {Y.shape}")
+        return B, float(np.linalg.norm(B)) / frob_y
+
+    return measured
 
 
 def apply_perturbation(Y, Phi, spec: PerturbationSpec):

@@ -9,23 +9,31 @@ Most subsets cannot be the extreme one, and the kernel proves it
 cheaply, in two stages.  First, Gershgorin discs bound each subset Gram
 matrix's eigenvalues.  A shape with at most ``_CHUNK`` subsets bounds
 every subset in one vectorised pass over its Gram entries.  A larger
-shape first eigendecomposes a seed, each column with its most coherent
-partners, and lists only the subsets whose disc bound can reach the
-seed's best value: for each column, the partner sets whose coupling
-magnitudes, read from its Gram row sorted in descending order, sum high
-enough.  Second, a subset whose disc bound reaches the best value found
-so far (less a float slack) gets the tighter bound of Brauer's ovals of
-Cassini, computed from the same centres and radii.  Subsets go to a
+shape first eigendecomposes a seed, a group grown from each column by
+adding the column most coherent with the group so far, and lists only
+the subsets whose disc bound can reach the seed's best value: for each
+column, the partner sets whose coupling magnitudes, read from its Gram
+row sorted in descending order, sum high enough.  Second, a subset
+whose disc bound reaches the best value found so far (less a float
+slack) gets the tighter bound of Brauer's ovals of Cassini, computed
+from the same centres and radii.  Subsets go to a
 batched symmetric eigendecomposition in descending order of their
 bounds, and evaluation stops once no remaining bound can reach the best
 value.  A subset whose bound could tie the best is still evaluated, so
 results are exactly those of evaluating every subset: the same float,
 and among equally extreme subsets the first in lexicographic order.
-The same kernel lists every subset within a given factor of the
-extreme, which the frame builder in ``perturb`` shrinks.  The subset
-table of each shape bounded in full is built once and kept read-only in
-a small cache, since a sweep enumerates the same few shapes for every
-matrix.
+The two smallest orders start exact: at order 1 the bound is the value
+(the diagonal entry, which is what an eigendecomposition of a 1 x 1
+matrix returns), so nothing is eigendecomposed, and at order 2 the
+Cassini oval of a pair is its largest eigenvalue in exact arithmetic,
+so a shape bounded in full starts from it and only the near-top pairs
+go to the eigensolver, which still gives every returned float.  The
+same kernel lists every subset within a given factor of the extreme,
+which the frame builder in ``perturb`` shrinks.  The subset table and
+the lexicographic ranker of each shape are built once and kept in a
+small cache, since a sweep enumerates the same few shapes for every
+matrix.  The perturbation levels take the largest submatrix spectral
+norm of a matrix at every width 1..order, all from one Gram.
 """
 
 from __future__ import annotations
@@ -224,14 +232,21 @@ def _cassini_bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.nd
 
 
 def _subset_values(gram: np.ndarray, sub: np.ndarray, deviation: bool) -> np.ndarray:
-    """Each listed subset's value from a batched eigendecomposition."""
-    w = np.linalg.eigvalsh(gram[sub[:, :, None], sub[:, None, :]])
+    """Each listed subset's value from a batched eigendecomposition.  A
+    single column's eigenvalue is its diagonal entry, which is what the
+    eigendecomposition of a 1 x 1 matrix returns, so it is read off."""
+    if sub.shape[1] == 1:
+        w = np.diag(gram)[sub]
+    else:
+        w = np.linalg.eigvalsh(gram[sub[:, :, None], sub[:, None, :]])
     return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0]) if deviation else w[:, -1]
 
 
+@functools.lru_cache(maxsize=8)
 def _lex_ranker(n: int, width: int):
     """A function from sorted width-``width`` subsets of range(n), one per
-    row, to their rows in ``column_subsets(n, width)``.
+    row, to their rows in ``column_subsets(n, width)``; built once per
+    shape, like ``_subset_table``.
 
     The row of s_0 < ... < s_{w-1} is C(n, w) - 1 less the sum of
     C(n - 1 - s_j, w - j).  Pascal's rule builds the binomials a column
@@ -314,12 +329,13 @@ def _reaching_picks(coupling: np.ndarray, need: np.ndarray, picks: int, limit: i
 
 
 def _search(gram: np.ndarray, idx: np.ndarray, bound: np.ndarray, deviation: bool,
-            rel: float, seed=None) -> tuple[float, np.ndarray]:
+            rel: float, seed=None, tight: bool = False) -> tuple[float, np.ndarray]:
     """``_extreme_subsets`` over the subsets ``idx``, rows in lexicographic
-    order, from a first ``bound`` of each row (overwritten as it goes).
-    ``seed`` holds rows already evaluated and their values; without it
-    the ``_PROBE`` largest bounds are evaluated first."""
-    tight = np.zeros(len(bound), dtype=bool)   # bound is already the Cassini one
+    order, from a first ``bound`` of each row (overwritten as it goes),
+    which is already the Cassini one when ``tight`` is set.  ``seed``
+    holds rows already evaluated and their values; without it the
+    ``_PROBE`` largest bounds are evaluated first."""
+    tight = np.full(len(bound), tight)   # bound is already the Cassini one
     if seed is None:
         rows = np.argpartition(bound, max(len(bound) - _PROBE, 0))[-_PROBE:]
         seed = rows, _subset_values(gram, idx[rows], deviation)
@@ -351,9 +367,37 @@ def _search(gram: np.ndarray, idx: np.ndarray, bound: np.ndarray, deviation: boo
 def _table_search(gram: np.ndarray, order: int, deviation: bool, rel: float,
                   seed=None) -> tuple[float, np.ndarray]:
     """``_search`` over every row of the cached subset table, from its
-    Gershgorin bounds."""
+    Gershgorin bounds.  At order 2 it starts from the Cassini bounds,
+    which are then the values up to rounding, and the first batch is the
+    pairs whose bound reaches the floor of the largest bound; when that
+    bound overflowed, the pairs whose bounds did."""
     idx = _subset_table(gram.shape[0], order)
-    return _search(gram, idx, _gershgorin_bounds(gram, idx, deviation), deviation, rel, seed)
+    if order != 2:
+        return _search(gram, idx, _gershgorin_bounds(gram, idx, deviation), deviation, rel, seed)
+    bound = _cassini_bounds(gram, idx, deviation)
+    if seed is None:
+        top = float(bound.max())
+        floor = rel * top - _SLACK * max(1.0, abs(top)) if math.isfinite(top) else top
+        rows = np.flatnonzero(bound >= floor)
+        seed = rows, _subset_values(gram, idx[rows], deviation)
+    return _search(gram, idx, bound, deviation, rel, seed, tight=True)
+
+
+def _coherent_groups(gram: np.ndarray, order: int) -> np.ndarray:
+    """One width-``order`` group of columns grown from each column of the
+    Gram, one row per group, sorted: each step adds the column whose
+    couplings |g| to the group so far sum highest."""
+    n = gram.shape[0]
+    coupling = np.abs(gram)
+    summed = coupling.copy()   # each column's coupling to the group
+    np.fill_diagonal(summed, -math.inf)   # a member is never added again
+    group = np.arange(n)[:, None]
+    for _ in range(order - 1):
+        added = np.argmax(summed, axis=1)
+        summed[np.arange(n), added] = -math.inf
+        summed += coupling[added]
+        group = np.column_stack((group, added))
+    return np.sort(group, axis=1)
 
 
 def _listed_search(gram: np.ndarray, order: int, deviation: bool,
@@ -361,9 +405,9 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
     """``_extreme_subsets`` that bounds only the subsets whose Gershgorin
     bound can reach a seeded floor.
 
-    The seed is each column with its ``order - 1`` most coherent
-    partners, and its best value sets the first floor.  A subset's
-    Gershgorin bound is its largest row bound: d_i plus the sum of
+    The seed is one coherent group grown from each column
+    (``_coherent_groups``), and its best value sets the first floor.  A
+    subset's Gershgorin bound is its largest row bound: d_i plus the sum of
     |g_ij| over the other columns j, where d_i is max(g_ii - 1, 1 - g_ii)
     for the deviation and g_ii for lam_max.  So the subsets that reach
     the floor are those of an anchor i and ``order - 1`` partners whose
@@ -383,9 +427,8 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
     apart = -np.abs(gram)
     np.fill_diagonal(apart, 1.0)   # every column comes last among its own partners
     partners = np.argsort(apart, axis=1, kind="stable")[:, :n - 1]
-    coupling = -np.sort(apart, axis=1)[:, :n - 1]
-    seed = np.sort(np.column_stack((np.arange(n), partners[:, :order - 1])), axis=1)
-    seed, seed_ranks = _distinct(seed.astype(dtype), rank)
+    coupling = -np.take_along_axis(apart, partners, axis=1)
+    seed, seed_ranks = _distinct(_coherent_groups(gram, order).astype(dtype), rank)
     seed_vals = _subset_values(gram, seed, deviation)
     best = float(seed_vals.max())
     diag = np.diag(gram)
@@ -401,28 +444,46 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
                    (np.searchsorted(ranks, seed_ranks), seed_vals))
 
 
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A's Gram matrix, refused when it overflows double precision."""
+    gram = A.T @ A
+    if not np.isfinite(gram).all():
+        raise PreconditionViolated("column inner products overflow double precision")
+    return gram
+
+
 def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
                      rel: float = 1.0) -> tuple[float, np.ndarray]:
     """Largest subset value over all width-``order`` column subsets of A,
     and every subset whose value is at least ``rel`` times it, in
     lexicographic order (rel = 1 gives the subsets attaining it).
+    ``_gram_extremes`` on A's Gram."""
+    return _gram_extremes(_gram(A), order, deviation, rel)
+
+
+def _gram_extremes(gram: np.ndarray, order: int, deviation: bool,
+                   rel: float = 1.0) -> tuple[float, np.ndarray]:
+    """``_extreme_subsets`` of the matrix whose Gram is ``gram``.
 
     A subset's value is ``max(lam_max - 1, 1 - lam_min)`` of its Gram
-    submatrix when ``deviation`` is set, else ``lam_max``.  Batches of
-    the largest remaining bounds are evaluated until no remaining bound
+    submatrix when ``deviation`` is set, else ``lam_max``.  At order 1
+    every subset is valued at once, off the diagonal.  Otherwise batches
+    of the largest remaining bounds are evaluated until no remaining bound
     reaches the floor: ``rel`` times the best value, less the slack.  A
     shape with at most ``_CHUNK`` subsets starts every row of its cached
-    table at its Gershgorin bound; a larger one starts from a seed and
-    the subsets ``_listed_search`` lists.  The first time a subset's
-    bound reaches the floor it is replaced by the tighter Cassini bound,
-    which must reach the floor too.  The slack covers the rounding of
-    the bounds, the listing's sums and the eigenvalues, so a skipped
-    subset can neither beat the result nor belong to the returned set.
-    Requires 0 < rel <= 1.
+    table at its Gershgorin bound, or at order 2 at its Cassini bound; a
+    larger one starts from a seed and the subsets ``_listed_search``
+    lists.  The first time a subset's bound reaches the floor it is
+    replaced by the tighter Cassini bound, which must reach the floor
+    too.  The slack covers the rounding of the bounds, the listing's sums
+    and the eigenvalues, so a skipped subset can neither beat the result
+    nor belong to the returned set.  Requires 0 < rel <= 1.
     """
-    gram = A.T @ A
-    if not np.isfinite(gram).all():
-        raise PreconditionViolated("column inner products overflow double precision")
+    if order == 1:   # every bound is the value
+        idx = _subset_table(gram.shape[0], 1)
+        value = _subset_values(gram, idx, deviation)
+        best = float(value.max())
+        return best, idx[value >= rel * best]
     if math.comb(gram.shape[0], order) <= _CHUNK:
         return _table_search(gram, order, deviation, rel)
     return _listed_search(gram, order, deviation, rel)
@@ -500,12 +561,26 @@ def _frobenius_reference(Y: np.ndarray) -> float:
     return frob_y
 
 
+def _width_norms(A: np.ndarray, order: int, subset_budget: int):
+    """A's largest width-w submatrix spectral norm for w = 1..order, one
+    width at a time, all from one Gram.  Each width's subset budget is
+    checked before that width is computed, as ``submatrix_spectral_norm``
+    checks it."""
+    gram = None
+    for width in range(1, order + 1):
+        _check_enumeration(A.shape[1], width, subset_budget)
+        if gram is None:
+            gram = _gram(A)
+        top, _ = _gram_extremes(gram, width, deviation=False)
+        yield math.sqrt(max(top, 0.0))
+
+
 def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[float, ...]:
     """The references of eps: Phi's largest width-w submatrix spectral
-    norm for w = 1..order."""
+    norm for w = 1..order, from one Gram of Phi.  Width 1 reads the
+    Gram's diagonal and width 2 starts from exact pair bounds."""
     widths = []
-    for width in range(1, order + 1):
-        den = submatrix_spectral_norm(Phi, width, subset_budget)
+    for width, den in enumerate(_width_norms(Phi, order, subset_budget), 1):
         if den == 0.0:
             raise ZeroReference(f"all width-{width} submatrices of the sensing matrix are zero")
         widths.append(den)
@@ -515,14 +590,15 @@ def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[
 def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...],
                     subset_budget: int) -> tuple[float, float]:
     """eps0 and eps of a sensing perturbation against the references of
-    its clean matrix.  An all-zero E ties every subset, which would send
-    each one to the eigensolver; its levels are zero without that."""
+    its clean matrix, E's width norms all from one Gram of E, as in
+    ``_width_references``.  An all-zero E ties every subset, which would
+    send each one to the eigensolver; its levels are zero without that."""
     if not E.any():
         return 0.0, 0.0
     eps0 = float(np.linalg.norm(E, 2)) / spectral_phi
     eps = 0.0
-    for width, den in enumerate(widths, 1):
-        eps = max(eps, submatrix_spectral_norm(E, width, subset_budget) / den)
+    for den, norm in zip(widths, _width_norms(E, len(widths), subset_budget)):
+        eps = max(eps, norm / den)
     return eps0, eps
 
 

@@ -307,32 +307,32 @@ def test_run_experiment_refuses_checks_without_ric_before_any_trial(monkeypatch)
 
 
 def _count_sweep_work(monkeypatch, clean_matrices):
-    """Count width enumerations of the one subset kernel, split by whether
-    they run on a clean matrix (Phi side) or on a perturbation (E side),
-    and the clean solves the harness starts.  One solver serves the clean
-    and the perturbed solves, and at an eps0 = 0 level the perturbed Phi
-    is the clean one, so a clean solve is told apart by its caller."""
+    """Count level computations (one Gram and its widths 1..k each),
+    split by whether they run on a clean matrix (Phi side) or on a
+    perturbation (E side), and the clean solves the harness starts.  One
+    solver serves the clean and the perturbed solves, and at an eps0 = 0
+    level the perturbed Phi is the clean one, so a clean solve is told
+    apart by its caller."""
     import somplab.harness as harness_mod
     import somplab.rip as rip_mod
 
-    widths, solves = [], []
-    real_kernel = rip_mod._extreme_subsets
+    levels, solves = [], []
+    real_levels = rip_mod._width_norms
     real_solve = harness_mod.somp_solve
 
-    def kernel(A, order, deviation, *args, **kwargs):
-        if not deviation:   # a submatrix spectral norm, not an isometry constant
-            side = "phi" if any(np.array_equal(A, P) for P in clean_matrices) else "E"
-            widths.append((side, order))
-        return real_kernel(A, order, deviation, *args, **kwargs)
+    def widths(A, order, subset_budget):
+        side = "phi" if any(np.array_equal(A, P) for P in clean_matrices) else "E"
+        levels.append((side, order))
+        return real_levels(A, order, subset_budget)
 
     def solve(*args, **kwargs):
         if sys._getframe(1).f_code.co_name == "_clean_stage":
             solves.append(1)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(rip_mod, "_extreme_subsets", kernel)
+    monkeypatch.setattr(rip_mod, "_width_norms", widths)
     monkeypatch.setattr(harness_mod, "somp_solve", solve)
-    return widths, solves
+    return levels, solves
 
 
 def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
@@ -342,46 +342,80 @@ def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
     trials, seed = 3, 71
     phis = [gen_sensing_matrix(dataclasses.replace(cfg, seed=trial_seeds(seed, t)[0]))
             for t in range(trials)]
-    widths, solves = _count_sweep_work(monkeypatch, phis)
+    levels, solves = _count_sweep_work(monkeypatch, phis)
     # three eps0 levels, one of them zero, times two epsb levels
     kw = dict(eps0_levels=[0.0, 1e-4, 1e-3], epsb_levels=[1e-3, 1e-2], trials=trials,
               master_seed=seed)
     run_experiment(cfg, **kw, checks=TrialChecks(filter_deviation=True))
-    # Phi side: one set of widths 1..k per clean matrix; E side: one set
-    # per (trial, nonzero eps0 level), since an all-zero E needs none; one
-    # clean solve per trial
-    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 6, ("E", 2): 6}
+    # Phi side: one level computation (widths 1..k) per clean matrix; E
+    # side: one per (trial, nonzero eps0 level), since an all-zero E needs
+    # none; one clean solve per trial
+    assert Counter(levels) == {("phi", 2): 3, ("E", 2): 6}
     assert len(solves) == trials
 
-    widths.clear()
+    levels.clear()
     solves.clear()
     run_experiment(cfg, **kw)
-    assert Counter(widths) == {("phi", 1): 3, ("phi", 2): 3, ("E", 1): 6, ("E", 2): 6}
+    assert Counter(levels) == {("phi", 2): 3, ("E", 2): 6}
     assert solves == []
 
     # a user-supplied matrix is one clean matrix for the whole sweep
     Phi = _rng(5).standard_normal((40, 12)) / np.sqrt(40)
     shared = InstanceConfig(m=40, n=12, L=2, k=2, matrix_ensemble="user-supplied", matrix=Phi)
-    widths, solves = _count_sweep_work(monkeypatch, [Phi])
+    levels, solves = _count_sweep_work(monkeypatch, [Phi])
     run_experiment(shared, **kw, checks=TrialChecks(filter_proximity=True))
-    assert Counter(widths) == {("phi", 1): 1, ("phi", 2): 1, ("E", 1): 6, ("E", 2): 6}
+    assert Counter(levels) == {("phi", 2): 1, ("E", 2): 6}
     assert len(solves) == trials
 
 
+def _count_measurement_draws(monkeypatch):
+    # the (seed, stream) of every measurement-noise generator made
+    import somplab.perturb as perturb_mod
+
+    draws = []
+    real = perturb_mod._rng
+
+    def counted(seed, stream):
+        if sys._getframe(1).f_code.co_name == "_measurement_noise":
+            draws.append((seed, stream))
+        return real(seed, stream)
+
+    monkeypatch.setattr(perturb_mod, "_rng", counted)
+    return draws
+
+
+@pytest.mark.parametrize("b_mode", ["gaussian", "column-skewed"])
+def test_sweep_draws_the_measurement_noise_once_per_trial(monkeypatch, b_mode):
+    from somplab.perturb import _MEASUREMENT_NOISE_STREAM
+
+    draws = _count_measurement_draws(monkeypatch)
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    trials, seed = 4, 91
+    # two eps0 levels times three epsb levels: six points per trial
+    run_experiment(cfg, [1e-4, 1e-3], [1e-4, 1e-3, 1e-2], trials, seed, b_mode=b_mode)
+    assert draws == [(trial_seeds(seed, t)[1], _MEASUREMENT_NOISE_STREAM)
+                     for t in range(trials)]
+    # a sweep whose epsb levels are all zero draws none
+    draws.clear()
+    run_experiment(cfg, [1e-4], [0.0, 0.0], trials, seed, b_mode=b_mode)
+    assert draws == []
+
+
 @pytest.mark.parametrize("filters", [False, True])
-def test_sweep_records_equal_run_trial(filters):
+@pytest.mark.parametrize("b_mode", ["column-skewed", "gaussian"])
+def test_sweep_records_equal_run_trial(b_mode, filters):
     # one code path: every sweep record is run_trial on its trial's config and spec
     cfg = InstanceConfig(m=48, n=16, L=2, k=2, signal_row_norm_min=0.5)
     checks = TrialChecks(filter_proximity=filters, filter_deviation=filters)
-    e0s, ebs, trials, seed = [1e-4, 1e-2], [0.0, 1e-2], 3, 81
-    rep = run_experiment(cfg, e0s, ebs, trials, seed, checks=checks, b_mode="column-skewed")
-    assert len(rep.records) == 4 * trials
+    e0s, ebs, trials, seed = [1e-4, 1e-2], [0.0, 1e-2, 5e-2], 3, 81
+    rep = run_experiment(cfg, e0s, ebs, trials, seed, checks=checks, b_mode=b_mode)
+    assert len(rep.records) == 6 * trials
     for p, (e0, eb) in enumerate((e0, eb) for e0 in e0s for eb in ebs):
         for t in range(trials):
             iseed, pseed = trial_seeds(seed, t)
             want = run_trial(dataclasses.replace(cfg, seed=iseed),
                              PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=pseed,
-                                              b_mode="column-skewed"),
+                                              b_mode=b_mode),
                              checks=checks)
             got = rep.records[p * trials + t]
             for f in dataclasses.fields(want):

@@ -10,7 +10,10 @@ the pruned kernel must reproduce its float, its witness and its set of
 near-extreme subsets exactly.  Past one block of subsets the kernel only
 lists the subsets whose Gershgorin bound can reach a seeded floor; that
 listing is forced on the small oracle cases too, and checked against
-the full table on larger shapes.
+the full table on larger shapes.  The perturbation levels take every
+width of a matrix from one Gram; that loop must give the floats of one
+kernel call per width, raise what those calls raise, and keep pairs
+whose bounds overflow in the search.
 """
 
 import itertools
@@ -20,11 +23,13 @@ import numpy as np
 import pytest
 
 from somplab import (
+    InstanceConfig,
     InvalidOrder,
     PreconditionViolated,
     SubsetBudgetExceeded,
     ZeroReference,
     coherent_pair_matrix,
+    gen_sensing_matrix,
     inner_product_check,
     measure_perturbation_levels,
     projected_isometry_check,
@@ -127,6 +132,12 @@ def test_pruned_kernel_matches_exhaustive_batched_reference(name, probe, monkeyp
             value, near = rip._extreme_subsets(A, order, deviation=True, rel=rel)
             assert value == dev[j]
             assert np.array_equal(near, idx[dev >= rel * dev[j]])
+        # the lam_max side, which the width norms read; orders 1 and 2
+        # start from exact bounds
+        for rel in (1.0, 0.98, 0.5):
+            value, near = rip._extreme_subsets(A, order, deviation=False, rel=rel)
+            assert value == top.max()
+            assert np.array_equal(near, idx[top >= rel * value])
 
 
 @pytest.mark.parametrize("name", sorted(_reference_cases()))
@@ -142,6 +153,112 @@ def test_listing_matches_exhaustive_batched_reference(name, monkeypatch):
             best, near = rip._listed_search(gram, order, deviation, rel)
             assert best == value.max(), (order, probe, deviation, rel)
             assert np.array_equal(near, idx[value >= rel * best]), (order, probe, deviation, rel)
+
+
+def _width_cases():
+    # the reference cases hold the tie-heavy coherent pair, duplicated and
+    # zero columns; an identity-embedded matrix adds exactly repeated
+    # eigenvalues
+    return {**_reference_cases(), "identity-embedded": gen_sensing_matrix(InstanceConfig(
+        m=8, n=13, L=1, k=1, matrix_ensemble="identity-embedded"))}
+
+
+@pytest.mark.parametrize("name", sorted(_width_cases()))
+def test_width_loop_matches_per_width_kernel(name):
+    # one Gram for every width gives the floats of one kernel call per width
+    A = _width_cases()[name]
+    order = min(A.shape[1], 5)
+    norms = list(rip._width_norms(A, order, rip.DEFAULT_SUBSET_BUDGET))
+    assert len(norms) == order
+    for width, norm in enumerate(norms, 1):
+        top, _ = rip._extreme_subsets(A, width, deviation=False)
+        assert norm == math.sqrt(max(top, 0.0)), width
+        assert norm == math.sqrt(max(float(_batched_reference(A, width)[2].max()), 0.0)), width
+    # a wider submatrix holds a narrower one, so its norm is no smaller
+    assert all(b >= a for a, b in zip(norms, norms[1:]))
+
+
+def test_width_loop_matches_the_full_table_at_32x40():
+    A = _desk_gaussian()
+    gram = A.T @ A
+    norms = list(rip._width_norms(A, 4, rip.DEFAULT_SUBSET_BUDGET))
+    for width, norm in enumerate(norms, 1):
+        top, _ = rip._extreme_subsets(A, width, deviation=False)
+        # every row of the table from its Gershgorin bound, no exact start
+        idx = rip.column_subsets(40, width)
+        full, _ = rip._search(gram, idx, rip._gershgorin_bounds(gram, idx, False), False, 1.0)
+        assert norm == math.sqrt(top) == math.sqrt(full), width
+    assert all(b >= a for a, b in zip(norms, norms[1:]))
+
+
+def _per_width_references(Phi, order, subset_budget):
+    # one kernel call per width, with the zero check after each
+    widths = []
+    for width in range(1, order + 1):
+        den = submatrix_spectral_norm(Phi, width, subset_budget)
+        if den == 0.0:
+            raise ZeroReference(f"all width-{width} submatrices of the sensing matrix are zero")
+        widths.append(den)
+    return tuple(widths)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:   # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+def test_width_references_refuse_the_inputs_per_width_calls_refuse():
+    A = _unit_columns(6, 10, 50)
+    cases = [(A, order, budget) for order in (1, 3, 4)
+             for budget in (9, 10, 44, 45, 119, 120, 209, 210)]
+    with np.errstate(over="ignore"):
+        cases += [(np.zeros((6, 10)), 3, 1000), (np.zeros((6, 10)), 2, 5),
+                  (A * 1e200, 2, 1000), (A * 1e200, 2, 5), (A, 11, 10**6)]
+        for Phi, order, budget in cases:
+            want = _outcome(_per_width_references, Phi, order, budget)
+            got = _outcome(rip._width_references, Phi, order, budget)
+            assert got == want, (order, budget)
+    assert _outcome(rip._width_references, A, 3, 119)[0] is SubsetBudgetExceeded
+    assert _outcome(rip._width_references, np.zeros((6, 10)), 3, 1000) == (
+        ZeroReference, "all width-1 submatrices of the sensing matrix are zero")
+
+
+def _overflowing_pair(big_column):
+    # columns 0 and 1 have Gram entries near 1.4e154, so the square of
+    # their coupling overflows; column 2, when big, has a larger value, a
+    # finite bound paired with column 0 and an overflowing one with the
+    # unit column 3
+    A = np.zeros((4, 4))
+    A[0, 0] = A[0, 1] = 1.2e77
+    A[1, 1] = 1e70
+    A[2, 2] = 2e77 if big_column else 1.0
+    A[3, 3] = 1.0
+    return A
+
+
+@pytest.mark.parametrize("probe", [1, 64])
+def test_overflowing_pair_bounds_stay_in_the_search(probe, monkeypatch):
+    monkeypatch.setattr(rip, "_PROBE", probe)
+    for big_column, want_witness in ((False, (0, 1)), (True, (0, 2))):
+        A = _overflowing_pair(big_column)
+        gram = A.T @ A
+        assert np.isfinite(gram).all()
+        idx, dev, top = _batched_reference(A, 2)
+        with np.errstate(over="ignore"):
+            bounds = rip._cassini_bounds(gram, idx, False)
+            # the pair (0, 1) has no finite bound, the pair (0, 2) has one
+            assert bounds[0] == math.inf and math.isfinite(bounds[1])
+            for deviation, value in ((True, dev), (False, top)):
+                best, near = rip._extreme_subsets(A, 2, deviation)
+                assert best == value.max()
+                assert tuple(near[0]) == want_witness
+                assert np.array_equal(near, idx[value == best])
+            est = ric_exact(A, 2)
+            assert est.witness_subset == want_witness
+            norms = list(rip._width_norms(A, 2, rip.DEFAULT_SUBSET_BUDGET))
+            assert norms[1] == math.sqrt(top.max())
 
 
 def _evaluated(monkeypatch):
@@ -171,6 +288,39 @@ def test_listing_matches_the_table_at_64x80(monkeypatch):
     want_best, want_near = rip._table_search(A.T @ A, 4, True, 0.98)
     assert best == want_best
     assert np.array_equal(near, want_near)
+
+
+def test_coherent_groups_grow_by_the_largest_summed_coupling():
+    for A in (_desk_gaussian(), _reference_cases()["duplicated-columns"], np.eye(7)):
+        gram = A.T @ A
+        coupling = np.abs(gram)
+        n = gram.shape[0]
+        for order in (1, 2, 3, 4):
+            groups = rip._coherent_groups(gram, order)
+            assert groups.shape == (n, order)
+            for anchor, row in enumerate(groups):
+                # the same group, grown one column at a time in plain Python
+                want = [anchor]
+                for _ in range(order - 1):
+                    summed = coupling[want].sum(axis=0)
+                    summed[want] = -np.inf
+                    want.append(int(np.argmax(summed)))
+                assert tuple(row) == tuple(sorted(want)), (order, anchor)
+
+
+def test_listing_seed_often_reaches_the_final_best(monkeypatch):
+    # the seed, the listing's first batch, sets its first floor: the
+    # closer to the final best, the fewer subsets are listed
+    rng = _rng(51)
+    batches = _evaluated(monkeypatch)
+    hits = 0
+    for _ in range(30):
+        A = rng.standard_normal((32, 40)) / math.sqrt(32)
+        batches.clear()
+        best, _ = rip._extreme_subsets(A, 4, True)
+        assert np.array_equal(batches[0], np.unique(rip._coherent_groups(A.T @ A, 4), axis=0))
+        hits += float(rip._subset_values(A.T @ A, batches[0], True).max()) == best
+    assert hits >= 18
 
 
 def test_listing_falls_back_to_the_table_when_not_smaller(monkeypatch):
@@ -423,6 +573,11 @@ def test_overflowing_gram_is_rejected():
             ric_exact(A, 2)
         with pytest.raises(PreconditionViolated):
             submatrix_spectral_norm(A, 2)
+        # the level widths, all from one Gram
+        with pytest.raises(PreconditionViolated):
+            rip._width_references(A, 2, rip.DEFAULT_SUBSET_BUDGET)
+        with pytest.raises(PreconditionViolated):
+            rip._sensing_levels(A, 1.0, (1.0, 1.0), rip.DEFAULT_SUBSET_BUDGET)
 
 
 def test_submatrix_spectral_norm_small_case():
@@ -460,25 +615,24 @@ def test_measured_levels_zero_perturbation():
 
 def test_zero_sensing_perturbation_skips_the_width_kernels(monkeypatch):
     # an all-zero E ties every subset, so the kernel would eigendecompose
-    # each one; its levels are known to be zero without it
-    import somplab.rip as rip_mod
-
+    # each one; its levels are known to be zero without it.  A nonzero E
+    # takes its widths 1..3 from one level computation, on one Gram
     Phi = _unit_columns(8, 10, 11)
-    widths = rip_mod._width_references(Phi, 3, 10**6)
+    widths = rip._width_references(Phi, 3, 10**6)
     calls = []
-    original = rip_mod.submatrix_spectral_norm
+    real = rip._width_norms
 
-    def counting(A, width, subset_budget=rip_mod.DEFAULT_SUBSET_BUDGET):
-        calls.append(width)
-        return original(A, width, subset_budget)
+    def counting(A, order, subset_budget):
+        calls.append(order)
+        return real(A, order, subset_budget)
 
-    monkeypatch.setattr(rip_mod, "submatrix_spectral_norm", counting)
-    levels = rip_mod._sensing_levels(np.zeros_like(Phi), 1.0, widths, 10**6)
+    monkeypatch.setattr(rip, "_width_norms", counting)
+    levels = rip._sensing_levels(np.zeros_like(Phi), 1.0, widths, 10**6)
     assert levels == (0.0, 0.0) and calls == []
     E = np.zeros_like(Phi)
     E[3, 4] = 1e-3
-    eps0, eps = rip_mod._sensing_levels(E, 1.0, widths, 10**6)
-    assert calls == [1, 2, 3]
+    eps0, eps = rip._sensing_levels(E, 1.0, widths, 10**6)
+    assert calls == [3]
     assert eps0 == pytest.approx(1e-3, rel=1e-12) and eps > 0.0
 
 
