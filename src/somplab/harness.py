@@ -21,7 +21,9 @@ as its inputs change:
   verdict.  The parts that depend on Phi alone are computed once per
   sweep for a user-supplied matrix;
 - sensing, once per (trial, eps0 level): the sensing perturbation E,
-  its levels eps0 and eps, and Phi + E;
+  its levels eps0 and eps, and Phi + E.  The direction of a generated E
+  (and its spectral norm) is drawn once per trial, at its first nonzero
+  eps0 level, and each level only scales it;
 - point, once per sweep point: the measurement perturbation B and
   epsb against ||Y||_F, the guarantee (evaluated on the clean ||Phi||_2
   and ||Y||_F held above), the perturbed solve and its diagnostics.  The
@@ -61,7 +63,7 @@ from .perturb import (
     InstanceConfig,
     PerturbationSpec,
     _measurement,
-    _sensed,
+    _sensing,
     _sensing_references,
     gen_sensing_matrix,
     gen_sparse_signal,
@@ -368,11 +370,11 @@ def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks) -> _
                   proximity_ok=proximity_ok)
 
 
-def _sensing_stage(clean: _Clean, pert: PerturbationSpec, subset_budget: int) -> _Sensed:
-    """Realize the spec's sensing perturbation E and measure eps0 and eps."""
-    Phi = clean.matrix.Phi
-    E, eps0, eps = _sensed(pert, Phi, clean.matrix.refs, subset_budget)
-    return _Sensed(Phi_obs=Phi + E, eps0=eps0, eps=eps)
+def _sensing_stage(clean: _Clean, sensing, target_eps0: float) -> _Sensed:
+    """Realize the sensing perturbation E at a target eps0, from the
+    trial's ``_sensing`` of the clean Phi, and measure eps0 and eps."""
+    E, eps0, eps = sensing(target_eps0)
+    return _Sensed(Phi_obs=clean.matrix.Phi + E, eps0=eps0, eps=eps)
 
 
 def _point_stage(clean: _Clean, sensed: _Sensed, measured, pert: PerturbationSpec,
@@ -441,7 +443,8 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
             f"provided estimate has order {delta.order}, need k + 1 = {cfg.k + 1}")
     _require_delta(checks, delta is not None)
     clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget, delta), checks)
-    sensed = _sensing_stage(clean, pert, subset_budget)
+    sensing = _sensing(pert, clean.matrix.Phi, clean.matrix.refs, subset_budget)
+    sensed = _sensing_stage(clean, sensing, pert.target_eps0)
     return _point_stage(clean, sensed, _measurement(pert, clean.Y), pert, checks, mode)
 
 
@@ -555,11 +558,13 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
             if cfg.matrix_ensemble == "user-supplied":
                 shared = matrix
         clean = _clean_stage(tcfg, matrix, checks)
-        measured = _measurement(PerturbationSpec(seed=pseed, b_mode=b_mode), clean.Y)
+        noise = PerturbationSpec(seed=pseed, b_mode=b_mode)
+        sensing = _sensing(noise, matrix.Phi, matrix.refs, subset_budget)
+        measured = _measurement(noise, clean.Y)
         for i, e0 in enumerate(eps0_levels):
             specs = [PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=pseed, b_mode=b_mode)
                      for eb in epsb_levels]
-            sensed = _sensing_stage(clean, specs[0], subset_budget)
+            sensed = _sensing_stage(clean, sensing, e0)
             for j, tpert in enumerate(specs):
                 point = i * len(epsb_levels) + j
                 all_records[point * trials + t] = _point_stage(clean, sensed, measured, tpert,

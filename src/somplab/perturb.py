@@ -178,16 +178,16 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     if Phi.shape[0] != Y.shape[0]:
         raise DimensionMismatch(f"sensing matrix has {Phi.shape[0]} rows, measurements {Y.shape[0]}")
     refs = _sensing_references(Phi, order, subset_budget)
-    E, eps0, eps = _sensed(spec, Phi, refs, subset_budget)
+    E, eps0, eps = _sensing(spec, Phi, refs, subset_budget)(spec.target_eps0)
     B, epsb = _measurement(spec, Y)(spec.target_epsb)
     return replace(spec, E=E, B=B,
                    realized=PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order))
 
 
 # The calibration in the pieces a sweep runs at different rates: the
-# references once per clean matrix, E and its levels once per sensing
-# perturbation, the measurement noise direction once per trial and B and
-# its level once per measurement level.
+# references once per clean matrix, the directions of both noises once
+# per trial, E and its levels once per sensing level, and B and its level
+# once per measurement level.
 
 def _given(spec: PerturbationSpec) -> bool:
     # a spec that carries either perturbation keeps both as given (a
@@ -202,21 +202,37 @@ def _sensing_references(Phi: np.ndarray, order: int,
     return _spectral_reference(Phi), _width_references(Phi, order, subset_budget)
 
 
-def _sensed(spec: PerturbationSpec, Phi: np.ndarray, refs: tuple[float, tuple[float, ...]],
-            subset_budget: int) -> tuple[np.ndarray, float, float]:
-    """The spec's E against a clean Phi with references ``refs``, and its
-    levels eps0 and eps."""
+def _sensing_noise(spec: PerturbationSpec, Phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """The direction of the spec's generated sensing perturbation and the
+    norm it is scaled by: a standard normal E0 and ||E0||_2."""
+    E0 = _rng(spec.seed, _SENSING_NOISE_STREAM).standard_normal(Phi.shape)
+    return E0, float(np.linalg.norm(E0, 2))
+
+
+def _sensing(spec: PerturbationSpec, Phi: np.ndarray, refs: tuple[float, tuple[float, ...]],
+             subset_budget: int):
+    """A function from a target eps0 to the spec's E against a clean Phi
+    with references ``refs``, and its levels eps0 and eps.  A generated E
+    is the direction of ``_sensing_noise`` times target ||Phi||_2 / its
+    norm; the direction is drawn at the first nonzero target and only
+    scaled for every later one, so the eps0 levels of a trial share it."""
     spectral_phi, widths = refs
-    if _given(spec):
-        E = as_matrix(spec.E, "sensing perturbation") if spec.E is not None else np.zeros_like(Phi)
-    elif spec.target_eps0 == 0.0:
-        E = np.zeros_like(Phi)
-    else:
-        E0 = _rng(spec.seed, _SENSING_NOISE_STREAM).standard_normal(Phi.shape)
-        E = E0 * (spec.target_eps0 * spectral_phi / float(np.linalg.norm(E0, 2)))
-    if E.shape != Phi.shape:
-        raise DimensionMismatch(f"sensing perturbation shape {E.shape} != {Phi.shape}")
-    return (E, *_sensing_levels(E, spectral_phi, widths, subset_budget))
+    noise = functools.cache(lambda: _sensing_noise(spec, Phi))
+
+    def sensed(target_eps0: float) -> tuple[np.ndarray, float, float]:
+        if _given(spec):
+            E = (as_matrix(spec.E, "sensing perturbation") if spec.E is not None
+                 else np.zeros_like(Phi))
+        elif target_eps0 == 0.0:
+            E = np.zeros_like(Phi)
+        else:
+            E0, size = noise()
+            E = E0 * (target_eps0 * spectral_phi / size)
+        if E.shape != Phi.shape:
+            raise DimensionMismatch(f"sensing perturbation shape {E.shape} != {Phi.shape}")
+        return (E, *_sensing_levels(E, spectral_phi, widths, subset_budget))
+
+    return sensed
 
 
 def _measurement_noise(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarray, float]:

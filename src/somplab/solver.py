@@ -17,10 +17,17 @@ stays orthogonal to everything selected.
 
 The matched filter is held transposed, in one contiguous L x n buffer
 that starts as Y^T Phi.  Each basis vector q adds one row g = q^T Phi to
-G = Q^T Phi, which is one pass over Phi, and updates the buffer in place
-by the rank-one product w g with w = q^T R: the basis is orthonormal,
-so in exact arithmetic the buffer stays Phi^T R transposed.  The scores
-are its column norms.  The trace keeps the factors, not the filters:
+G = Q^T Phi and updates the buffer in place by the rank-one product w g
+with w = q^T R: the basis is orthonormal, so in exact arithmetic the
+buffer stays Phi^T R transposed.  The scores are its column norms.  On
+a small Phi the row g is one pass over Phi.  On a large one, g of a
+column phi_j kept with Gram-Schmidt coefficients c and norm rho is
+(Phi^T phi_j - G^T c) / rho, where Phi^T phi_j is a row of the Gram
+Phi^T Phi.  Only the rows of likely picks are formed, in batches by one
+product (see ``_GramRows``), so most iterations do not read Phi.  A
+column that needed the second Gram-Schmidt pass, where that subtraction
+would magnify rounding, and a row the fill policy declines still take
+the pass.  The trace keeps the factors, not the filters:
 ``filter_matrices[i]`` forms Phi^T Y - G^T W from the first filter and
 the rows of G and W that iteration had folded in, so it equals the
 running filter up to rounding.  After the loop a single least-squares
@@ -118,12 +125,26 @@ class _Filters(Sequence):
         return Ht.T
 
 
-def _column_norms(Ht, scratch):
-    """Euclidean norms of the columns of Ht, with ``scratch`` (an array
-    of Ht's shape) as workspace."""
-    np.multiply(Ht, Ht, out=scratch)
-    norms = np.add.reduce(scratch, axis=0)
+def _column_norms(Ht):
+    """Euclidean norms of the columns of Ht.
+
+    The same bits as ``np.add.reduce(Ht * Ht, axis=0)`` for two or more
+    columns; a single column is summed in another order."""
+    norms = np.einsum("ij,ij->j", Ht, Ht)
     return np.sqrt(norms, out=norms)
+
+
+def _pass(q, Phi, out):
+    """The row q^T Phi, written into ``out``: one pass over Phi."""
+    np.dot(q, Phi, out=out)
+
+
+def _subtract_outer(Ht, w, g, scratch):
+    """Ht -= w g^T, with the product formed in ``scratch`` one row at a
+    time: at 16 x 2048 that took 27-39 us, a broadcast product 44-48 us."""
+    for product, w_l in zip(scratch, w):
+        np.multiply(g, w_l, out=product)
+    Ht -= scratch
 
 
 def match_scores(R, Phi) -> np.ndarray:
@@ -137,7 +158,7 @@ def match_scores(R, Phi) -> np.ndarray:
     if R.shape[0] != Phi.shape[0]:
         raise DimensionMismatch(f"residual has {R.shape[0]} rows, sensing matrix {Phi.shape[0]}")
     Ht = R.T @ Phi   # BLAS forms R^T Phi faster than Phi^T R
-    return _column_norms(Ht, Ht)
+    return _column_norms(Ht)
 
 
 def _fit(Y, A):
@@ -190,6 +211,95 @@ def _select(scores, selected):
     return int((unselected >= top - _TIE_TOL * top).argmax())
 
 
+# Gram rows are used only on a Phi of at least this many entries (4 MiB),
+# which no longer fits in a core's cache (2 MiB of L2 where this was
+# measured), so its passes stream from memory: at 256 x 2048 a pass took
+# about 200 us and a row of a 20-row product about 35 us.  A smaller Phi
+# stays in L2 between passes until the fills evict it.  With the rows
+# forced on, 128 x 2048 solves gained where the first fill held most
+# picks (L = 16, k = 40: 1.47x; L = 4, k = 60: 1.06x) and lost where it
+# did not (L = 1, k = 40, noisy: 0.83x; 64 x 4096, L = 4, k = 20: 0.89x),
+# and 128 x 1024, L = 1, k = 40 (noisy) fell to 0.79x.  From 4 MiB on,
+# the worst measured solve ran at 0.96-0.99x (64 x 8192, L = 4, k = 20).
+_GRAM_MIN_ENTRIES = 1 << 19
+
+# A fill of fewer rows is declined.  Per row, a product of b rows cost
+# 0.55-0.74 of a pass at b = 4, 0.33-0.43 at b = 8 and 0.15-0.20 at
+# b = 48 (256 x 2048 and 128 x 2048).  At 64 x 8192, L = 4, k = 20,
+# where the first fill found 2 to 4 picks, a floor of 4 made the solve
+# 0.91x, and 8 made it 0.98-0.99x.
+_MIN_FILL = 8
+
+
+class _GramRows:
+    """Rows Phi^T phi_c of the Gram for the columns a solve is likely to
+    pick, formed in batches by one product Phi[:, C]^T Phi.
+
+    A row holds for the whole solve, so a filled row is kept until its
+    column is picked.  A pick whose row is not held starts a fill: its
+    own row and those of the best-scoring columns neither selected nor
+    held, by the scores that made the pick.  The first fill covers half
+    the rows the solve may still take; each later one covers that count
+    times the share of filled rows taken so far, which sizes a fill by
+    what the earlier ones paid back.  A row whose column was picked but
+    not taken (it needed the second Gram-Schmidt pass, or was not kept)
+    paid nothing back, and the next fill frees it.  A fill of fewer than
+    ``_MIN_FILL`` rows is declined, and the caller makes its pass
+    instead.  At most k - 1 rows, one per row of G the solve may form,
+    are held at a time.  A first fill of half the rows the solve may
+    take gave 1.63x at 256 x 2048, L = 16, k = 40 and 1.23x at L = 1,
+    k = 40 (noisy); one of all those rows gave 1.63x and 1.14x, and one
+    a quarter larger 1.58x and 1.08x.
+    """
+
+    def __init__(self, Phi, k):
+        self._Phi = Phi
+        self._size = k - 1
+        self._rows = None   # k - 1 x n, allocated at the first fill
+        self._held = {}     # column -> its row in self._rows, until picked
+        self._filled = self._taken = 0
+
+    def take(self, j, needed, scores, selected):
+        """Phi^T phi_j for the picked column j, or None when the fill
+        policy declines.  ``needed`` bounds the rows of G the solve may
+        still form, this one included."""
+        s = self._held.pop(j, None)
+        if s is None:
+            if self._filled:
+                size = -(-needed * self._taken // self._filled)   # rounded up
+            else:
+                size = (needed + 1) // 2
+            s = self._fill(j, size, scores, selected)
+            if s is None:
+                return None
+        self._taken += 1
+        return self._rows[s]
+
+    def _fill(self, j, size, scores, selected):
+        """Fill the rows of j and of the size - 1 best-scoring columns
+        neither selected nor held, and return j's row; None when fewer
+        than ``_MIN_FILL`` rows fit."""
+        n = self._Phi.shape[1]
+        held = [c for c in self._held if c not in selected]
+        size = min(size, self._size - len(held), n - len(selected) - len(held) + 1)
+        if size < _MIN_FILL:
+            return None
+        if self._rows is None:
+            self._rows = np.empty((self._size, n))
+        elif held:   # the held rows move to the front
+            self._rows[:len(held)] = self._rows[[self._held[c] for c in held]]
+        open_ = scores.copy()
+        open_[selected] = -1.0
+        open_[held] = -1.0
+        others = np.argpartition(open_, n - size + 1)[n - size + 1:].tolist()
+        top = len(held)
+        np.dot(self._Phi[:, [j, *others]].T, self._Phi, out=self._rows[top:top + size])
+        self._held = dict(zip(held, range(top)))
+        self._held.update(zip(others, range(top + 1, top + size)))
+        self._filled += size
+        return top
+
+
 def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     """Recover a jointly k-row-sparse signal from Y using Phi.
 
@@ -218,6 +328,8 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     T = np.zeros((k, k))
     W = np.empty((k, Y.shape[1]))
     Gt = np.empty((k, n))
+    columns = [0] * k     # columns[i] is the column q_i came from
+    gram = _GramRows(Phi, k) if Phi.size >= _GRAM_MIN_ENTRIES else None
     kept = filtered = 0   # basis vectors, and those folded into the filter
     floor = fro_sq = 0.0  # bounds sigma_min(T) from below, and ||T||_F^2
     R, r_norm = Y, y_norm
@@ -237,13 +349,21 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
             Ht0 = Y.T @ Phi
             Ht = Ht0.copy()
             scratch = np.empty_like(Ht)
-            scores = _column_norms(Ht, scratch)
+            scores = _column_norms(Ht)
         elif kept > filtered:
-            Gt[filtered] = Qt[filtered] @ Phi
-            np.multiply(W[filtered, :, None], Gt[filtered], out=scratch)
-            Ht -= scratch
+            g = Gt[filtered]
+            row = None
+            if gram is not None and not repeated:
+                row = gram.take(columns[filtered], k - i, scores, selected)
+            if row is None:
+                _pass(Qt[filtered], Phi, g)
+            else:   # g = (Phi^T phi_j - Gt^T c) / rho, with c and rho in T
+                np.dot(T[:filtered, filtered], Gt[:filtered], out=g)
+                np.subtract(row, g, out=g)
+                g /= T[filtered, filtered]
+            _subtract_outer(Ht, W[filtered], g, scratch)
             filtered = kept
-            scores = _column_norms(Ht, scratch)
+            scores = _column_norms(Ht)
         else:   # the last column was not kept, so the filter stands
             scores = scores.copy()
         j = _select(scores, selected)
@@ -252,6 +372,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
         counts.append(filtered)
 
         v = Phi[:, j]
+        repeated = False   # whether Gram-Schmidt took a second pass
         if kept:
             Q = Qt[:kept]
             c = Q @ v
@@ -262,6 +383,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
                 u -= c2 @ Q
                 c += c2
                 rho = math.sqrt(u @ u)
+                repeated = True
             T[:kept, kept] = c
             T[kept, kept] = rho
             c_sq = c @ c
@@ -283,9 +405,9 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
             c_sq = 0.0
             independent = rho > RANK_TOL * rho
         if independent:
-            q = u / rho
-            Qt[kept] = q
-            W[kept] = w = q @ R
+            q = np.divide(u, rho, out=Qt[kept])
+            columns[kept] = j
+            w = np.dot(q, R, out=W[kept])
             R = R - q[:, None] * w
             r_norm = math.sqrt(np.vdot(R, R))
             floor, fro_sq = bound, fro_sq + c_sq + rho * rho
@@ -293,6 +415,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
         residual_norms.append(r_norm)
         ranks.append(kept < len(selected))
 
+    Ht = scratch = gram = None   # the fit below needs none of the loop's buffers
     Z = np.zeros((n, Y.shape[1]))
     support = sorted(selected)
     if support:

@@ -368,15 +368,15 @@ def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
     assert len(solves) == trials
 
 
-def _count_measurement_draws(monkeypatch):
-    # the (seed, stream) of every measurement-noise generator made
+def _count_noise_draws(monkeypatch, drawer):
+    # the (seed, stream) of every generator that ``drawer`` makes
     import somplab.perturb as perturb_mod
 
     draws = []
     real = perturb_mod._rng
 
     def counted(seed, stream):
-        if sys._getframe(1).f_code.co_name == "_measurement_noise":
+        if sys._getframe(1).f_code.co_name == drawer:
             draws.append((seed, stream))
         return real(seed, stream)
 
@@ -388,7 +388,7 @@ def _count_measurement_draws(monkeypatch):
 def test_sweep_draws_the_measurement_noise_once_per_trial(monkeypatch, b_mode):
     from somplab.perturb import _MEASUREMENT_NOISE_STREAM
 
-    draws = _count_measurement_draws(monkeypatch)
+    draws = _count_noise_draws(monkeypatch, "_measurement_noise")
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
     trials, seed = 4, 91
     # two eps0 levels times three epsb levels: six points per trial
@@ -398,6 +398,22 @@ def test_sweep_draws_the_measurement_noise_once_per_trial(monkeypatch, b_mode):
     # a sweep whose epsb levels are all zero draws none
     draws.clear()
     run_experiment(cfg, [1e-4], [0.0, 0.0], trials, seed, b_mode=b_mode)
+    assert draws == []
+
+
+def test_sweep_draws_the_sensing_noise_once_per_trial(monkeypatch):
+    from somplab.perturb import _SENSING_NOISE_STREAM
+
+    draws = _count_noise_draws(monkeypatch, "_sensing_noise")
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    trials, seed = 4, 93
+    # three eps0 levels times two epsb levels: six points per trial
+    run_experiment(cfg, [1e-4, 1e-3, 1e-2], [0.0, 1e-3], trials, seed)
+    assert draws == [(trial_seeds(seed, t)[1], _SENSING_NOISE_STREAM)
+                     for t in range(trials)]
+    # a sweep whose eps0 levels are all zero draws none
+    draws.clear()
+    run_experiment(cfg, [0.0, 0.0], [1e-3], trials, seed)
     assert draws == []
 
 

@@ -4,6 +4,8 @@ Every property here holds in exact arithmetic; tolerances are pure
 rounding allowances, scaled by the problem's own norms.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -436,3 +438,196 @@ def test_filters_are_distinct_arrays_equal_to_the_direct_filter():
                 assert np.array_equal(H, filters[i - 1])
                 assert np.array_equal(trace.score_tables[i], trace.score_tables[i - 1])
                 assert not np.shares_memory(trace.score_tables[i], trace.score_tables[i - 1])
+
+
+def _direct_pass_solve(monkeypatch, Y, Phi, k):
+    # the same loop with every row of G taken by a pass over Phi
+    import somplab.solver as solver_mod
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_mod, "_GRAM_MIN_ENTRIES", math.inf)
+        return somp_solve(Y, Phi, k)
+
+
+def _count_passes_and_fills(monkeypatch):
+    # one entry per pass over Phi for a row of G, and the size of every fill
+    import somplab.solver as solver_mod
+
+    passes, fills = [], []
+    real_pass, real_fill = solver_mod._pass, solver_mod._GramRows._fill
+
+    def counted_pass(q, Phi, out):
+        passes.append(q.shape)
+        real_pass(q, Phi, out)
+
+    def counted_fill(self, j, size, scores, selected):
+        row = real_fill(self, j, size, scores, selected)
+        if row is not None:
+            fills.append(size)
+        return row
+
+    monkeypatch.setattr(solver_mod, "_pass", counted_pass)
+    monkeypatch.setattr(solver_mod._GramRows, "_fill", counted_fill)
+    return passes, fills
+
+
+def _gram_row_case(m, n, L, k, seed, noise):
+    from somplab import InstanceConfig, gen_sensing_matrix, gen_sparse_signal
+
+    cfg = InstanceConfig(m=m, n=n, L=L, k=k, seed=seed)
+    Phi = gen_sensing_matrix(cfg)
+    Y = Phi @ gen_sparse_signal(cfg)
+    if noise:
+        Y = Y + noise * _rng(seed).standard_normal(Y.shape)
+    return Phi, Y
+
+
+@pytest.mark.parametrize("m, n, L, k, seed, noise, gate", [
+    (256, 2048, 16, 40, 12, 0.0, None),
+    (256, 2048, 16, 40, 21, 1e-2, None),
+    # the many-miss case: below the size gate, so the gate is lowered to reach it
+    (128, 2048, 4, 60, 31, 0.0, 0),
+])
+def test_gram_rows_match_the_direct_pass_solve(monkeypatch, m, n, L, k, seed, noise, gate):
+    import somplab.solver as solver_mod
+
+    Phi, Y = _gram_row_case(m, n, L, k, seed, noise)
+    want = _direct_pass_solve(monkeypatch, Y, Phi, k)
+    if gate is not None:
+        monkeypatch.setattr(solver_mod, "_GRAM_MIN_ENTRIES", gate)
+    passes, fills = _count_passes_and_fills(monkeypatch)
+    got = somp_solve(Y, Phi, k)
+    assert len(fills) >= 2 and len(passes) < k - 1   # the rows came from fills
+    assert got.trace.selected == want.trace.selected
+    assert np.array_equal(got.signal, want.signal)
+    selected, _Z, scores_seen, _norms, _ranks, _stop = _reference_solve(Y, Phi, k)
+    assert got.trace.selected == tuple(selected)
+    scale = np.linalg.norm(Phi, 2) * np.linalg.norm(Y)
+    for i, (a, b) in enumerate(zip(got.trace.score_tables, scores_seen, strict=True)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale, i
+    filters = got.trace.filter_matrices
+    for i in (1, k // 2, k - 1):
+        norms = np.linalg.norm(filters[i], axis=1)
+        assert np.max(np.abs(norms - got.trace.score_tables[i])) <= 1e-12 * scale, i
+
+
+def _leaning_case(g, inside):
+    # column 7 is `inside` times column 3 plus a unit direction e orthogonal
+    # to it, so once 3 is in the basis its Gram-Schmidt keeps less than
+    # 1/sqrt(2) of its norm and takes a second pass.  Y is mostly column 3
+    # and then e, so 7 is the second pick
+    Phi = g.standard_normal((256, 2048)) / 16.0
+    a = Phi[:, 3] / np.linalg.norm(Phi[:, 3])
+    e = g.standard_normal(256)
+    e -= (e @ a) * a
+    e /= np.linalg.norm(e)
+    Phi[:, 3] = a
+    Phi[:, 7] = inside * a + math.sqrt(1.0 - inside ** 2) * e
+    Y = 10.0 * np.outer(a, g.standard_normal(4)) + 5.0 * np.outer(e, g.standard_normal(4))
+    return Phi, Y
+
+
+@pytest.mark.parametrize("inside", [0.8, 0.9])
+def test_column_leaning_on_the_basis_takes_the_pass(monkeypatch, inside):
+    # the row of G for column 7 must come from a pass over Phi, not from
+    # the Gram row
+    import somplab.solver as solver_mod
+
+    g = _rng(41)
+    Phi, Y = _leaning_case(g, inside)
+    Y += 1e-3 * g.standard_normal((256, 4))
+    want = _direct_pass_solve(monkeypatch, Y, Phi, 20)
+
+    asked = []
+    real_take = solver_mod._GramRows.take
+
+    def recorded(self, j, needed, scores, selected):
+        asked.append(j)
+        return real_take(self, j, needed, scores, selected)
+
+    monkeypatch.setattr(solver_mod._GramRows, "take", recorded)
+    passes, _fills = _count_passes_and_fills(monkeypatch)
+    got = somp_solve(Y, Phi, 20)
+    assert got.trace.selected[:2] == (3, 7)
+    assert not any(got.trace.rank_deficient)
+    assert 7 not in asked and 3 in asked   # the Gram path ran for the others
+    assert len(passes) >= 1
+    assert got.trace.selected == want.trace.selected
+    assert np.array_equal(got.signal, want.signal)
+    scale = np.linalg.norm(Phi, 2) * np.linalg.norm(Y)
+    for a_, b_ in zip(got.trace.score_tables, want.trace.score_tables, strict=True):
+        assert np.max(np.abs(a_ - b_)) <= 1e-12 * scale
+
+
+def test_row_held_for_a_column_that_takes_the_pass_is_freed(monkeypatch):
+    # 7 is held from the first fill but takes the pass, so its row paid
+    # nothing back: the later fills are sized without it, and the first of
+    # them frees it
+    import somplab.solver as solver_mod
+
+    g = _rng(41)
+    Phi, Y = _leaning_case(g, 0.8)
+    support = 100 + 50 * np.arange(38)
+    Y += Phi[:, support] @ g.uniform(1.0, 2.0, (38, 4))
+    fills, held = [], []
+    real_fill = solver_mod._GramRows._fill
+
+    def recorded(self, j, size, scores, selected):
+        row = real_fill(self, j, size, scores, selected)
+        if row is not None:
+            fills.append((size, self._taken, self._filled))
+            held.append(7 in self._held)
+        return row
+
+    monkeypatch.setattr(solver_mod._GramRows, "_fill", recorded)
+    got = somp_solve(Y, Phi, 40)
+    assert got.trace.selected[:2] == (3, 7)
+    assert fills == [(20, 0, 20), (8, 5, 28), (9, 10, 37), (8, 12, 45)]
+    assert held == [True, False, False, False]
+
+
+@pytest.mark.parametrize("seed, passes_wanted, fills_wanted", [
+    (11, 0, [20, 19]),
+    (12, 0, [20, 13, 9]),
+    (21, 3, [20, 17]),
+])
+def test_passes_over_phi_at_the_solve_large_shape(monkeypatch, seed, passes_wanted, fills_wanted):
+    # 39 rows of G at 256 x 2048, k = 40: all by passes over Phi without the
+    # Gram rows, and by a few batched products with them
+    Phi, Y = _gram_row_case(256, 2048, 16, 40, seed, 0.0)
+    passes, fills = _count_passes_and_fills(monkeypatch)
+    somp_solve(Y, Phi, 40)
+    assert (len(passes), fills) == (passes_wanted, fills_wanted)
+    assert all(shape == (256,) for shape in passes)
+    passes.clear()
+    fills.clear()
+    _direct_pass_solve(monkeypatch, Y, Phi, 40)
+    assert (len(passes), fills) == (39, [])
+
+
+def test_small_solves_never_fill(monkeypatch):
+    # below the size gate, and at k <= 3 on any size, every row is a pass;
+    # at 128 x 1024 a first fill of 20 rows would pass the fill floor
+    passes, fills = _count_passes_and_fills(monkeypatch)
+    for m, n, k in ((20, 25, 2), (32, 40, 3), (32, 40, 8), (128, 1024, 40), (256, 2048, 3)):
+        Phi, Y = _gram_row_case(m, n, 2, k, 5, 0.0)
+        passes.clear()
+        res = somp_solve(Y, Phi, k)
+        assert len(res.trace.selected) == k and not any(res.trace.rank_deficient)
+        assert (len(passes), fills) == (k - 1, [])
+
+
+@pytest.mark.parametrize("L, n", [(1, 25), (2, 40), (3, 1023), (16, 2048)])
+def test_row_products_and_einsum_norms_give_the_broadcast_bits(L, n):
+    # the rank-one update and the scores equal, bit for bit, the broadcast
+    # product and the reduction of Ht * Ht they replaced
+    import somplab.solver as solver_mod
+
+    g = _rng(L * n)
+    Ht = g.standard_normal((L, n)) * np.exp(g.standard_normal((L, n)))
+    want = Ht.copy()
+    w, row = g.standard_normal(L), g.standard_normal(n)
+    assert np.array_equal(solver_mod._column_norms(Ht), np.sqrt(np.add.reduce(Ht * Ht, axis=0)))
+    solver_mod._subtract_outer(Ht, w, row, np.empty_like(Ht))
+    want -= w[:, None] * row
+    assert np.array_equal(Ht, want)
