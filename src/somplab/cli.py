@@ -75,13 +75,13 @@ def _build_parser() -> _Parser:
     cp.add_argument("--y", help="clean observation file (noisy modes)")
     cp.add_argument("--x", help="true signal file; its weakest occupied row "
                                 "supplies the floor (noisy modes)")
-    cp.add_argument("--t0", type=float,
+    cp.add_argument("--t0", type=_flag("--t0"),
                     help="weakest occupied-row norm, given directly instead of --x")
-    cp.add_argument("--eps0", type=float, default=0.0,
+    cp.add_argument("--eps0", type=_flag("--eps0"), default=0.0,
                     help="relative spectral size of the sensing perturbation")
-    cp.add_argument("--eps", type=float,
+    cp.add_argument("--eps", type=_flag("--eps"),
                     help="submatrix-level relative size (defaults to --eps0)")
-    cp.add_argument("--epsb", type=float, default=0.0,
+    cp.add_argument("--epsb", type=_flag("--epsb"), default=0.0,
                     help="relative size of the observation perturbation")
     cp.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
 
@@ -220,6 +220,16 @@ def _number(lo: float):
     # the upper comparison also rejects NaN, infinities and ints beyond float range
     return _kind(lambda v: type(v) in (int, float) and lo <= v <= sys.float_info.max,
                  f"a finite number >= {lo}", float)
+
+
+def _flag(name: str):
+    """An argparse type for a finite nonnegative number: the config's
+    ``_number(0.0)`` kind, so a flag and a config key refuse the same values."""
+    check = _number(0.0)
+
+    def number(text):
+        return check(float(text), name)
+    return number
 
 
 def _one_of(choices: tuple[str, ...]):

@@ -179,9 +179,10 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     ``delta`` must be the exact isometry estimate at order k + 1 for the
     clean sensing matrix; ``t0`` the weakest occupied-row norm of the
     true signal (unused in noiseless mode); ``levels`` the measured
-    relative perturbation levels (all-zero when omitted).  Levels that
-    ``mode`` assumes zero but are not raise PreconditionViolated, since
-    that mode's certificate promises nothing there.  Out-of-domain
+    relative perturbation levels (all-zero when omitted).  Negative or
+    non-finite levels, a non-finite ``t0``, and levels that ``mode``
+    assumes zero but are not raise PreconditionViolated, since that
+    mode's certificate promises nothing there.  Out-of-domain
     closed forms are folded into the verdict, never raised.
     """
     if mode not in MODES:
@@ -194,6 +195,12 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
             f"isometry estimate has order {delta.order}, need k + 1 = {k + 1}")
     if levels is None:
         levels = PerturbationLevels(eps0=0.0, eps=0.0, epsb=0.0, order=k)
+    for name in ("eps0", "eps", "epsb"):
+        value = getattr(levels, name)
+        if not 0 <= value < math.inf:   # also NaN
+            raise PreconditionViolated(f"{name} must be finite and nonnegative, got {value!r}")
+    if t0 is not None and not math.isfinite(t0):
+        raise PreconditionViolated(f"weakest-row norm must be finite, got {t0!r}")
     outside = levels_outside_mode(mode, levels)
     if outside:
         got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)

@@ -544,8 +544,12 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     epsb_levels = [float(e) for e in np.atleast_1d(epsb_levels)]
     if trials < 1:
         raise PreconditionViolated("need at least one trial per point")
+    # one spec per point; each refuses a negative or non-finite level
+    grid = [PerturbationSpec(target_eps0=e0, target_epsb=eb, b_mode=b_mode)
+            for e0 in eps0_levels for eb in epsb_levels]
+    if not grid:
+        raise PreconditionViolated("need at least one eps0 and one epsb level")
     _require_delta(checks, False)
-    grid = [(e0, eb) for e0 in eps0_levels for eb in epsb_levels]
     all_records: list[TrialRecord] = [None] * (len(grid) * trials)   # point-major
     # Trial by trial, so only one trial's clean side is alive at a time.
     shared = None   # a user-supplied matrix's own work, done once
@@ -562,18 +566,17 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
         sensing = _sensing(noise, matrix.Phi, matrix.refs, subset_budget)
         measured = _measurement(noise, clean.Y)
         for i, e0 in enumerate(eps0_levels):
-            specs = [PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=pseed, b_mode=b_mode)
-                     for eb in epsb_levels]
             sensed = _sensing_stage(clean, sensing, e0)
-            for j, tpert in enumerate(specs):
-                point = i * len(epsb_levels) + j
+            for point in range(i * len(epsb_levels), (i + 1) * len(epsb_levels)):
+                tpert = replace(grid[point], seed=pseed)
                 all_records[point * trials + t] = _point_stage(clean, sensed, measured, tpert,
                                                                checks, mode)
     return ExperimentReport(
         cfg=cfg, mode=mode, b_mode=b_mode, trials_per_point=trials,
         master_seed=master_seed, checks=checks,
-        points=tuple(_summarize(e0, eb, all_records[p * trials:(p + 1) * trials])
-                     for p, (e0, eb) in enumerate(grid)),
+        points=tuple(_summarize(spec.target_eps0, spec.target_epsb,
+                                all_records[p * trials:(p + 1) * trials])
+                     for p, spec in enumerate(grid)),
         records=tuple(all_records),
         overall=_summarize(None, None, all_records),
         red_alert=any(broken_promise(r) for r in all_records),

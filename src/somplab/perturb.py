@@ -156,8 +156,10 @@ class PerturbationSpec:
     realized: PerturbationLevels | None = None
 
     def __post_init__(self):
-        if self.target_eps0 < 0 or self.target_epsb < 0:
-            raise InvalidConfig("target levels must be nonnegative")
+        for name in ("target_eps0", "target_epsb"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:   # also NaN
+                raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
         if self.b_mode not in B_MODES:
             raise InvalidConfig(f"unknown b_mode {self.b_mode!r}; expected {B_MODES}")
 

@@ -23,10 +23,10 @@ buffer stays Phi^T R transposed.  The scores are its column norms.  On
 a small Phi the row g is one pass over Phi.  On a large one, g of a
 column phi_j kept with Gram-Schmidt coefficients c and norm rho is
 (Phi^T phi_j - G^T c) / rho, where Phi^T phi_j is a row of the Gram
-Phi^T Phi.  Only the rows of likely picks are formed, in batches by one
-product (see ``_GramRows``), so most iterations do not read Phi.  A
+Phi^T Phi.  Only the rows of likely picks are formed, by one product
+per solve (see ``_GramRows``), so most iterations do not read Phi.  A
 column that needed the second Gram-Schmidt pass, where that subtraction
-would magnify rounding, and a row the fill policy declines still take
+would magnify rounding, and a pick the product did not cover still take
 the pass.  The trace keeps the factors, not the filters:
 ``filter_matrices[i]`` forms Phi^T Y - G^T W from the first filter and
 the rows of G and W that iteration had folded in, so it equals the
@@ -223,81 +223,53 @@ def _select(scores, selected):
 # the worst measured solve ran at 0.96-0.99x (64 x 8192, L = 4, k = 20).
 _GRAM_MIN_ENTRIES = 1 << 19
 
-# A fill of fewer rows is declined.  Per row, a product of b rows cost
-# 0.55-0.74 of a pass at b = 4, 0.33-0.43 at b = 8 and 0.15-0.20 at
-# b = 48 (256 x 2048 and 128 x 2048).  At 64 x 8192, L = 4, k = 20,
-# where the first fill found 2 to 4 picks, a floor of 4 made the solve
-# 0.91x, and 8 made it 0.98-0.99x.
+# A fill of fewer rows is declined, so a solve with k < 9 takes every
+# row by a pass.  Per row, a product of b rows cost 0.55-0.74 of a pass
+# at b = 4, 0.33-0.43 at b = 8 and 0.15-0.20 at b = 48 (256 x 2048 and
+# 128 x 2048).
 _MIN_FILL = 8
 
 
 class _GramRows:
     """Rows Phi^T phi_c of the Gram for the columns a solve is likely to
-    pick, formed in batches by one product Phi[:, C]^T Phi.
+    pick, formed by one product Phi[:, C]^T Phi per solve.
 
-    A row holds for the whole solve, so a filled row is kept until its
-    column is picked.  A pick whose row is not held starts a fill: its
-    own row and those of the best-scoring columns neither selected nor
-    held, by the scores that made the pick.  The first fill covers half
-    the rows the solve may still take; each later one covers that count
-    times the share of filled rows taken so far, which sizes a fill by
-    what the earlier ones paid back.  A row whose column was picked but
-    not taken (it needed the second Gram-Schmidt pass, or was not kept)
-    paid nothing back, and the next fill frees it.  A fill of fewer than
-    ``_MIN_FILL`` rows is declined, and the caller makes its pass
-    instead.  At most k - 1 rows, one per row of G the solve may form,
-    are held at a time.  A first fill of half the rows the solve may
-    take gave 1.63x at 256 x 2048, L = 16, k = 40 and 1.23x at L = 1,
-    k = 40 (noisy); one of all those rows gave 1.63x and 1.14x, and one
-    a quarter larger 1.58x and 1.08x.
+    The fill comes with the first row the solve asks for.  C is that
+    pick and the k - 2 best-scoring unselected columns by the scores that
+    made it, so the fill covers every further row of G the solve may
+    form.  A later pick takes its held row; a pick without one gets None,
+    and the caller makes its pass.  A fill of fewer than ``_MIN_FILL``
+    rows is declined, and then every pick takes the pass.  Against passes
+    alone, at 256 x 2048, k = 40, the fill made noiseless L = 16 solves
+    1.51x faster, and noisy L = 1, 2 and 4 ones, where it holds fewer of
+    the picks, 1.15x, 1.24x and 1.48x; at 64 x 8192, L = 4, k = 20 the
+    solve ran at 0.96x.
     """
 
     def __init__(self, Phi, k):
         self._Phi = Phi
-        self._size = k - 1
-        self._rows = None   # k - 1 x n, allocated at the first fill
-        self._held = {}     # column -> its row in self._rows, until picked
-        self._filled = self._taken = 0
+        self._k = k
+        self._held = None   # column -> its row, once filled
 
-    def take(self, j, needed, scores, selected):
-        """Phi^T phi_j for the picked column j, or None when the fill
-        policy declines.  ``needed`` bounds the rows of G the solve may
-        still form, this one included."""
-        s = self._held.pop(j, None)
-        if s is None:
-            if self._filled:
-                size = -(-needed * self._taken // self._filled)   # rounded up
-            else:
-                size = (needed + 1) // 2
-            s = self._fill(j, size, scores, selected)
-            if s is None:
-                return None
-        self._taken += 1
-        return self._rows[s]
+    def take(self, j, scores, selected):
+        """Phi^T phi_j for the picked column j, or None when no row is
+        held for it."""
+        if self._held is None:
+            self._held = self._fill(j, scores, selected)
+        return self._held.get(j)
 
-    def _fill(self, j, size, scores, selected):
-        """Fill the rows of j and of the size - 1 best-scoring columns
-        neither selected nor held, and return j's row; None when fewer
-        than ``_MIN_FILL`` rows fit."""
+    def _fill(self, j, scores, selected):
+        """Form the rows of j and of the k - 2 best-scoring unselected
+        columns, and map each column to its row; empty when fewer than
+        ``_MIN_FILL`` rows fit."""
         n = self._Phi.shape[1]
-        held = [c for c in self._held if c not in selected]
-        size = min(size, self._size - len(held), n - len(selected) - len(held) + 1)
+        size = min(self._k - 1, n - len(selected) + 1)
         if size < _MIN_FILL:
-            return None
-        if self._rows is None:
-            self._rows = np.empty((self._size, n))
-        elif held:   # the held rows move to the front
-            self._rows[:len(held)] = self._rows[[self._held[c] for c in held]]
+            return {}
         open_ = scores.copy()
         open_[selected] = -1.0
-        open_[held] = -1.0
-        others = np.argpartition(open_, n - size + 1)[n - size + 1:].tolist()
-        top = len(held)
-        np.dot(self._Phi[:, [j, *others]].T, self._Phi, out=self._rows[top:top + size])
-        self._held = dict(zip(held, range(top)))
-        self._held.update(zip(others, range(top + 1, top + size)))
-        self._filled += size
-        return top
+        C = [j, *np.argpartition(open_, n - size + 1)[n - size + 1:].tolist()]
+        return dict(zip(C, self._Phi[:, C].T @ self._Phi))
 
 
 def somp_solve(Y, Phi, k: int) -> RecoveryResult:
@@ -354,7 +326,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
             g = Gt[filtered]
             row = None
             if gram is not None and not repeated:
-                row = gram.take(columns[filtered], k - i, scores, selected)
+                row = gram.take(columns[filtered], scores, selected)
             if row is None:
                 _pass(Qt[filtered], Phi, g)
             else:   # g = (Phi^T phi_j - Gt^T c) / rho, with c and rho in T

@@ -199,6 +199,45 @@ def test_check_subcommand_requires_noisy_inputs(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, extra, flag", [
+    ("sensing", ["--eps0", "-0.001"], "--eps0"),     # would raise the threshold
+    ("measurement", ["--t0", "inf"], "--t0"),         # would make the condition hold
+    ("general", ["--epsb", "nan"], "--epsb"),         # would give nan bounds
+    ("general", ["--eps", "-0.5"], "--eps"),          # would read as unsatisfiable
+    ("general", ["--eps0", "1e400"], "--eps0"),       # overflows to inf
+])
+def test_check_subcommand_rejects_bad_levels(tmp_path, capsys, mode, extra, flag):
+    from somplab import coherent_pair_matrix
+
+    p = tmp_path / "pair.txt"
+    A = coherent_pair_matrix(8, 0.1)
+    write_matrix(p, A)
+    y = tmp_path / "y.txt"
+    write_matrix(y, A @ (2.0 * np.eye(8)[:, :1]))
+    noisy = ["--y", str(y), *([] if flag == "--t0" else ["--t0", "2.0"])]
+    code = main(["check", "--phi", str(p), "--sparsity", "1", "--mode", mode, *noisy, *extra])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith(f"error: '{flag}' must be a finite number >= 0")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps0", "nan"), ("--eps0", "inf"), ("--epsb", "nan"), ("--epsb", "inf"),
+    ("--epsb", "-1e-3"),
+])
+def test_perturb_subcommand_refuses_bad_levels(tmp_path, capsys, flag, value):
+    # refused as input, before any file is written
+    _, _, phi_path, y_path = _write_instance(tmp_path)
+    prefix = tmp_path / "noisy"
+    code = main(["perturb", "--phi", str(phi_path), "--y", str(y_path),
+                 f"{flag}={value}", "--out-prefix", str(prefix)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"target_{flag[2:]} must be finite and nonnegative" in err
+    assert not list(tmp_path.glob("noisy*"))
+
+
 def test_perturb_subcommand(tmp_path, capsys):
     Phi, X, phi_path, y_path = _write_instance(tmp_path)
     prefix = tmp_path / "noisy"

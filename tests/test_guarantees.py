@@ -258,6 +258,29 @@ def test_check_guarantee_rejects_bad_sparsity():
         check_guarantee(Phi, None, None, 1.5, None, delta, mode="noiseless")
 
 
+@pytest.mark.parametrize("mode", ["general", "sensing", "measurement"])
+@pytest.mark.parametrize("name", ["eps0", "eps", "epsb"])
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
+def test_check_guarantee_refuses_negative_or_non_finite_levels(mode, name, value):
+    # checked before the mode's own assumptions: a negative eps0 would
+    # otherwise raise the sensing-mode threshold, and nan levels give nan
+    # bounds
+    Phi, delta = _noiseless_setup(0.1)
+    Y = Phi @ (np.eye(8)[:, :1] * 2.0)
+    levels = PerturbationLevels(**{"eps0": 0.0, "eps": 0.0, "epsb": 0.0, name: value}, order=1)
+    with pytest.raises(PreconditionViolated, match=name):
+        check_guarantee(Phi, Y, 2.0, 1, levels, delta, mode=mode)
+
+
+def test_check_guarantee_refuses_an_infinite_weakest_row():
+    # t0 = inf would make the measurement-mode condition hold at any level
+    Phi, delta = _noiseless_setup(0.1)
+    Y = Phi @ (np.eye(8)[:, :1] * 2.0)
+    levels = PerturbationLevels(eps0=0.0, eps=0.0, epsb=1e-3, order=1)
+    with pytest.raises(PreconditionViolated, match="must be finite"):
+        check_guarantee(Phi, Y, math.inf, 1, levels, delta, mode="measurement")
+
+
 def test_check_guarantee_refuses_levels_outside_its_mode():
     # measurement mode assumes eps0 = eps = 0; with them nonzero it would
     # otherwise report a passing condition that promises nothing

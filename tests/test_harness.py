@@ -7,6 +7,7 @@ import pytest
 
 from somplab import (
     InstanceConfig,
+    InvalidConfig,
     InvalidOrder,
     PerturbationSpec,
     PreconditionViolated,
@@ -227,6 +228,41 @@ def test_run_experiment_rejects_empty_plan():
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
     with pytest.raises(PreconditionViolated):
         run_experiment(cfg, [0.0], [1e-3], trials=0, master_seed=0)
+
+
+@pytest.mark.parametrize("eps0_levels, epsb_levels", [([], [1e-3]), ([0.0], [])])
+def test_run_experiment_refuses_an_empty_level_list_before_any_trial(
+        monkeypatch, eps0_levels, epsb_levels):
+    import somplab.harness as harness_mod
+
+    draws = []
+    real = harness_mod.gen_sensing_matrix
+    monkeypatch.setattr(harness_mod, "gen_sensing_matrix",
+                        lambda cfg: draws.append(cfg.seed) or real(cfg))
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    with pytest.raises(PreconditionViolated, match="level"):
+        run_experiment(cfg, eps0_levels, epsb_levels, trials=2, master_seed=0)
+    assert draws == []
+
+
+@pytest.mark.parametrize("eps0_levels, epsb_levels, name", [
+    (math.nan, 0.0, "target_eps0"),
+    ([0.0, math.inf], 0.0, "target_eps0"),
+    (0.0, [1e-3, -1e-3], "target_epsb"),
+    (0.0, math.nan, "target_epsb"),
+])
+def test_run_experiment_refuses_bad_levels_before_any_trial(
+        monkeypatch, eps0_levels, epsb_levels, name):
+    import somplab.harness as harness_mod
+
+    draws = []
+    real = harness_mod.gen_sensing_matrix
+    monkeypatch.setattr(harness_mod, "gen_sensing_matrix",
+                        lambda cfg: draws.append(cfg.seed) or real(cfg))
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    with pytest.raises(InvalidConfig, match=name):
+        run_experiment(cfg, eps0_levels, epsb_levels, trials=2, master_seed=0)
+    assert draws == []
 
 
 def test_run_trial_rejects_mismatched_shared_estimate():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -169,6 +170,15 @@ def test_perturbation_spec_validation():
         PerturbationSpec(target_eps0=-0.1)
     with pytest.raises(InvalidConfig):
         PerturbationSpec(b_mode="bogus")
+
+
+@pytest.mark.parametrize("name", ["target_eps0", "target_epsb"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_perturbation_spec_refuses_non_finite_targets(name, value):
+    # calibration scales the draws by the targets, so a non-finite one
+    # would give non-finite perturbations
+    with pytest.raises(InvalidConfig, match=name):
+        PerturbationSpec(**{name: value})
 
 
 def test_coherent_pair_matrix_construction():

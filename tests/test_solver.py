@@ -450,7 +450,7 @@ def _direct_pass_solve(monkeypatch, Y, Phi, k):
 
 
 def _count_passes_and_fills(monkeypatch):
-    # one entry per pass over Phi for a row of G, and the size of every fill
+    # one entry per pass over Phi for a row of G, and the rows of every fill
     import somplab.solver as solver_mod
 
     passes, fills = [], []
@@ -460,11 +460,11 @@ def _count_passes_and_fills(monkeypatch):
         passes.append(q.shape)
         real_pass(q, Phi, out)
 
-    def counted_fill(self, j, size, scores, selected):
-        row = real_fill(self, j, size, scores, selected)
-        if row is not None:
-            fills.append(size)
-        return row
+    def counted_fill(self, j, scores, selected):
+        held = real_fill(self, j, scores, selected)
+        if held:
+            fills.append(len(held))
+        return held
 
     monkeypatch.setattr(solver_mod, "_pass", counted_pass)
     monkeypatch.setattr(solver_mod._GramRows, "_fill", counted_fill)
@@ -485,7 +485,10 @@ def _gram_row_case(m, n, L, k, seed, noise):
 @pytest.mark.parametrize("m, n, L, k, seed, noise, gate", [
     (256, 2048, 16, 40, 12, 0.0, None),
     (256, 2048, 16, 40, 21, 1e-2, None),
-    # the many-miss case: below the size gate, so the gate is lowered to reach it
+    # the many-miss cases, where most picks are not held and take the pass;
+    # the second is below the size gate, so the gate is lowered to reach it
+    (256, 2048, 1, 40, 21, 1e-2, None),
+    (256, 2048, 2, 40, 22, 1e-2, None),
     (128, 2048, 4, 60, 31, 0.0, 0),
 ])
 def test_gram_rows_match_the_direct_pass_solve(monkeypatch, m, n, L, k, seed, noise, gate):
@@ -497,7 +500,7 @@ def test_gram_rows_match_the_direct_pass_solve(monkeypatch, m, n, L, k, seed, no
         monkeypatch.setattr(solver_mod, "_GRAM_MIN_ENTRIES", gate)
     passes, fills = _count_passes_and_fills(monkeypatch)
     got = somp_solve(Y, Phi, k)
-    assert len(fills) >= 2 and len(passes) < k - 1   # the rows came from fills
+    assert fills == [k - 1] and len(passes) < k - 1   # one fill gave some rows
     assert got.trace.selected == want.trace.selected
     assert np.array_equal(got.signal, want.signal)
     selected, _Z, scores_seen, _norms, _ranks, _stop = _reference_solve(Y, Phi, k)
@@ -541,9 +544,9 @@ def test_column_leaning_on_the_basis_takes_the_pass(monkeypatch, inside):
     asked = []
     real_take = solver_mod._GramRows.take
 
-    def recorded(self, j, needed, scores, selected):
+    def recorded(self, j, scores, selected):
         asked.append(j)
-        return real_take(self, j, needed, scores, selected)
+        return real_take(self, j, scores, selected)
 
     monkeypatch.setattr(solver_mod._GramRows, "take", recorded)
     passes, _fills = _count_passes_and_fills(monkeypatch)
@@ -559,45 +562,15 @@ def test_column_leaning_on_the_basis_takes_the_pass(monkeypatch, inside):
         assert np.max(np.abs(a_ - b_)) <= 1e-12 * scale
 
 
-def test_row_held_for_a_column_that_takes_the_pass_is_freed(monkeypatch):
-    # 7 is held from the first fill but takes the pass, so its row paid
-    # nothing back: the later fills are sized without it, and the first of
-    # them frees it
-    import somplab.solver as solver_mod
-
-    g = _rng(41)
-    Phi, Y = _leaning_case(g, 0.8)
-    support = 100 + 50 * np.arange(38)
-    Y += Phi[:, support] @ g.uniform(1.0, 2.0, (38, 4))
-    fills, held = [], []
-    real_fill = solver_mod._GramRows._fill
-
-    def recorded(self, j, size, scores, selected):
-        row = real_fill(self, j, size, scores, selected)
-        if row is not None:
-            fills.append((size, self._taken, self._filled))
-            held.append(7 in self._held)
-        return row
-
-    monkeypatch.setattr(solver_mod._GramRows, "_fill", recorded)
-    got = somp_solve(Y, Phi, 40)
-    assert got.trace.selected[:2] == (3, 7)
-    assert fills == [(20, 0, 20), (8, 5, 28), (9, 10, 37), (8, 12, 45)]
-    assert held == [True, False, False, False]
-
-
-@pytest.mark.parametrize("seed, passes_wanted, fills_wanted", [
-    (11, 0, [20, 19]),
-    (12, 0, [20, 13, 9]),
-    (21, 3, [20, 17]),
-])
-def test_passes_over_phi_at_the_solve_large_shape(monkeypatch, seed, passes_wanted, fills_wanted):
+@pytest.mark.parametrize("seed, passes_wanted", [(11, 3), (12, 1), (21, 2)])
+def test_passes_over_phi_at_the_solve_large_shape(monkeypatch, seed, passes_wanted):
     # 39 rows of G at 256 x 2048, k = 40: all by passes over Phi without the
-    # Gram rows, and by a few batched products with them
+    # Gram rows, and with them one product of 39 rows and a pass for each
+    # pick it missed
     Phi, Y = _gram_row_case(256, 2048, 16, 40, seed, 0.0)
     passes, fills = _count_passes_and_fills(monkeypatch)
     somp_solve(Y, Phi, 40)
-    assert (len(passes), fills) == (passes_wanted, fills_wanted)
+    assert (len(passes), fills) == (passes_wanted, [39])
     assert all(shape == (256,) for shape in passes)
     passes.clear()
     fills.clear()
@@ -605,11 +578,23 @@ def test_passes_over_phi_at_the_solve_large_shape(monkeypatch, seed, passes_want
     assert (len(passes), fills) == (39, [])
 
 
-def test_small_solves_never_fill(monkeypatch):
-    # below the size gate, and at k <= 3 on any size, every row is a pass;
-    # at 128 x 1024 a first fill of 20 rows would pass the fill floor
+@pytest.mark.parametrize("k", [9, 10])
+def test_a_solve_above_the_fill_floor_fills_once(monkeypatch, k):
+    # at 256 x 2048 from k = 9 on, the k - 1 rows reach the fill floor
     passes, fills = _count_passes_and_fills(monkeypatch)
-    for m, n, k in ((20, 25, 2), (32, 40, 3), (32, 40, 8), (128, 1024, 40), (256, 2048, 3)):
+    Phi, Y = _gram_row_case(256, 2048, 2, k, 5, 0.0)
+    got = somp_solve(Y, Phi, k)
+    assert fills == [k - 1] and len(passes) < k - 1
+    assert got.trace.selected == _direct_pass_solve(monkeypatch, Y, Phi, k).trace.selected
+
+
+def test_small_solves_never_fill(monkeypatch):
+    # below the size gate, and below the fill floor (k < 9) on any size,
+    # every row is a pass; at 128 x 1024 a fill of 39 rows would pass the
+    # fill floor
+    passes, fills = _count_passes_and_fills(monkeypatch)
+    for m, n, k in ((20, 25, 2), (32, 40, 3), (32, 40, 8), (128, 1024, 40), (256, 2048, 3),
+                    (256, 2048, 8)):
         Phi, Y = _gram_row_case(m, n, 2, k, 5, 0.0)
         passes.clear()
         res = somp_solve(Y, Phi, k)
