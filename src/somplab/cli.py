@@ -53,7 +53,8 @@ def _build_parser() -> _Parser:
                                     "and observation file; prints the support.")
     sp.add_argument("--phi", required=True, help="sensing matrix file")
     sp.add_argument("--y", required=True, help="observation matrix file")
-    sp.add_argument("--sparsity", type=int, required=True, help="number of rows to select")
+    sp.add_argument("--sparsity", type=_flag("--sparsity", _integer(1)), required=True,
+                    help="number of rows to select")
     sp.add_argument("--out", help="write the recovered signal matrix here")
     sp.add_argument("--trace", help="write per-iteration details to this file")
 
@@ -61,8 +62,9 @@ def _build_parser() -> _Parser:
                         description="Enumerate all column subsets of the given "
                                     "order and print the exact constant.")
     rp.add_argument("--matrix", required=True)
-    rp.add_argument("--order", type=int, required=True)
-    rp.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET,
+    rp.add_argument("--order", type=_flag("--order", _integer(1)), required=True)
+    rp.add_argument("--budget", type=_flag("--budget", _integer(1)),
+                    default=DEFAULT_SUBSET_BUDGET,
                     help="largest subset count the enumeration may attempt")
 
     cp = sub.add_parser("check", help="evaluate the recovery guarantee",
@@ -70,20 +72,21 @@ def _build_parser() -> _Parser:
                                     "for given perturbation levels.  The verdict "
                                     "is printed and the exit code stays 0 either way.")
     cp.add_argument("--phi", required=True, help="clean sensing matrix file")
-    cp.add_argument("--sparsity", type=int, required=True)
+    cp.add_argument("--sparsity", type=_flag("--sparsity", _integer(1)), required=True)
     cp.add_argument("--mode", choices=MODES, default="general")
     cp.add_argument("--y", help="clean observation file (noisy modes)")
     cp.add_argument("--x", help="true signal file; its weakest occupied row "
                                 "supplies the floor (noisy modes)")
-    cp.add_argument("--t0", type=_flag("--t0"),
+    cp.add_argument("--t0", type=_flag("--t0", _number(0.0)),
                     help="weakest occupied-row norm, given directly instead of --x")
-    cp.add_argument("--eps0", type=_flag("--eps0"), default=0.0,
+    cp.add_argument("--eps0", type=_flag("--eps0", _number(0.0)), default=0.0,
                     help="relative spectral size of the sensing perturbation")
-    cp.add_argument("--eps", type=_flag("--eps"),
+    cp.add_argument("--eps", type=_flag("--eps", _number(0.0)),
                     help="submatrix-level relative size (defaults to --eps0)")
-    cp.add_argument("--epsb", type=_flag("--epsb"), default=0.0,
+    cp.add_argument("--epsb", type=_flag("--epsb", _number(0.0)), default=0.0,
                     help="relative size of the observation perturbation")
-    cp.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    cp.add_argument("--budget", type=_flag("--budget", _integer(1)),
+                    default=DEFAULT_SUBSET_BUDGET)
 
     pp = sub.add_parser("perturb", help="calibrate and apply a perturbation",
                         description="Scale random perturbations to hit the "
@@ -91,15 +94,16 @@ def _build_parser() -> _Parser:
                                     "and print the realized levels.")
     pp.add_argument("--phi", required=True)
     pp.add_argument("--y", required=True)
-    pp.add_argument("--eps0", type=float, default=0.0)
-    pp.add_argument("--epsb", type=float, default=0.0)
+    pp.add_argument("--eps0", type=_flag("--eps0", _number(0.0)), default=0.0)
+    pp.add_argument("--epsb", type=_flag("--epsb", _number(0.0)), default=0.0)
     pp.add_argument("--b-mode", choices=B_MODES, default="gaussian")
-    pp.add_argument("--sparsity", type=int, default=1,
+    pp.add_argument("--sparsity", type=_flag("--sparsity", _integer(1)), default=1,
                     help="submatrix width for level measurement")
-    pp.add_argument("--seed", type=int, default=0)
+    pp.add_argument("--seed", type=_flag("--seed", _integer(0)), default=0)
     pp.add_argument("--out-prefix", required=True,
                     help="write PREFIX.phi.txt, PREFIX.y.txt, PREFIX.e.txt, PREFIX.b.txt")
-    pp.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    pp.add_argument("--budget", type=_flag("--budget", _integer(1)),
+                    default=DEFAULT_SUBSET_BUDGET)
 
     ep = sub.add_parser("experiment", help="run a Monte Carlo sweep",
                         description="Run the trial sweep described by a JSON "
@@ -222,13 +226,16 @@ def _number(lo: float):
                  f"a finite number >= {lo}", float)
 
 
-def _flag(name: str):
-    """An argparse type for a finite nonnegative number: the config's
-    ``_number(0.0)`` kind, so a flag and a config key refuse the same values."""
-    check = _number(0.0)
-
+def _flag(name: str, kind):
+    """An argparse type that checks a numeric flag by the ``kind`` its
+    config key uses, so a flag and a config key refuse the same values.
+    The text reads as an int where it is one, else as a float."""
     def number(text):
-        return check(float(text), name)
+        try:
+            value = int(text)
+        except ValueError:
+            value = float(text)
+        return kind(value, name)
     return number
 
 

@@ -63,6 +63,7 @@ from .perturb import (
     InstanceConfig,
     PerturbationSpec,
     _measurement,
+    _require_unrealized,
     _sensing,
     _sensing_references,
     gen_sensing_matrix,
@@ -80,8 +81,7 @@ from .solver import RESIDUAL_STOP_TOL, IterationTrace, RecoveryResult, somp_solv
 
 _SCORE_VANISH_TOL = 1e-10
 
-# The checks that need the exact constant, which only the isometry check
-# (``TrialChecks.ric``) or a precomputed estimate provides.
+# The checks that need the exact constant, which the isometry check provides.
 CHECKS_NEEDING_RIC = ("guarantee", "filter_proximity")
 
 
@@ -94,6 +94,12 @@ class TrialChecks:
     selected_scores: bool = True
     filter_proximity: bool = False
     filter_deviation: bool = False
+
+    def __post_init__(self):
+        for name in CHECKS_NEEDING_RIC:
+            if getattr(self, name) and not self.ric:
+                raise PreconditionViolated(
+                    f"{name.replace('_', ' ')} check needs the isometry check enabled")
 
 
 @dataclass(frozen=True)
@@ -323,23 +329,11 @@ class _Sensed:
     eps: float
 
 
-def _require_delta(checks: TrialChecks, given: bool) -> None:
-    """Refuse checks that need the exact constant when nothing provides it."""
-    if checks.ric or given:
-        return
-    for name in CHECKS_NEEDING_RIC:
-        if getattr(checks, name):
-            raise PreconditionViolated(
-                f"{name.replace('_', ' ')} check needs the isometry check enabled")
-
-
-def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int,
-                  delta: RicEstimate | None) -> _Matrix:
-    """Draw the clean sensing matrix and do its own work; a given
-    ``delta`` stands in for the enumerated constant."""
+def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int) -> _Matrix:
+    """Draw the clean sensing matrix and do its own work: the exact
+    constant (with the isometry check) and the references of the levels."""
     Phi = gen_sensing_matrix(cfg)
-    if checks.ric and delta is None:
-        delta = ric_exact(Phi, cfg.k + 1, subset_budget)
+    delta = ric_exact(Phi, cfg.k + 1, subset_budget) if checks.ric else None
     return _Matrix(Phi=Phi, delta=delta,
                    refs=_sensing_references(Phi, max(cfg.k, 1), subset_budget))
 
@@ -427,22 +421,17 @@ def _point_stage(clean: _Clean, sensed: _Sensed, measured, pert: PerturbationSpe
 
 def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
               checks: TrialChecks = TrialChecks(), mode: str = "general",
-              subset_budget: int = DEFAULT_SUBSET_BUDGET,
-              delta: RicEstimate | None = None) -> TrialRecord:
+              subset_budget: int = DEFAULT_SUBSET_BUDGET) -> TrialRecord:
     """Run one generate/perturb/solve/check trial and record the outcome.
 
-    ``delta`` may carry a precomputed order-(k+1) estimate of the clean
-    sensing matrix (useful when many trials share it); it is validated
-    and used instead of re-enumerating.  A failing step raises with
-    context; nothing is skipped silently.  The stages are those of a
-    sweep, so a sweep's record equals ``run_trial`` on its trial's
-    config and spec.
+    The trial derives every input from ``cfg`` and from ``pert``'s seed
+    and targets; a spec that already carries E or B is refused.  A
+    failing step raises with context; nothing is skipped silently.  The
+    stages are those of a sweep, so a sweep's record equals
+    ``run_trial`` on its trial's config and spec.
     """
-    if delta is not None and delta.order != cfg.k + 1:
-        raise PreconditionViolated(
-            f"provided estimate has order {delta.order}, need k + 1 = {cfg.k + 1}")
-    _require_delta(checks, delta is not None)
-    clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget, delta), checks)
+    _require_unrealized(pert)
+    clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget), checks)
     sensing = _sensing(pert, clean.matrix.Phi, clean.matrix.refs, subset_budget)
     sensed = _sensing_stage(clean, sensing, pert.target_eps0)
     return _point_stage(clean, sensed, _measurement(pert, clean.Y), pert, checks, mode)
@@ -549,7 +538,6 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
             for e0 in eps0_levels for eb in epsb_levels]
     if not grid:
         raise PreconditionViolated("need at least one eps0 and one epsb level")
-    _require_delta(checks, False)
     all_records: list[TrialRecord] = [None] * (len(grid) * trials)   # point-major
     # Trial by trial, so only one trial's clean side is alive at a time.
     shared = None   # a user-supplied matrix's own work, done once
@@ -558,7 +546,7 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
         tcfg = replace(cfg, seed=iseed)
         matrix = shared
         if matrix is None:
-            matrix = _matrix_stage(tcfg, checks, subset_budget, None)
+            matrix = _matrix_stage(tcfg, checks, subset_budget)
             if cfg.matrix_ensemble == "user-supplied":
                 shared = matrix
         clean = _clean_stage(tcfg, matrix, checks)

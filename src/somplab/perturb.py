@@ -138,10 +138,9 @@ def gen_sparse_signal(cfg: InstanceConfig) -> np.ndarray:
 class PerturbationSpec:
     """Target levels plus, after calibration, the realized perturbations.
 
-    Generated mode: leave E and B as None; ``calibrate_perturbation``
-    draws them from ``seed`` and scales them so the realized eps0/epsb
-    hit the targets exactly.  User-supplied mode: pass E and/or B
-    explicitly; they are kept as given and only measured.  ``b_mode``
+    Leave E and B as None: ``calibrate_perturbation`` draws them from
+    ``seed``, scales them so the realized eps0/epsb hit the targets
+    exactly, and returns the spec carrying them.  ``b_mode``
     "column-skewed" concentrates the whole measurement perturbation on
     the weakest measurement column, so one column's relative corruption
     far exceeds the global level.
@@ -168,13 +167,15 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
                            subset_budget: int = DEFAULT_SUBSET_BUDGET) -> PerturbationSpec:
     """Realize a perturbation spec against concrete clean observations.
 
-    Generated perturbations are scaled in one multiplication
+    E and B are drawn from ``spec.seed`` and scaled in one multiplication
     (E = E0 * target_eps0 ||Phi||_2 / ||E0||_2, and likewise for B with
     Frobenius norms), so the realized full-matrix levels match the
-    targets to rounding.  The submatrix level eps is then measured up to
-    width ``order``, never targeted.  Returns a new spec carrying E, B
-    and the measured levels.
+    targets to rounding.  The submatrix level eps is then measured over
+    widths 1..``order`` (in 1..n), never targeted.  Returns a new
+    spec carrying E, B and the measured levels; a spec that already
+    carries E or B is refused (``measure_perturbation_levels`` measures it).
     """
+    _require_unrealized(spec)
     Phi = as_matrix(Phi, "sensing matrix")
     Y = as_matrix(Y, "measurements")
     if Phi.shape[0] != Y.shape[0]:
@@ -191,10 +192,10 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
 # per trial, E and its levels once per sensing level, and B and its level
 # once per measurement level.
 
-def _given(spec: PerturbationSpec) -> bool:
-    # a spec that carries either perturbation keeps both as given (a
-    # missing one is zero) and draws neither
-    return spec.E is not None or spec.B is not None
+def _require_unrealized(spec: PerturbationSpec) -> None:
+    if spec.E is not None or spec.B is not None:
+        raise PreconditionViolated("spec already carries E or B; measure a given "
+                                   "pair with measure_perturbation_levels")
 
 
 def _sensing_references(Phi: np.ndarray, order: int,
@@ -222,16 +223,11 @@ def _sensing(spec: PerturbationSpec, Phi: np.ndarray, refs: tuple[float, tuple[f
     noise = functools.cache(lambda: _sensing_noise(spec, Phi))
 
     def sensed(target_eps0: float) -> tuple[np.ndarray, float, float]:
-        if _given(spec):
-            E = (as_matrix(spec.E, "sensing perturbation") if spec.E is not None
-                 else np.zeros_like(Phi))
-        elif target_eps0 == 0.0:
+        if target_eps0 == 0.0:
             E = np.zeros_like(Phi)
         else:
             E0, size = noise()
             E = E0 * (target_eps0 * spectral_phi / size)
-        if E.shape != Phi.shape:
-            raise DimensionMismatch(f"sensing perturbation shape {E.shape} != {Phi.shape}")
         return (E, *_sensing_levels(E, spectral_phi, widths, subset_budget))
 
     return sensed
@@ -263,16 +259,11 @@ def _measurement(spec: PerturbationSpec, Y: np.ndarray):
 
     def measured(target_epsb: float) -> tuple[np.ndarray, float]:
         frob_y = _frobenius_reference(Y)
-        if _given(spec):
-            B = (as_matrix(spec.B, "measurement perturbation") if spec.B is not None
-                 else np.zeros_like(Y))
-        elif target_epsb == 0.0:
+        if target_epsb == 0.0:
             B = np.zeros_like(Y)
         else:
             B0, size = noise()
             B = B0 * (target_epsb * frob_y / size)
-        if B.shape != Y.shape:
-            raise DimensionMismatch(f"measurement perturbation shape {B.shape} != {Y.shape}")
         return B, float(np.linalg.norm(B)) / frob_y
 
     return measured

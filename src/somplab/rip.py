@@ -523,8 +523,10 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
 
     ``eps`` maximizes the submatrix spectral-norm ratio over widths
     1..order, because the solver only ever applies width-at-most-order
-    column submatrices.  Raises ZeroReference when Phi or Y has zero
-    norm, since the ratios are then undefined.
+    column submatrices.  Raises InvalidOrder when ``order`` is outside
+    1..n (below 1, eps would be a maximum over no width), and
+    ZeroReference when Phi or Y has zero norm, since the ratios are then
+    undefined.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     E = as_matrix(E, "sensing perturbation")
@@ -578,7 +580,11 @@ def _width_norms(A: np.ndarray, order: int, subset_budget: int):
 def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[float, ...]:
     """The references of eps: Phi's largest width-w submatrix spectral
     norm for w = 1..order, from one Gram of Phi.  Width 1 reads the
-    Gram's diagonal and width 2 starts from exact pair bounds."""
+    Gram's diagonal and width 2 starts from exact pair bounds.  An order
+    outside 1..n raises InvalidOrder before any width is computed: eps is
+    a maximum over at least one width, and over no more than n."""
+    if not 1 <= order <= Phi.shape[1]:
+        raise InvalidOrder(f"order {order} outside 1..{Phi.shape[1]}")
     widths = []
     for width, den in enumerate(_width_norms(Phi, order, subset_budget), 1):
         if den == 0.0:

@@ -19,7 +19,6 @@ import pytest
 from somplab import (
     DomainError,
     InstanceConfig,
-    PerturbationSpec,
     TrialChecks,
     check_guarantee,
     coherent_pair_matrix,
@@ -33,10 +32,8 @@ from somplab import (
     reference_omp_smv,
     ric_exact,
     run_experiment,
-    run_trial,
     selected_scores_vanish,
     somp_solve,
-    trial_seeds,
 )
 from somplab.cli import main
 
@@ -93,19 +90,15 @@ def test_c01_frames_and_noiseless_recovery(frames):
 
 
 def test_c02_passed_guarantee_implies_recovery(frames):
-    trials_per_frame = 52
+    # one sweep per frame, so each frame's constant is enumerated once
     records = []
     for fi, Phi in enumerate(frames):
-        delta = ric_exact(Phi, 3)
-        for t in range(trials_per_frame):
-            iseed, pseed = trial_seeds(31_000 + fi, t)
-            cfg = InstanceConfig(m=20, n=25, L=3, k=2, seed=iseed,
-                                 matrix_ensemble="user-supplied", matrix=Phi,
-                                 signal_row_norm_min=1.0)
-            pert = PerturbationSpec(target_eps0=1e-4, target_epsb=5e-4, seed=pseed)
-            rec = run_trial(cfg, pert, mode="general", delta=delta)
-            records.append(rec)
-            _TRIAL_FLAGS.append(rec.selected_scores_ok)
+        cfg = InstanceConfig(m=20, n=25, L=3, k=2, matrix_ensemble="user-supplied",
+                             matrix=Phi, signal_row_norm_min=1.0)
+        rep = run_experiment(cfg, 1e-4, 5e-4, trials=52, master_seed=31_000 + fi,
+                             mode="general")
+        records.extend(rep.records)
+        _TRIAL_FLAGS.extend(r.selected_scores_ok for r in rep.records)
     passed = [r for r in records if r.guarantee == "pass"]
     violations = [r for r in passed if not r.support_exact or r.bound_ok is not True]
     ok = len(passed) >= 200 and not violations

@@ -232,9 +232,10 @@ def test_perturb_subcommand_refuses_bad_levels(tmp_path, capsys, flag, value):
     prefix = tmp_path / "noisy"
     code = main(["perturb", "--phi", str(phi_path), "--y", str(y_path),
                  f"{flag}={value}", "--out-prefix", str(prefix)])
-    err = capsys.readouterr().err
+    out = capsys.readouterr()
     assert code == 1
-    assert f"target_{flag[2:]} must be finite and nonnegative" in err
+    assert out.out == ""
+    assert out.err.startswith(f"error: '{flag}' must be a finite number >= 0")
     assert not list(tmp_path.glob("noisy*"))
 
 
@@ -556,3 +557,123 @@ def test_main_answers_each_call_as_a_fresh_process_would(tmp_path, capsys):
     for argv, want in zip(calls, fresh):
         assert (main(argv), capsys.readouterr()) == want
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _frame_files(tmp_path, rows=(3, 7)):
+    """The checked-in 20 x 25 frame and measurements of a signal on ``rows``."""
+    X = np.zeros((25, 2))
+    X[list(rows)] = np.arange(1.0, 2 * len(rows) + 1).reshape(len(rows), 2)
+    y_path = tmp_path / "y.txt"
+    write_matrix(y_path, read_matrix(FRAME) @ X)
+    return str(FRAME), str(y_path)
+
+
+def _flag_argv(tmp_path, command, flag, value):
+    phi, y = _frame_files(tmp_path)
+    base = {"solve": ["solve", "--phi", phi, "--y", y, "--sparsity", "2"],
+            "ric": ["ric", "--matrix", phi, "--order", "2"],
+            "check": ["check", "--phi", phi, "--sparsity", "2", "--mode", "noiseless"],
+            "perturb": ["perturb", "--phi", phi, "--y", y, "--eps0", "1e-2",
+                        "--out-prefix", str(tmp_path / "noisy")]}[command]
+    return [*base, flag, value]   # a repeated flag takes its last value
+
+
+@pytest.mark.parametrize("command, flag, value, kind", [
+    ("solve", "--sparsity", "0", "an integer >= 1"),
+    ("solve", "--sparsity", "1.5", "an integer >= 1"),
+    ("ric", "--order", "0", "an integer >= 1"),
+    ("ric", "--budget", "-5", "an integer >= 1"),
+    ("ric", "--budget", "0", "an integer >= 1"),
+    ("check", "--sparsity", "0", "an integer >= 1"),
+    ("check", "--sparsity", "-1", "an integer >= 1"),
+    ("check", "--budget", "0", "an integer >= 1"),
+    ("perturb", "--sparsity", "0", "an integer >= 1"),
+    ("perturb", "--sparsity", "-2", "an integer >= 1"),
+    ("perturb", "--budget", "0", "an integer >= 1"),
+    ("perturb", "--seed", "-1", "an integer >= 0"),
+    ("perturb", "--seed", "nan", "an integer >= 0"),
+])
+def test_numeric_flags_refuse_malformed_values(tmp_path, capsys, command, flag, value, kind):
+    # refused as input: exit 1 naming the flag, before anything is printed or written
+    code = main(_flag_argv(tmp_path, command, flag, value))
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith(f"error: '{flag}' must be {kind}, got ")
+    assert not list(tmp_path.glob("noisy*"))
+
+
+def test_numeric_flags_refuse_text_that_is_no_number(tmp_path, capsys):
+    code = main(_flag_argv(tmp_path, "ric", "--order", "two"))
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "argument --order: invalid number value: 'two'" in out.err
+
+
+@pytest.mark.parametrize("command, flag, value, why", [
+    ("solve", "--sparsity", "21", "sparsity"),   # above min(m, n) = 20
+    ("ric", "--order", "26", "order 26 outside 1..25"),
+    ("ric", "--budget", "2299", "budget"),       # C(25, 2) = 300 fits, the order below does not
+    ("check", "--budget", "2299", "budget"),     # C(25, 3) = 2300 subsets at order k + 1
+    ("perturb", "--budget", "24", "budget"),     # C(25, 1) = 25 subsets at width 1
+])
+def test_numeric_flags_out_of_range_for_the_matrix_exit_two(tmp_path, capsys, command, flag,
+                                                             value, why):
+    argv = _flag_argv(tmp_path, command, flag, value)
+    if command == "ric" and flag == "--budget":
+        argv[argv.index("--order") + 1] = "3"
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert why in out.err
+    assert not list(tmp_path.glob("noisy*"))
+
+
+def test_check_without_a_row_floor_exits_one(tmp_path, capsys):
+    phi, y = _frame_files(tmp_path)
+    code = main(["check", "--phi", phi, "--sparsity", "2", "--mode", "sensing", "--y", y])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "--x or --t0 is required for noisy modes" in out.err
+
+
+@pytest.mark.parametrize("mode", ["sensing", "general"])
+def test_check_outside_the_magnitude_domain_is_unsatisfiable(tmp_path, capsys, mode):
+    # eps = 0.3 >= sqrt(1.5) - 1: the magnitude is undefined, and no constant certifies
+    phi, y = _frame_files(tmp_path)
+    code = main(["check", "--phi", phi, "--sparsity", "2", "--mode", mode, "--y", y,
+                 "--t0", "1.0", "--eps0", "0.3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[6:9] == ["eps_h=inf", "q_threshold=-", "error_bound=inf"]
+    assert lines[-1].startswith("condition unsatisfiable (condition unsatisfiable: eps = 0.3")
+
+
+def test_solve_trace_records_a_zero_residual_stop(tmp_path, capsys):
+    phi, y = _frame_files(tmp_path, rows=(5,))
+    trace = tmp_path / "trace.txt"
+    code = main(["solve", "--phi", phi, "--y", y, "--sparsity", "3", "--trace", str(trace)])
+    assert code == 0
+    assert capsys.readouterr().out == "5\n"
+    lines = trace.read_text().splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["iter=0", "selected=5"]]
+    assert lines[-1] == "stopped early: zero-residual"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "matrix": "phi.txt"}},
+     "'instance.matrix' requires ensemble 'user-supplied'"),
+    ({"instance": 5}, "instance must be a JSON object"),
+    ({"perturbation": {"eps0": []}}, "'perturbation.eps0' must be a number or a nonempty list"),
+])
+def test_experiment_refuses_misplaced_or_empty_values(tmp_path, capsys, overrides, message):
+    write_matrix(tmp_path / "phi.txt", np.eye(16, 24))
+    cfg_path = _config(tmp_path, **overrides)
+    code = main(["experiment", "--config", str(cfg_path)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert message in out.err

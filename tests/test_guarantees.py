@@ -250,6 +250,43 @@ def test_check_guarantee_measurement_mode_bounds():
     assert report1.error_bound_direct == math.inf
 
 
+def _golden_frame():
+    """The checked-in 20 x 25 frame, its order-3 constant and the
+    measurements of a 2-row signal whose weakest row has norm sqrt(2)."""
+    from pathlib import Path
+
+    from somplab import read_matrix
+
+    Phi = read_matrix(Path(__file__).resolve().parent / "golden" / "frame_20x25.txt")
+    X = np.zeros((25, 2))
+    X[3] = [1.0, 1.0]
+    X[7] = [2.0, -1.0]
+    return Phi, ric_exact(Phi, 3), Phi @ X
+
+
+def test_check_guarantee_sensing_mode_bound():
+    Phi, delta, Y = _golden_frame()
+    levels = PerturbationLevels(eps0=0.01, eps=0.01, epsb=0.0, order=2)
+    report = check_guarantee(Phi, Y, math.sqrt(2.0), 2, levels, delta, mode="sensing")
+    assert report.error_bound == 0.01 * error_amplification(1.0 / math.sqrt(2.0), 0.01)
+    assert report.error_bound == pytest.approx(0.025694050027047, rel=1e-12)
+    assert report.error_bound_direct is None
+
+
+@pytest.mark.parametrize("mode", ["sensing", "general"])
+def test_check_guarantee_outside_the_magnitude_domain(mode):
+    # eps = 0.3 >= sqrt(1.5) - 1: the magnitude is undefined, so no
+    # constant certifies and the error bound is infinite
+    Phi, delta, Y = _golden_frame()
+    levels = PerturbationLevels(eps0=0.3, eps=0.3, epsb=0.0, order=2)
+    report = check_guarantee(Phi, Y, math.sqrt(2.0), 2, levels, delta, mode=mode)
+    assert report.q_threshold is None
+    assert report.eps_h == math.inf
+    assert report.error_bound == math.inf
+    assert not report.condition_holds
+    assert "magnitude undefined" in report.note
+
+
 def test_check_guarantee_rejects_bad_sparsity():
     Phi, delta = _noiseless_setup(0.1)
     with pytest.raises(PreconditionViolated):

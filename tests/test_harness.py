@@ -93,6 +93,36 @@ def test_reference_solver_validates_input():
         reference_omp_smv(np.ones(8), Phi, 0)
 
 
+def test_reference_solver_stops_at_a_zero_residual():
+    Phi = _rng(4).standard_normal((16, 32)) / 4.0
+    ref = reference_omp_smv(3.0 * Phi[:, 9], Phi, 3)
+    assert ref.terminated_early == "zero-residual"
+    assert ref.trace.selected == (9,)
+    assert ref.support == (9,)
+
+
+def test_filter_proximity_skips_prefixes_that_left_the_true_support():
+    # columns 0 and 1 are orthogonal and column 2 leans on both (30 degrees
+    # off their plane), so a signal on rows 0 and 1 can pick column 2 first;
+    # delta_3 = cos(30) < 1, so the proximity check runs in every trial
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    A = np.zeros((12, 6))
+    A[[0, 1, 3, 4, 5], [0, 1, 3, 4, 5]] = 1.0
+    A[:, 2] = c * (A[:, 0] + A[:, 1]) / math.sqrt(2.0)
+    A[2, 2] = s
+    cfg = InstanceConfig(m=12, n=6, L=2, k=2, matrix_ensemble="user-supplied", matrix=A)
+    rep = run_experiment(cfg, 0.0, 0.0, trials=20, master_seed=3,
+                         checks=TrialChecks(filter_proximity=True))
+    assert rep.records[0].delta == pytest.approx(c, rel=1e-12)
+    assert all(r.filter_proximity_ok for r in rep.records)
+    left = 0
+    for t in range(20):
+        X = gen_sparse_signal(dataclasses.replace(cfg, seed=trial_seeds(3, t)[0]))
+        first = somp_solve(A @ X, A, 2).trace.selected[0]
+        left += first not in np.flatnonzero(np.linalg.norm(X, axis=1))
+    assert left >= 1   # the branch under test is reached
+
+
 def test_matched_filter_oracle_on_well_conditioned_instances():
     from somplab import ric_exact
 
@@ -265,21 +295,21 @@ def test_run_experiment_refuses_bad_levels_before_any_trial(
     assert draws == []
 
 
-def test_run_trial_rejects_mismatched_shared_estimate():
-    from somplab import ric_exact
-
-    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
-    Phi = gen_sensing_matrix(cfg)
-    wrong = ric_exact(Phi, 2)  # order must be k + 1 = 3
-    with pytest.raises(PreconditionViolated):
-        run_trial(cfg, PerturbationSpec(), delta=wrong)
-
-
 def test_guarantee_check_requires_ric():
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
     with pytest.raises(PreconditionViolated):
         run_trial(cfg, PerturbationSpec(),
                   checks=TrialChecks(ric=False, guarantee=True))
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({}, "guarantee"),
+    ({"guarantee": False, "filter_proximity": True}, "filter proximity"),
+])
+def test_checks_needing_the_constant_are_refused_when_built(kw, name):
+    with pytest.raises(PreconditionViolated, match=f"{name} check needs the isometry check"):
+        TrialChecks(ric=False, **kw)
+    TrialChecks(ric=False, guarantee=False, filter_deviation=True)   # needs no constant
 
 
 def test_render_report_mentions_unsatisfiable_verdicts():
@@ -335,10 +365,11 @@ def test_run_experiment_refuses_checks_without_ric_before_any_trial(monkeypatch)
     monkeypatch.setattr(harness_mod, "gen_sensing_matrix",
                         lambda cfg: draws.append(cfg.seed) or real(cfg))
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
-    for checks in (TrialChecks(ric=False),
-                   TrialChecks(ric=False, guarantee=False, filter_proximity=True)):
+    # refused where the checks are built, so no sweep can start with them
+    for kw in ({}, {"guarantee": False, "filter_proximity": True}):
         with pytest.raises(PreconditionViolated, match="isometry check"):
-            run_experiment(cfg, [1e-3], [1e-3], trials=3, master_seed=0, checks=checks)
+            run_experiment(cfg, [1e-3], [1e-3], trials=3, master_seed=0,
+                           checks=TrialChecks(ric=False, **kw))
     assert draws == []
 
 

@@ -8,6 +8,7 @@ import pytest
 from somplab import (
     InstanceConfig,
     InvalidConfig,
+    InvalidOrder,
     PerturbationSpec,
     PreconditionViolated,
     apply_perturbation,
@@ -16,7 +17,9 @@ from somplab import (
     gen_sensing_matrix,
     gen_sparse_signal,
     low_coherence_frame,
+    measure_perturbation_levels,
     ric_exact,
+    run_trial,
     support_of,
 )
 
@@ -126,13 +129,28 @@ def test_calibration_is_deterministic():
 
 
 def test_user_supplied_perturbation_is_measured_not_scaled():
+    # calibration and trials draw their own E and B; a given pair is measured
     cfg, Phi, X, Y = _clean()
-    spec = PerturbationSpec(E=0.07 * Phi)
-    spec = calibrate_perturbation(Phi, Y, spec, order=2)
-    assert spec.realized.eps0 == pytest.approx(0.07, rel=1e-12)
-    assert spec.realized.eps == pytest.approx(0.07, rel=1e-12)
-    assert spec.realized.epsb == 0.0
-    assert not spec.B.any()
+    given = PerturbationSpec(E=0.07 * Phi)
+    with pytest.raises(PreconditionViolated, match="measure_perturbation_levels"):
+        calibrate_perturbation(Phi, Y, given, order=2)
+    with pytest.raises(PreconditionViolated, match="measure_perturbation_levels"):
+        run_trial(cfg, given)
+    with pytest.raises(PreconditionViolated, match="measure_perturbation_levels"):
+        run_trial(cfg, PerturbationSpec(B=np.zeros_like(Y)))
+    levels = measure_perturbation_levels(Phi, given.E, Y, np.zeros_like(Y), order=2)
+    assert levels.eps0 == pytest.approx(0.07, rel=1e-12)
+    assert levels.eps == pytest.approx(0.07, rel=1e-12)
+    assert levels.epsb == 0.0
+
+
+@pytest.mark.parametrize("order", [0, -2, 25])
+def test_levels_are_measured_over_at_least_one_width(order):
+    cfg, Phi, X, Y = _clean()
+    with pytest.raises(InvalidOrder, match=f"order {order} outside 1..24"):
+        calibrate_perturbation(Phi, Y, PerturbationSpec(target_eps0=1e-2), order=order)
+    with pytest.raises(InvalidOrder, match=f"order {order} outside 1..24"):
+        measure_perturbation_levels(Phi, 1e-2 * Phi, Y, np.zeros_like(Y), order=order)
 
 
 def test_column_skewed_concentrates_on_weakest_column():
