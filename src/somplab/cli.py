@@ -29,7 +29,7 @@ from .perturb import (
     calibrate_perturbation,
 )
 from .rip import DEFAULT_SUBSET_BUDGET, PerturbationLevels, ric_exact
-from .solver import somp_solve
+from .solver import _check_sparsity, somp_solve
 
 
 class _UsageError(Exception):
@@ -155,6 +155,7 @@ def _cmd_check(args) -> int:
         raise _UsageError("somplab check: --y is required for noisy modes")
     if noisy and t0 is None:
         raise _UsageError("somplab check: --x or --t0 is required for noisy modes")
+    _check_sparsity(k, *Phi.shape)   # before the order-(k + 1) enumeration
     eps = args.eps if args.eps is not None else args.eps0
     levels = PerturbationLevels(eps0=args.eps0, eps=eps, epsb=args.epsb, order=k)
     delta = ric_exact(Phi, k + 1, subset_budget=args.budget)

@@ -6,34 +6,33 @@ C(n, k) at worst, which is why every enumerating operation takes a
 subset budget and refuses work beyond it instead of silently crawling.
 
 Most subsets cannot be the extreme one, and the kernel proves it
-cheaply, in two stages.  First, Gershgorin discs bound each subset Gram
-matrix's eigenvalues.  A shape with at most ``_CHUNK`` subsets bounds
-every subset in one vectorised pass over its Gram entries.  A larger
-shape first eigendecomposes a seed, a group grown from each column by
-adding the column most coherent with the group so far, and lists only
-the subsets whose disc bound can reach the seed's best value: for each
-column, the partner sets whose coupling magnitudes, read from its Gram
-row sorted in descending order, sum high enough.  Second, a subset
-whose disc bound reaches the best value found so far (less a float
-slack) gets the tighter bound of Brauer's ovals of Cassini, computed
-from the same centres and radii.  Subsets go to a
-batched symmetric eigendecomposition in descending order of their
-bounds, and evaluation stops once no remaining bound can reach the best
-value.  A subset whose bound could tie the best is still evaluated, so
-results are exactly those of evaluating every subset: the same float,
-and among equally extreme subsets the first in lexicographic order.
-The two smallest orders start exact: at order 1 the bound is the value
-(the diagonal entry, which is what an eigendecomposition of a 1 x 1
-matrix returns), so nothing is eigendecomposed, and at order 2 the
-Cassini oval of a pair is its largest eigenvalue in exact arithmetic,
-so a shape bounded in full starts from it and only the near-top pairs
-go to the eigensolver, which still gives every returned float.  The
-same kernel lists every subset within a given factor of the extreme,
-which the frame builder in ``perturb`` shrinks.  The subset table and
-the lexicographic ranker of each shape are built once and kept in a
-small cache, since a sweep enumerates the same few shapes for every
-matrix.  The perturbation levels take the largest submatrix spectral
-norm of a matrix at every width 1..order, all from one Gram.
+cheaply, with one bound per subset: the tighter of the Gershgorin discs
+of its Gram matrix and the trace bound of Wolkowicz and Styan ("Bounds
+for eigenvalues using traces", Linear Algebra Appl. 29, 1980), which
+puts the eigenvalues of a w x w Gram within s sqrt(w - 1) of their mean
+m, where m and the standard deviation s are read off the traces of the
+matrix and of its square.  A shape with at most ``_CHUNK`` subsets
+bounds every subset in one vectorised pass over its Gram entries.  A
+larger shape first eigendecomposes a seed, a group grown from each
+column by adding the column most coherent with the group so far, and
+lists only the subsets whose disc bound can reach the seed's best
+value: for each column, the partner sets whose coupling magnitudes,
+read from its Gram row sorted in descending order, sum high enough;
+only the listed subsets are then bounded.  Subsets go to a batched
+symmetric eigendecomposition in descending order of their bounds, and
+evaluation stops once no remaining bound can reach the best value (less
+a float slack).  A subset whose bound could tie the best is still
+evaluated, so results are exactly those of evaluating every subset: the
+same float, and among equally extreme subsets the first in
+lexicographic order.  At order 1 the bound is the value (the diagonal
+entry, which is what an eigendecomposition of a 1 x 1 matrix returns),
+so nothing is eigendecomposed.  The same kernel lists every subset
+within a given factor of the extreme, which the frame builder in
+``perturb`` shrinks.  The subset table and the lexicographic ranker of
+each shape are built once and kept in a small cache, since a sweep
+enumerates the same few shapes for every matrix.  The perturbation
+levels take the largest submatrix spectral norm of a matrix at every
+width 1..order, all from one Gram.
 """
 
 from __future__ import annotations
@@ -60,9 +59,8 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 # shape with no more subsets than one block bounds them all instead of listing.
 _CHUNK = 4096
 
-# Size of the first eigendecomposition batch of a shape bounded in full: the
-# subsets with the largest bounds, whose best value sets the pruning
-# threshold.  Later batches double from it.
+# Eigendecomposition batches after the first double from this size: the
+# second holds at most 2 * _PROBE of the largest remaining bounds.
 _PROBE = 64
 
 # Absolute-plus-relative slack used when float comparisons decide a
@@ -165,69 +163,47 @@ def _subset_table(n: int, order: int) -> np.ndarray:
     return table
 
 
-def _disc_chunks(gram: np.ndarray, idx: np.ndarray):
-    """Blocks of at most ``_CHUNK`` listed subsets: each block's offset and
-    the centres and radii of its subsets' Gershgorin discs, one row per
-    subset position and one column per subset."""
-    n = gram.shape[0]
+def _bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.ndarray:
+    """Upper bound on each listed subset's value: on
+    ``max(lam_max - 1, 1 - lam_min)`` of its Gram submatrix when
+    ``deviation`` is set, else on ``lam_max``.
+
+    Each end of the spectrum takes the tighter of two bounds.  One is the
+    Gershgorin discs, centred on the diagonal entries d_i with radii r_i,
+    the sums of |g_ij| over the other columns j.  The other is the trace
+    bound: the w eigenvalues have mean m, the mean of the d_i, and
+    variance s^2 = (sum of (d_i - m)^2 + 2 sum over i < j of g_ij^2) / w,
+    so none lies farther than s sqrt(w - 1) from m.  That variance is a
+    sum of squares, so nothing cancels; for a pair it makes the bounds
+    the two eigenvalues in exact arithmetic.  A sum that overflows makes
+    the trace bound infinite or NaN, and then the disc bound, which a
+    finite Gram never makes NaN, stands alone.
+    """
+    n, width = gram.shape[0], idx.shape[1]
     flat = np.abs(gram).ravel()
     diag = np.diag(gram)
-    pairs = list(combinations(range(idx.shape[1]), 2))
+    pairs = list(combinations(range(width), 2))
+    out = np.empty(len(idx))
     for start in range(0, len(idx), _CHUNK):
         cols = idx[start:start + _CHUNK].T.astype(np.intp)
         rows = cols * n
+        centre = diag.take(cols)
         radius = np.zeros(cols.shape)
+        squares = np.zeros(cols.shape[1])
         for a, b in pairs:
             off = flat.take(rows[a] + cols[b])
             radius[a] += off
             radius[b] += off
-        yield start, diag.take(cols), radius
-
-
-def _gershgorin_bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.ndarray:
-    """Upper bound on each subset's value from the Gershgorin discs of its
-    Gram submatrix: on ``max(lam_max - 1, 1 - lam_min)`` when
-    ``deviation`` is set, else on ``lam_max``."""
-    out = np.empty(len(idx))
-    for start, centre, radius in _disc_chunks(gram, idx):
-        top = (centre + radius).max(axis=0)
+            squares += off * off
+        mean = centre.mean(axis=0)
+        apart = centre - mean
+        variance = ((apart * apart).sum(axis=0) + 2.0 * squares) / width
+        reach = np.sqrt(variance * (width - 1))   # s sqrt(w - 1)
+        top = np.fmin((centre + radius).max(axis=0), mean + reach)
         if deviation:
-            top = np.maximum(top - 1.0, 1.0 - (centre - radius).min(axis=0))
+            bottom = np.fmax((centre - radius).min(axis=0), mean - reach)
+            top = np.maximum(top - 1.0, 1.0 - bottom)
         out[start:start + len(top)] = top
-    return out
-
-
-def _cassini_bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.ndarray:
-    """Upper bound on each subset's value, as ``_gershgorin_bounds`` gives,
-    from Brauer's ovals of Cassini instead of the discs.
-
-    Every eigenvalue lies in some oval |z - a_i| |z - a_j| <= r_i r_j
-    (i < j, centres a and radii r of the discs), so lam_max is at most
-    the largest (a_i + a_j)/2 + sqrt(((a_i - a_j)/2)^2 + r_i r_j) and
-    lam_min at least the smallest mirror value.  The ovals lie inside the
-    union of the two discs, so the bound never exceeds the Gershgorin
-    bound beyond rounding.  One column has no pair: its bound is the
-    diagonal, which the discs already give.  Centres are halved before
-    they are added, so no sum overflows; a radius that overflowed, times
-    a zero one, is NaN, and a subset with a NaN bound gets an infinite
-    one instead, so that it is never pruned.
-    """
-    pairs = list(combinations(range(idx.shape[1]), 2))
-    if not pairs:
-        return _gershgorin_bounds(gram, idx, deviation)
-    out = np.empty(len(idx))
-    for start, centre, radius in _disc_chunks(gram, idx):
-        half = 0.5 * centre
-        up = np.full(centre.shape[1], -math.inf)
-        lo = np.full(centre.shape[1], math.inf)
-        for a, b in pairs:
-            mid = half[a] + half[b]
-            gap = half[a] - half[b]
-            root = np.sqrt(gap * gap + radius[a] * radius[b])
-            np.maximum(up, mid + root, out=up)
-            np.minimum(lo, mid - root, out=lo)
-        out[start:start + len(up)] = np.maximum(up - 1.0, 1.0 - lo) if deviation else up
-    out[np.isnan(out)] = math.inf
     return out
 
 
@@ -328,16 +304,18 @@ def _reaching_picks(coupling: np.ndarray, need: np.ndarray, picks: int, limit: i
     return row, chosen
 
 
-def _search(gram: np.ndarray, idx: np.ndarray, bound: np.ndarray, deviation: bool,
-            rel: float, seed=None, tight: bool = False) -> tuple[float, np.ndarray]:
+def _search(gram: np.ndarray, idx: np.ndarray, deviation: bool, rel: float,
+            seed=None) -> tuple[float, np.ndarray]:
     """``_extreme_subsets`` over the subsets ``idx``, rows in lexicographic
-    order, from a first ``bound`` of each row (overwritten as it goes),
-    which is already the Cassini one when ``tight`` is set.  ``seed``
-    holds rows already evaluated and their values; without it the
-    ``_PROBE`` largest bounds are evaluated first."""
-    tight = np.full(len(bound), tight)   # bound is already the Cassini one
+    order, each bounded once by ``_bounds``.  ``seed`` holds rows already
+    evaluated and their values; without it the first batch is the rows
+    whose bound reaches the floor of the largest bound, or when that bound
+    overflowed, the rows whose bounds did."""
+    bound = _bounds(gram, idx, deviation)
     if seed is None:
-        rows = np.argpartition(bound, max(len(bound) - _PROBE, 0))[-_PROBE:]
+        top = float(bound.max())
+        floor = rel * top - _SLACK * max(1.0, abs(top)) if math.isfinite(top) else top
+        rows = np.flatnonzero(bound >= floor)
         seed = rows, _subset_values(gram, idx[rows], deviation)
     rows, vals = seed
     best, size = -math.inf, _PROBE
@@ -349,11 +327,6 @@ def _search(gram: np.ndarray, idx: np.ndarray, bound: np.ndarray, deviation: boo
         bound[rows] = -math.inf   # evaluated
         floor = rel * best - _SLACK * max(1.0, abs(best))
         rows = np.flatnonzero(bound >= floor)
-        loose = rows[~tight[rows]]
-        if len(loose):
-            bound[loose] = _cassini_bounds(gram, idx[loose], deviation)
-            tight[loose] = True
-            rows = rows[bound[rows] >= floor]
         if not len(rows):
             break
         size = min(2 * size, _CHUNK)
@@ -366,21 +339,8 @@ def _search(gram: np.ndarray, idx: np.ndarray, bound: np.ndarray, deviation: boo
 
 def _table_search(gram: np.ndarray, order: int, deviation: bool, rel: float,
                   seed=None) -> tuple[float, np.ndarray]:
-    """``_search`` over every row of the cached subset table, from its
-    Gershgorin bounds.  At order 2 it starts from the Cassini bounds,
-    which are then the values up to rounding, and the first batch is the
-    pairs whose bound reaches the floor of the largest bound; when that
-    bound overflowed, the pairs whose bounds did."""
-    idx = _subset_table(gram.shape[0], order)
-    if order != 2:
-        return _search(gram, idx, _gershgorin_bounds(gram, idx, deviation), deviation, rel, seed)
-    bound = _cassini_bounds(gram, idx, deviation)
-    if seed is None:
-        top = float(bound.max())
-        floor = rel * top - _SLACK * max(1.0, abs(top)) if math.isfinite(top) else top
-        rows = np.flatnonzero(bound >= floor)
-        seed = rows, _subset_values(gram, idx[rows], deviation)
-    return _search(gram, idx, bound, deviation, rel, seed, tight=True)
+    """``_search`` over every row of the cached subset table."""
+    return _search(gram, _subset_table(gram.shape[0], order), deviation, rel, seed)
 
 
 def _coherent_groups(gram: np.ndarray, order: int) -> np.ndarray:
@@ -415,7 +375,7 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
     them from each row of |G| sorted in descending order.  A subset left
     out has a bound below this floor, and no later floor of the search
     is lower (with rel below ``_SLACK`` the floor is negative and leaves
-    nothing out).  The listed subsets start at the Cassini stage.  A
+    nothing out).  Only the listed subsets go to ``_bounds``.  A
     listing that would hold C(n, order) rows or more falls back to the
     full table.  Either way the seed's values enter the search, so no
     subset is eigendecomposed twice.
@@ -440,8 +400,7 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
     anchor, chosen = listed
     found = np.sort(np.column_stack((anchor, partners[anchor[:, None], chosen])), axis=1)
     idx, ranks = _distinct(np.concatenate((seed, found.astype(dtype))), rank)
-    return _search(gram, idx, np.full(len(idx), math.inf), deviation, rel,
-                   (np.searchsorted(ranks, seed_ranks), seed_vals))
+    return _search(gram, idx, deviation, rel, (np.searchsorted(ranks, seed_ranks), seed_vals))
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -470,14 +429,12 @@ def _gram_extremes(gram: np.ndarray, order: int, deviation: bool,
     every subset is valued at once, off the diagonal.  Otherwise batches
     of the largest remaining bounds are evaluated until no remaining bound
     reaches the floor: ``rel`` times the best value, less the slack.  A
-    shape with at most ``_CHUNK`` subsets starts every row of its cached
-    table at its Gershgorin bound, or at order 2 at its Cassini bound; a
-    larger one starts from a seed and the subsets ``_listed_search``
-    lists.  The first time a subset's bound reaches the floor it is
-    replaced by the tighter Cassini bound, which must reach the floor
-    too.  The slack covers the rounding of the bounds, the listing's sums
-    and the eigenvalues, so a skipped subset can neither beat the result
-    nor belong to the returned set.  Requires 0 < rel <= 1.
+    shape with at most ``_CHUNK`` subsets bounds every row of its cached
+    table; a larger one starts from a seed and bounds the subsets
+    ``_listed_search`` lists.  The slack covers the rounding of the
+    bounds, the listing's sums and the eigenvalues, so a skipped subset
+    can neither beat the result nor belong to the returned set.  Requires
+    0 < rel <= 1.
     """
     if order == 1:   # every bound is the value
         idx = _subset_table(gram.shape[0], 1)

@@ -272,6 +272,14 @@ class _GramRows:
         return dict(zip(C, self._Phi[:, C].T @ self._Phi))
 
 
+def _check_sparsity(k, m: int, n: int) -> int:
+    """``k`` as an int; InvalidSparsity unless it is a whole number in
+    1..min(m, n), the most rows an m x n sensing matrix can select."""
+    if int(k) != k or not 1 <= int(k) <= min(m, n):
+        raise InvalidSparsity(f"sparsity {k} outside 1..min({m}, {n})")
+    return int(k)
+
+
 def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     """Recover a jointly k-row-sparse signal from Y using Phi.
 
@@ -286,9 +294,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     if Y.shape[0] != Phi.shape[0]:
         raise DimensionMismatch(f"measurements have {Y.shape[0]} rows, sensing matrix {Phi.shape[0]}")
     m, n = Phi.shape
-    if int(k) != k or not 1 <= int(k) <= min(m, n):
-        raise InvalidSparsity(f"sparsity {k} outside 1..min({m}, {n})")
-    k = int(k)
+    k = _check_sparsity(k, m, n)
 
     y_norm = float(np.linalg.norm(Y))
     stop_at = RESIDUAL_STOP_TOL * y_norm

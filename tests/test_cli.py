@@ -631,6 +631,23 @@ def test_numeric_flags_out_of_range_for_the_matrix_exit_two(tmp_path, capsys, co
     assert not list(tmp_path.glob("noisy*"))
 
 
+def test_check_refuses_a_sparsity_above_the_row_count(tmp_path, capsys):
+    # the 20 x 25 frame: k = 20 is answered, above min(m, n) = 20 is out of
+    # range before any subset is enumerated, as for solve
+    phi, _ = _frame_files(tmp_path)
+    for k in (21, 22):
+        code = main(["check", "--phi", phi, "--sparsity", str(k), "--mode", "noiseless"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == f"error: sparsity {k} outside 1..min(20, 25)\n"
+    code = main(["check", "--phi", phi, "--sparsity", "20", "--mode", "noiseless"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1] == "order=21"
+    assert lines[-1].startswith("condition fails (1 >= ")
+
+
 def test_check_without_a_row_floor_exits_one(tmp_path, capsys):
     phi, y = _frame_files(tmp_path)
     code = main(["check", "--phi", phi, "--sparsity", "2", "--mode", "sensing", "--y", y])

@@ -2,14 +2,20 @@
 
 The files in ``tests/golden/`` were rendered by the code before the
 pruned isometry kernel and the per-sweep enumeration memo landed, with
-``python tests/test_golden.py`` (which rewrites them from whatever
-``somplab`` it imports).  One case is a Gaussian sweep with default
-checks; another sweeps a user-supplied low-coherence frame with both
-filter diagnostics on, so guarantees pass there.  The grid case,
-rendered by the code before sweeps ran trial by trial, varies both
-levels at once (zero levels included) in measurement mode with
-column-skewed observation noise and both filter diagnostics on, so
-reordering the work of a sweep cannot reorder or change its rows.
+``python tests/test_golden.py`` (which rewrites them from the
+checkout's ``src/somplab``; ``python tests/test_golden.py NAME...``
+rewrites only the named cases and leaves the frame file alone).  One case is a
+Gaussian sweep with default checks; another sweeps a user-supplied
+low-coherence frame with both filter diagnostics on, so guarantees pass
+there.  The grid case, rendered by the code before sweeps ran trial by
+trial, varies both levels at once (zero levels included) in measurement
+mode with column-skewed observation noise and both filter diagnostics
+on, so reordering the work of a sweep cannot reorder or change its rows.
+The desk case, rendered by the code before the kernel bounded subsets in
+one stage, has the shape of the default certificate sweep (32 x 40,
+k = 3): the only case whose largest width-k norms have enough subsets
+for the kernel to list them instead of bounding its whole table, and
+the only one that lists the constant's subsets at that shape.
 
 Discrete report fields (verdicts, flags, seeds, stop reasons, the red
 alert) and the exact-isometry witness subsets must match exactly.
@@ -44,6 +50,12 @@ CASES = {
         "checks": {"filter_proximity": True, "filter_deviation": True},
         "trials": 4,
         "master_seed": 23,
+    },
+    "desk_sweep": {
+        "instance": {"m": 32, "n": 40, "L": 4, "k": 3, "signal_row_norm_min": 1.0},
+        "perturbation": {"eps0": [1e-4], "epsb": [1e-4, 1e-3]},
+        "trials": 3,
+        "master_seed": 7,
     },
     "grid_sweep": {
         "instance": {"m": 16, "n": 24, "L": 3, "k": 3, "signal_row_norm_min": 1.0},
@@ -145,16 +157,21 @@ def test_comparison_is_strict_on_discrete_fields():
             _assert_matches(changed, row)
 
 
-def regenerate() -> None:
-    """Rewrite every golden file from the importable somplab."""
+def regenerate(names: list[str]) -> None:
+    """Rewrite the golden files of the named cases from the importable
+    somplab; with no name, rewrite every case and the frame they sweep."""
     import tempfile
 
     from somplab import low_coherence_frame, write_matrix
 
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case {', '.join(unknown)}; known: {', '.join(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
-    write_matrix(GOLDEN / FRAME_FILE, low_coherence_frame(20, 25, seed=0))
+    if not names:
+        write_matrix(GOLDEN / FRAME_FILE, low_coherence_frame(20, 25, seed=0))
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in names or CASES:
             (GOLDEN / f"{case}.report.txt").write_text(_render(case, Path(tmp)),
                                                        encoding="utf-8")
             (GOLDEN / f"{case}.witness.txt").write_text(
@@ -162,4 +179,5 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.path.insert(0, str(GOLDEN.parents[1] / "src"))   # the checkout's own somplab
+    sys.exit(regenerate(sys.argv[1:]))

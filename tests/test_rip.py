@@ -1,10 +1,10 @@
 """Isometry-constant machinery against independent oracles.
 
-The production path skips every subset whose Gershgorin or Cassini bound
-proves it cannot reach the extreme value and eigendecomposes only the
-rest.  Two
-oracles check it.  One walks every subset through an SVD, so agreement
-to 1e-10 is meaningful.  The other eigendecomposes every subset Gram
+The production path skips every subset whose bound (the tighter of its
+Gershgorin discs and the trace bound) proves it cannot reach the extreme
+value and eigendecomposes only the rest.  Two oracles check it.  One
+walks every subset through an SVD, so agreement to 1e-10 is
+meaningful.  The other eigendecomposes every subset Gram
 matrix in one batch, which is what the kernel computed before pruning;
 the pruned kernel must reproduce its float, its witness and its set of
 near-extreme subsets exactly.  Past one block of subsets the kernel only
@@ -80,6 +80,12 @@ def _reference_cases():
     big[:, 3] *= 1e6
     small = _unit_columns(8, 12, 44)
     small[:, 6] *= 1e-6
+    # column 0 has inner product 0.3 with each of the orthonormal columns
+    # 1, 2 and 3, the rest are orthonormal too: there the ovals of
+    # Cassini bound the star's largest eigenvalue, 1 + 0.3 sqrt(3),
+    # exactly, while the trace and Gershgorin bounds both exceed it
+    star = np.eye(10)
+    star[:4, 0] = (math.sqrt(0.73), 0.3, 0.3, 0.3)
     cases = {
         "gaussian": g,
         "gaussian-unnormalised": _rng(45).standard_normal((7, 12)),
@@ -91,6 +97,7 @@ def _reference_cases():
         "column-scaled-1e-6": small,
         "all-scaled-1e6": g * 1e6,
         "all-scaled-1e-6": g * 1e-6,
+        "star-coupled": star,
     }
     for seed in range(12):
         g = _rng(200 + seed)
@@ -184,9 +191,9 @@ def test_width_loop_matches_the_full_table_at_32x40():
     norms = list(rip._width_norms(A, 4, rip.DEFAULT_SUBSET_BUDGET))
     for width, norm in enumerate(norms, 1):
         top, _ = rip._extreme_subsets(A, width, deviation=False)
-        # every row of the table from its Gershgorin bound, no exact start
+        # every row of the table bounded, no listing
         idx = rip.column_subsets(40, width)
-        full, _ = rip._search(gram, idx, rip._gershgorin_bounds(gram, idx, False), False, 1.0)
+        full, _ = rip._search(gram, idx, False, 1.0)
         assert norm == math.sqrt(top) == math.sqrt(full), width
     assert all(b >= a for a, b in zip(norms, norms[1:]))
 
@@ -226,14 +233,15 @@ def test_width_references_refuse_the_inputs_per_width_calls_refuse():
 
 
 def _overflowing_pair(big_column):
-    # columns 0 and 1 have Gram entries near 1.4e154, so the square of
-    # their coupling overflows; column 2, when big, has a larger value, a
-    # finite bound paired with column 0 and an overflowing one with the
-    # unit column 3
+    # columns 0 and 1 have Gram entries 1.5e308, 4e307 and 1.07e307: the
+    # square of their coupling and the disc of column 0 overflow, while the
+    # pair's eigenvalues, at most 1.61e308, do not; column 2, when big, has
+    # a larger value, 1.69e308, and finite bounds with columns 0 and 3
     A = np.zeros((4, 4))
-    A[0, 0] = A[0, 1] = 1.2e77
+    A[0, 0] = math.sqrt(1.5e308)
+    A[0, 1] = 4e307 / A[0, 0]
     A[1, 1] = 1e70
-    A[2, 2] = 2e77 if big_column else 1.0
+    A[2, 2] = 1.3e154 if big_column else 1.0
     A[3, 3] = 1.0
     return A
 
@@ -246,8 +254,8 @@ def test_overflowing_pair_bounds_stay_in_the_search(probe, monkeypatch):
         gram = A.T @ A
         assert np.isfinite(gram).all()
         idx, dev, top = _batched_reference(A, 2)
-        with np.errstate(over="ignore"):
-            bounds = rip._cassini_bounds(gram, idx, False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds = rip._bounds(gram, idx, False)
             # the pair (0, 1) has no finite bound, the pair (0, 2) has one
             assert bounds[0] == math.inf and math.isfinite(bounds[1])
             for deviation, value in ((True, dev), (False, top)):
@@ -352,8 +360,21 @@ def test_listing_on_duplicated_columns_matches_the_table(monkeypatch):
         assert np.array_equal(near, want_near)
 
 
+def _gershgorin_oracle(gram, idx, deviation):
+    # the Gershgorin bound of each subset, one subset at a time
+    out = []
+    for sub in idx:
+        g = gram[np.ix_(sub, sub)]
+        radius = np.abs(g).sum(axis=1) - np.abs(np.diag(g))
+        top, bottom = (np.diag(g) + radius).max(), (np.diag(g) - radius).min()
+        out.append(max(top - 1.0, 1.0 - bottom) if deviation else top)
+    return np.array(out)
+
+
 @pytest.mark.parametrize("name", sorted(_reference_cases()))
 def test_cassini_bound_is_sound_and_no_looser_than_gershgorin(name):
+    # the kernel's bound against the eigenvalues and against plain
+    # Gershgorin discs
     A = _reference_cases()[name]
     for order in range(1, min(A.shape[1], 5) + 1):
         idx, dev, top = _batched_reference(A, order)
@@ -366,10 +387,10 @@ def test_cassini_bound_is_sound_and_no_looser_than_gershgorin(name):
         # the negated Gram turns the bound on lam_min into one on lam_max
         for g, deviation, value in ((gram, True, dev), (gram, False, top),
                                     (-gram, False, -bottom)):
-            cassini = rip._cassini_bounds(g, idx, deviation)
-            gershgorin = rip._gershgorin_bounds(g, idx, deviation)
-            assert np.all(cassini >= value - allowance), (order, deviation)
-            assert np.all(cassini <= gershgorin + allowance), (order, deviation)
+            bound = rip._bounds(g, idx, deviation)
+            gershgorin = _gershgorin_oracle(g, idx, deviation)
+            assert np.all(bound >= value - allowance), (order, deviation)
+            assert np.all(bound <= gershgorin + allowance), (order, deviation)
 
 
 def _pair_coupled(n):
@@ -398,7 +419,7 @@ def _equiangular_cluster(n, c):
 def test_floor_slack_covers_bounds_rounded_one_ulp_low(monkeypatch):
     # bounds and listing sums that come out one ulp below the true value
     # must still reach the floor
-    for name in ("_gershgorin_bounds", "_cassini_bounds", "_window_sums"):
+    for name in ("_bounds", "_window_sums"):
         real = getattr(rip, name)
         monkeypatch.setattr(rip, name, lambda *args, real=real:
                             np.nextafter(real(*args), -np.inf))
@@ -420,7 +441,7 @@ def test_floor_slack_covers_bounds_rounded_one_ulp_low(monkeypatch):
 
 
 def test_cassini_bound_of_an_overflowing_radius_is_infinite():
-    # row 0's radius overflows and row 3's is zero: their product is NaN
+    # row 0's radius overflows, and so does the trace of the diagonal
     big = 1e308
     g = np.array([[big, big, big, 0.0],
                   [big, big, 0.0, 0.0],
@@ -428,7 +449,7 @@ def test_cassini_bound_of_an_overflowing_radius_is_infinite():
                   [0.0, 0.0, 0.0, 1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         for deviation in (True, False):
-            assert rip._cassini_bounds(g, np.array([[0, 1, 2, 3]]), deviation)[0] == math.inf
+            assert rip._bounds(g, np.array([[0, 1, 2, 3]]), deviation)[0] == math.inf
 
 
 def _eigendecomposed(monkeypatch, A, order):
@@ -445,9 +466,11 @@ def _eigendecomposed(monkeypatch, A, order):
 
 
 def test_cassini_stage_prunes_most_gershgorin_survivors(monkeypatch):
+    # the trace bound leaves fewer than a quarter of the subsets that the
+    # discs alone would send to the eigensolver
     A = _desk_gaussian()
     est, tightened = _eigendecomposed(monkeypatch, A, 4)
-    monkeypatch.setattr(rip, "_cassini_bounds", rip._gershgorin_bounds)
+    monkeypatch.setattr(rip, "_bounds", _gershgorin_oracle)
     gershgorin_only, loose = _eigendecomposed(monkeypatch, A, 4)
     assert est == gershgorin_only
     assert tightened < loose / 4
