@@ -190,14 +190,13 @@ def _cmd_perturb(args) -> int:
     Y = read_matrix(args.y)
     spec = PerturbationSpec(target_eps0=args.eps0, target_epsb=args.epsb,
                             seed=args.seed, b_mode=args.b_mode)
-    spec = calibrate_perturbation(Phi, Y, spec, order=args.sparsity,
-                                  subset_budget=args.budget)
-    Y_obs, Phi_obs = apply_perturbation(Y, Phi, spec)
+    E, B, lv = calibrate_perturbation(Phi, Y, spec, order=args.sparsity,
+                                      subset_budget=args.budget)
+    Y_obs, Phi_obs = apply_perturbation(Y, Phi, E, B)
     write_matrix(f"{args.out_prefix}.phi.txt", Phi_obs)
     write_matrix(f"{args.out_prefix}.y.txt", Y_obs)
-    write_matrix(f"{args.out_prefix}.e.txt", spec.E)
-    write_matrix(f"{args.out_prefix}.b.txt", spec.B)
-    lv = spec.realized
+    write_matrix(f"{args.out_prefix}.e.txt", E)
+    write_matrix(f"{args.out_prefix}.b.txt", B)
     print(f"eps0={lv.eps0!r}")
     print(f"eps={lv.eps!r}")
     print(f"epsb={lv.epsb!r}")

@@ -63,7 +63,6 @@ from .perturb import (
     InstanceConfig,
     PerturbationSpec,
     _measurement,
-    _require_unrealized,
     _sensing,
     _sensing_references,
     gen_sensing_matrix,
@@ -320,15 +319,6 @@ class _Clean:
     proximity_ok: bool | None
 
 
-@dataclass(frozen=True)
-class _Sensed:
-    """A trial's sensing perturbation, shared by the points at one eps0 level."""
-
-    Phi_obs: np.ndarray
-    eps0: float
-    eps: float
-
-
 def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int) -> _Matrix:
     """Draw the clean sensing matrix and do its own work: the exact
     constant (with the isometry check) and the references of the levels."""
@@ -364,22 +354,18 @@ def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks) -> _
                   proximity_ok=proximity_ok)
 
 
-def _sensing_stage(clean: _Clean, sensing, target_eps0: float) -> _Sensed:
-    """Realize the sensing perturbation E at a target eps0, from the
-    trial's ``_sensing`` of the clean Phi, and measure eps0 and eps."""
-    E, eps0, eps = sensing(target_eps0)
-    return _Sensed(Phi_obs=clean.matrix.Phi + E, eps0=eps0, eps=eps)
-
-
-def _point_stage(clean: _Clean, sensed: _Sensed, measured, pert: PerturbationSpec,
+def _point_stage(clean: _Clean, sensed: tuple[np.ndarray, float, float], measured,
+                 target_eps0: float, target_epsb: float, pseed: int,
                  checks: TrialChecks, mode: str) -> TrialRecord:
-    """Realize the measurement perturbation at the spec's level, from the
+    """Realize the measurement perturbation at ``target_epsb``, from the
     trial's ``_measurement`` of the clean Y, evaluate the guarantee,
-    solve from the perturbed observations and record the outcome."""
+    solve from the perturbed observations and record the outcome.
+    ``sensed`` is the point's Phi + E with the levels eps0 and eps of E,
+    realized at ``target_eps0``; ``pseed`` is the trial's perturbation seed."""
     cfg, delta = clean.cfg, clean.matrix.delta
-    B, epsb = measured(pert.target_epsb)
-    levels = PerturbationLevels(eps0=sensed.eps0, eps=sensed.eps, epsb=epsb,
-                                order=max(cfg.k, 1))
+    Phi_obs, eps0, eps = sensed
+    B, epsb = measured(target_epsb)
+    levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=max(cfg.k, 1))
 
     verdict, report = "-", None
     if checks.guarantee and levels_outside_mode(mode, levels):
@@ -390,7 +376,7 @@ def _point_stage(clean: _Clean, sensed: _Sensed, measured, pert: PerturbationSpe
         verdict = ("unsat" if report.q_threshold is None
                    else "pass" if report.condition_holds else "fail")
 
-    solved = somp_solve(clean.Y + B, sensed.Phi_obs, cfg.k)
+    solved = somp_solve(clean.Y + B, Phi_obs, cfg.k)
     support_exact = solved.support == clean.true_support
     rel_error = relative_frobenius_error(solved.signal, clean.X)
 
@@ -407,8 +393,8 @@ def _point_stage(clean: _Clean, sensed: _Sensed, measured, pert: PerturbationSpe
         bound_ok = rel_error <= error_bound + _SLACK * max(1.0, error_bound)
 
     return TrialRecord(
-        seed=cfg.seed, pert_seed=pert.seed,
-        eps0_target=pert.target_eps0, epsb_target=pert.target_epsb,
+        seed=cfg.seed, pert_seed=pseed,
+        eps0_target=target_eps0, epsb_target=target_epsb,
         eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
         delta=None if delta is None else delta.delta,
         guarantee=verdict, support_exact=support_exact, rel_error=rel_error,
@@ -425,16 +411,15 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
     """Run one generate/perturb/solve/check trial and record the outcome.
 
     The trial derives every input from ``cfg`` and from ``pert``'s seed
-    and targets; a spec that already carries E or B is refused.  A
-    failing step raises with context; nothing is skipped silently.  The
-    stages are those of a sweep, so a sweep's record equals
-    ``run_trial`` on its trial's config and spec.
+    and targets.  A failing step raises with context; nothing is skipped
+    silently.  The stages are those of a sweep, so a sweep's record
+    equals ``run_trial`` on its trial's config and spec.
     """
-    _require_unrealized(pert)
     clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget), checks)
-    sensing = _sensing(pert, clean.matrix.Phi, clean.matrix.refs, subset_budget)
-    sensed = _sensing_stage(clean, sensing, pert.target_eps0)
-    return _point_stage(clean, sensed, _measurement(pert, clean.Y), pert, checks, mode)
+    Phi = clean.matrix.Phi
+    E, eps0, eps = _sensing(pert, Phi, clean.matrix.refs, subset_budget)(pert.target_eps0)
+    return _point_stage(clean, (Phi + E, eps0, eps), _measurement(pert, clean.Y),
+                        pert.target_eps0, pert.target_epsb, pert.seed, checks, mode)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -554,11 +539,12 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
         sensing = _sensing(noise, matrix.Phi, matrix.refs, subset_budget)
         measured = _measurement(noise, clean.Y)
         for i, e0 in enumerate(eps0_levels):
-            sensed = _sensing_stage(clean, sensing, e0)
-            for point in range(i * len(epsb_levels), (i + 1) * len(epsb_levels)):
-                tpert = replace(grid[point], seed=pseed)
-                all_records[point * trials + t] = _point_stage(clean, sensed, measured, tpert,
-                                                               checks, mode)
+            E, eps0, eps = sensing(e0)
+            sensed = (matrix.Phi + E, eps0, eps)
+            for j, eb in enumerate(epsb_levels):
+                point = i * len(epsb_levels) + j
+                all_records[point * trials + t] = _point_stage(clean, sensed, measured, e0, eb,
+                                                               pseed, checks, mode)
     return ExperimentReport(
         cfg=cfg, mode=mode, b_mode=b_mode, trials_per_point=trials,
         master_seed=master_seed, checks=checks,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, PreconditionViolated
+from .errors import DimensionMismatch, InvalidConfig
 from .model import as_matrix
 from .rip import (
     DEFAULT_SUBSET_BUDGET,
@@ -136,11 +136,10 @@ def gen_sparse_signal(cfg: InstanceConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Target levels plus, after calibration, the realized perturbations.
+    """A perturbation to draw: its target levels, seed and shape of B.
 
-    Leave E and B as None: ``calibrate_perturbation`` draws them from
-    ``seed``, scales them so the realized eps0/epsb hit the targets
-    exactly, and returns the spec carrying them.  ``b_mode``
+    ``calibrate_perturbation`` draws E and B from ``seed`` and scales them
+    so the realized eps0/epsb hit the targets exactly.  ``b_mode``
     "column-skewed" concentrates the whole measurement perturbation on
     the weakest measurement column, so one column's relative corruption
     far exceeds the global level.
@@ -150,9 +149,6 @@ class PerturbationSpec:
     target_epsb: float = 0.0
     seed: int = 0
     b_mode: str = "gaussian"
-    E: np.ndarray | None = None
-    B: np.ndarray | None = None
-    realized: PerturbationLevels | None = None
 
     def __post_init__(self):
         for name in ("target_eps0", "target_epsb"):
@@ -164,18 +160,17 @@ class PerturbationSpec:
 
 
 def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
-                           subset_budget: int = DEFAULT_SUBSET_BUDGET) -> PerturbationSpec:
+                           subset_budget: int = DEFAULT_SUBSET_BUDGET,
+                           ) -> tuple[np.ndarray, np.ndarray, PerturbationLevels]:
     """Realize a perturbation spec against concrete clean observations.
 
     E and B are drawn from ``spec.seed`` and scaled in one multiplication
     (E = E0 * target_eps0 ||Phi||_2 / ||E0||_2, and likewise for B with
     Frobenius norms), so the realized full-matrix levels match the
     targets to rounding.  The submatrix level eps is then measured over
-    widths 1..``order`` (in 1..n), never targeted.  Returns a new
-    spec carrying E, B and the measured levels; a spec that already
-    carries E or B is refused (``measure_perturbation_levels`` measures it).
+    widths 1..``order`` (in 1..n), never targeted.  Returns E, B and the
+    measured levels; ``measure_perturbation_levels`` measures a given pair.
     """
-    _require_unrealized(spec)
     Phi = as_matrix(Phi, "sensing matrix")
     Y = as_matrix(Y, "measurements")
     if Phi.shape[0] != Y.shape[0]:
@@ -183,20 +178,13 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     refs = _sensing_references(Phi, order, subset_budget)
     E, eps0, eps = _sensing(spec, Phi, refs, subset_budget)(spec.target_eps0)
     B, epsb = _measurement(spec, Y)(spec.target_epsb)
-    return replace(spec, E=E, B=B,
-                   realized=PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order))
+    return E, B, PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order)
 
 
 # The calibration in the pieces a sweep runs at different rates: the
 # references once per clean matrix, the directions of both noises once
 # per trial, E and its levels once per sensing level, and B and its level
 # once per measurement level.
-
-def _require_unrealized(spec: PerturbationSpec) -> None:
-    if spec.E is not None or spec.B is not None:
-        raise PreconditionViolated("spec already carries E or B; measure a given "
-                                   "pair with measure_perturbation_levels")
-
 
 def _sensing_references(Phi: np.ndarray, order: int,
                         subset_budget: int) -> tuple[float, tuple[float, ...]]:
@@ -254,11 +242,12 @@ def _measurement(spec: PerturbationSpec, Y: np.ndarray):
     measurements Y and its level epsb.  A generated B is the direction
     of ``_measurement_noise`` times target ||Y||_F / its norm; the
     direction is drawn at the first nonzero target and only scaled for
-    every later one, so the sweep points of a trial share it."""
+    every later one, so the sweep points of a trial share it.  ||Y||_F
+    is taken once, here."""
+    frob_y = _frobenius_reference(Y)
     noise = functools.cache(lambda: _measurement_noise(spec, Y))
 
     def measured(target_epsb: float) -> tuple[np.ndarray, float]:
-        frob_y = _frobenius_reference(Y)
         if target_epsb == 0.0:
             B = np.zeros_like(Y)
         else:
@@ -269,15 +258,16 @@ def _measurement(spec: PerturbationSpec, Y: np.ndarray):
     return measured
 
 
-def apply_perturbation(Y, Phi, spec: PerturbationSpec):
+def apply_perturbation(Y, Phi, E, B):
     """Return the perturbed observations (Y + B, Phi + E)."""
     Phi = as_matrix(Phi, "sensing matrix")
     Y = as_matrix(Y, "measurements")
-    if spec.E is None or spec.B is None:
-        raise PreconditionViolated("spec not realized; call calibrate_perturbation first")
-    if spec.E.shape != Phi.shape or spec.B.shape != Y.shape:
-        raise DimensionMismatch("realized perturbation shapes do not match the observations")
-    return Y + spec.B, Phi + spec.E
+    E = as_matrix(E, "sensing perturbation")
+    B = as_matrix(B, "measurement perturbation")
+    if E.shape != Phi.shape or B.shape != Y.shape:
+        raise DimensionMismatch(f"perturbation shapes {E.shape} and {B.shape} do not match "
+                                f"the observations' {Phi.shape} and {Y.shape}")
+    return Y + B, Phi + E
 
 
 def coherent_pair_matrix(n: int, rho: float, m: int | None = None) -> np.ndarray:

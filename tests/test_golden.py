@@ -17,6 +17,13 @@ k = 3): the only case whose largest width-k norms have enough subsets
 for the kernel to list them instead of bounding its whole table, and
 the only one that lists the constant's subsets at that shape.
 
+The perturb case, rendered by the code before calibration returned E, B
+and the levels instead of a spec carrying them, runs ``somplab perturb``
+on the golden frame with a fixed Y, both levels nonzero, column-skewed
+observation noise and a fixed seed; its stdout and its four files
+must match byte for byte (``python tests/test_golden.py perturb``
+rewrites them).
+
 Discrete report fields (verdicts, flags, seeds, stop reasons, the red
 alert) and the exact-isometry witness subsets must match exactly.
 Floats are compared at a relative tolerance of 1e-9, so a different
@@ -24,6 +31,8 @@ BLAS rounding order does not fail the lock while a changed computation
 does.
 """
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -31,6 +40,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -67,6 +77,11 @@ CASES = {
         "master_seed": 31,
     },
 }
+
+PERTURB = "perturb"
+PERTURB_FLAGS = ["--eps0", "1e-3", "--epsb", "1e-2", "--b-mode", "column-skewed",
+                 "--sparsity", "2", "--seed", "7"]
+PERTURB_OUTPUTS = ("stdout", "phi", "y", "e", "b")
 
 _FLOAT = re.compile(r"^-?(\d+\.\d*|\d*\.\d+|\d+)(e[-+]?\d+)?$|^-?\d+e[-+]?\d+$")
 
@@ -111,6 +126,28 @@ def _render(case: str, directory: Path) -> str:
     return out.read_text(encoding="utf-8")
 
 
+def _render_perturb(directory: Path) -> dict[str, bytes]:
+    """``somplab perturb`` on the golden frame and a fixed 20 x 3 Y of
+    exact quarter values, whose columns differ in norm: its stdout and
+    the four files it writes, by output name."""
+    from somplab import write_matrix
+    from somplab.cli import main
+
+    i, j = np.indices((20, 3))
+    y_path = directory / "perturb_input.y.txt"
+    write_matrix(y_path, ((7 * i + 3 * j) % 11 - 5) * (j + 1) / 4.0)
+    prefix = directory / PERTURB
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["perturb", "--phi", str(GOLDEN / FRAME_FILE), "--y", str(y_path),
+                     *PERTURB_FLAGS, "--out-prefix", str(prefix)])
+    assert code == 0
+    outputs = {"stdout": stdout.getvalue().encode("utf-8")}
+    for name in PERTURB_OUTPUTS[1:]:
+        outputs[name] = Path(f"{prefix}.{name}.txt").read_bytes()
+    return outputs
+
+
 def _tokens(line: str) -> list[str]:
     return [t for t in re.split(r"[\t =]", line) if t]
 
@@ -148,6 +185,12 @@ def test_witnesses_match_golden(case):
     _assert_matches("\n".join(got), "\n".join(want))
 
 
+def test_perturb_matches_golden(tmp_path):
+    got = _render_perturb(tmp_path)
+    for name in PERTURB_OUTPUTS:
+        assert got[name] == (GOLDEN / f"{PERTURB}.{name}.txt").read_bytes(), name
+
+
 def test_comparison_is_strict_on_discrete_fields():
     row = "0\t1\t42\t7\t0.0001\t0.001\t0.5\tfail\t1\t-"
     _assert_matches(row.replace("0.5", "0.5000000000001"), row)
@@ -158,20 +201,26 @@ def test_comparison_is_strict_on_discrete_fields():
 
 
 def regenerate(names: list[str]) -> None:
-    """Rewrite the golden files of the named cases from the importable
-    somplab; with no name, rewrite every case and the frame they sweep."""
+    """Rewrite the golden files of the named cases (the sweeps and the
+    perturb case) from the importable somplab; with no name, rewrite
+    every case and the frame they use."""
     import tempfile
 
     from somplab import low_coherence_frame, write_matrix
 
-    unknown = sorted(set(names) - set(CASES))
+    known = [*CASES, PERTURB]
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        raise SystemExit(f"unknown golden case {', '.join(unknown)}; known: {', '.join(CASES)}")
+        raise SystemExit(f"unknown golden case {', '.join(unknown)}; known: {', '.join(known)}")
     GOLDEN.mkdir(exist_ok=True)
     if not names:
         write_matrix(GOLDEN / FRAME_FILE, low_coherence_frame(20, 25, seed=0))
     with tempfile.TemporaryDirectory() as tmp:
-        for case in names or CASES:
+        for case in names or known:
+            if case == PERTURB:
+                for name, data in _render_perturb(Path(tmp)).items():
+                    (GOLDEN / f"{PERTURB}.{name}.txt").write_bytes(data)
+                continue
             (GOLDEN / f"{case}.report.txt").write_text(_render(case, Path(tmp)),
                                                        encoding="utf-8")
             (GOLDEN / f"{case}.witness.txt").write_text(

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from somplab import (
+    DimensionMismatch,
     InstanceConfig,
     InvalidConfig,
     InvalidOrder,
     PerturbationSpec,
-    PreconditionViolated,
     apply_perturbation,
     calibrate_perturbation,
     coherent_pair_matrix,
@@ -19,7 +19,6 @@ from somplab import (
     low_coherence_frame,
     measure_perturbation_levels,
     ric_exact,
-    run_trial,
     support_of,
 )
 
@@ -105,40 +104,34 @@ def test_gen_sparse_signal_row_floor():
 def test_calibration_hits_targets():
     cfg, Phi, X, Y = _clean()
     spec = PerturbationSpec(target_eps0=3e-4, target_epsb=2e-3, seed=9)
-    spec = calibrate_perturbation(Phi, Y, spec, order=2)
-    assert spec.realized.eps0 == pytest.approx(3e-4, rel=1e-12)
-    assert spec.realized.epsb == pytest.approx(2e-3, rel=1e-12)
-    assert spec.realized.eps > 0.0
-    assert spec.realized.order == 2
+    E, B, levels = calibrate_perturbation(Phi, Y, spec, order=2)
+    assert levels.eps0 == pytest.approx(3e-4, rel=1e-12)
+    assert levels.epsb == pytest.approx(2e-3, rel=1e-12)
+    assert levels.eps > 0.0
+    assert levels.order == 2
+    assert E.shape == Phi.shape and B.shape == Y.shape
 
 
 def test_calibration_zero_targets_give_zero_matrices():
     cfg, Phi, X, Y = _clean()
-    spec = calibrate_perturbation(Phi, Y, PerturbationSpec(), order=1)
-    assert not spec.E.any() and not spec.B.any()
-    assert spec.realized.eps0 == 0.0 and spec.realized.epsb == 0.0
+    E, B, levels = calibrate_perturbation(Phi, Y, PerturbationSpec(), order=1)
+    assert not E.any() and not B.any()
+    assert levels.eps0 == 0.0 and levels.epsb == 0.0
 
 
 def test_calibration_is_deterministic():
     cfg, Phi, X, Y = _clean()
-    a = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 1e-2, seed=4))
-    b = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 1e-2, seed=4))
-    assert np.array_equal(a.E, b.E) and np.array_equal(a.B, b.B)
-    c = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 1e-2, seed=5))
-    assert not np.array_equal(a.B, c.B)
+    Ea, Ba, levels_a = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 1e-2, seed=4))
+    Eb, Bb, levels_b = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 1e-2, seed=4))
+    assert np.array_equal(Ea, Eb) and np.array_equal(Ba, Bb) and levels_a == levels_b
+    _, Bc, _ = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 1e-2, seed=5))
+    assert not np.array_equal(Ba, Bc)
 
 
 def test_user_supplied_perturbation_is_measured_not_scaled():
     # calibration and trials draw their own E and B; a given pair is measured
     cfg, Phi, X, Y = _clean()
-    given = PerturbationSpec(E=0.07 * Phi)
-    with pytest.raises(PreconditionViolated, match="measure_perturbation_levels"):
-        calibrate_perturbation(Phi, Y, given, order=2)
-    with pytest.raises(PreconditionViolated, match="measure_perturbation_levels"):
-        run_trial(cfg, given)
-    with pytest.raises(PreconditionViolated, match="measure_perturbation_levels"):
-        run_trial(cfg, PerturbationSpec(B=np.zeros_like(Y)))
-    levels = measure_perturbation_levels(Phi, given.E, Y, np.zeros_like(Y), order=2)
+    levels = measure_perturbation_levels(Phi, 0.07 * Phi, Y, np.zeros_like(Y), order=2)
     assert levels.eps0 == pytest.approx(0.07, rel=1e-12)
     assert levels.eps == pytest.approx(0.07, rel=1e-12)
     assert levels.epsb == 0.0
@@ -156,31 +149,32 @@ def test_levels_are_measured_over_at_least_one_width(order):
 def test_column_skewed_concentrates_on_weakest_column():
     cfg, Phi, X, Y = _clean(L=4)
     spec = PerturbationSpec(target_epsb=0.01, seed=2, b_mode="column-skewed")
-    spec = calibrate_perturbation(Phi, Y, spec)
-    col_norms = np.linalg.norm(spec.B, axis=0)
+    _, B, levels = calibrate_perturbation(Phi, Y, spec)
+    col_norms = np.linalg.norm(B, axis=0)
     j = int(np.argmin(np.linalg.norm(Y, axis=0)))
     assert np.flatnonzero(col_norms).tolist() == [j]
-    assert spec.realized.epsb == pytest.approx(0.01, rel=1e-12)
+    assert levels.epsb == pytest.approx(0.01, rel=1e-12)
     # that one column is corrupted far beyond the global level
     assert col_norms[j] / np.linalg.norm(Y[:, j]) > 0.01
 
 
 def test_apply_perturbation_and_inverse():
     cfg, Phi, X, Y = _clean()
-    spec = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 5e-3, seed=8))
-    Y_obs, Phi_obs = apply_perturbation(Y, Phi, spec)
-    assert np.array_equal(Y_obs, Y + spec.B)
-    assert np.array_equal(Phi_obs, Phi + spec.E)
-    neg = dataclasses.replace(spec, E=-spec.E, B=-spec.B)
-    Y_back, Phi_back = apply_perturbation(Y_obs, Phi_obs, neg)
+    E, B, _ = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 5e-3, seed=8))
+    Y_obs, Phi_obs = apply_perturbation(Y, Phi, E, B)
+    assert np.array_equal(Y_obs, Y + B)
+    assert np.array_equal(Phi_obs, Phi + E)
+    Y_back, Phi_back = apply_perturbation(Y_obs, Phi_obs, -E, -B)
     assert np.allclose(Y_back, Y, rtol=0, atol=1e-12 * np.linalg.norm(Y))
     assert np.allclose(Phi_back, Phi, rtol=0, atol=1e-12 * np.linalg.norm(Phi))
 
 
-def test_apply_perturbation_requires_calibration():
+def test_apply_perturbation_refuses_mismatched_shapes():
     cfg, Phi, X, Y = _clean()
-    with pytest.raises(PreconditionViolated):
-        apply_perturbation(Y, Phi, PerturbationSpec(target_epsb=0.1))
+    E, B, _ = calibrate_perturbation(Phi, Y, PerturbationSpec(1e-3, 5e-3, seed=8))
+    for bad_E, bad_B in ((E[:-1], B), (E[:, :-1], B), (E, B[:-1]), (E, B[:, :-1]), (E.T, B)):
+        with pytest.raises(DimensionMismatch, match="do not match the observations"):
+            apply_perturbation(Y, Phi, bad_E, bad_B)
 
 
 def test_perturbation_spec_validation():
