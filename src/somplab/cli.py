@@ -15,8 +15,8 @@ import functools
 import json
 import sys
 
-from .errors import InvalidConfig, ParseError, SomplabError
-from .guarantees import MODES, check_guarantee, levels_outside_mode
+from .errors import DimensionMismatch, InvalidConfig, ParseError, PreconditionViolated, SomplabError
+from .guarantees import MODES, _references, check_guarantee, levels_outside_mode
 from .harness import CHECKS_NEEDING_RIC, TrialChecks, broken_promise, render_report, run_experiment
 from .matrixio import read_matrix, write_matrix
 from .model import min_support_row_norm
@@ -146,16 +146,17 @@ def _cmd_check(args) -> int:
     k = args.sparsity
     noisy = args.mode != "noiseless"
     Y = read_matrix(args.y) if args.y else None
-    if args.x is not None and args.t0 is not None:
+    X = None if args.x is None else read_matrix(args.x)
+    if X is not None and args.t0 is not None:
         raise _UsageError("somplab check: give --x or --t0, not both")
-    t0 = args.t0
-    if args.x is not None:
-        t0 = min_support_row_norm(read_matrix(args.x)).t0
     if noisy and Y is None:
         raise _UsageError("somplab check: --y is required for noisy modes")
-    if noisy and t0 is None:
+    if noisy and X is None and args.t0 is None:
         raise _UsageError("somplab check: --x or --t0 is required for noisy modes")
-    _check_sparsity(k, *Phi.shape)   # before the order-(k + 1) enumeration
+    # every input is checked before the order-(k + 1) enumeration
+    _check_sparsity(k, *Phi.shape)
+    _references(Phi, Y, args.mode)
+    t0 = args.t0 if X is None else _weakest_row(X, Phi.shape[1], Y, k)
     eps = args.eps if args.eps is not None else args.eps0
     levels = PerturbationLevels(eps0=args.eps0, eps=eps, epsb=args.epsb, order=k)
     delta = ric_exact(Phi, k + 1, subset_budget=args.budget)
@@ -183,6 +184,20 @@ def _cmd_check(args) -> int:
     else:
         print(f"condition fails ({delta.delta:.6g} >= {report.q_threshold:.6g})")
     return 0
+
+
+def _weakest_row(X, n: int, Y, k: int) -> float:
+    """t0 of a ``check --x`` signal: its weakest occupied-row norm.  X
+    must be n x L (L from --y when given) with at most k occupied rows."""
+    want = (n, X.shape[1] if Y is None else Y.shape[1])
+    if X.shape != want:
+        raise DimensionMismatch(f"signal has shape {X.shape}, expected {want}")
+    profile = min_support_row_norm(X)
+    occupied = int((profile.norms > 0).sum())
+    if occupied > k:
+        raise PreconditionViolated(
+            f"signal has {occupied} occupied rows, more than the sparsity {k}")
+    return profile.t0
 
 
 def _cmd_perturb(args) -> int:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionViolated, ZeroReference
+from .errors import DimensionMismatch, DomainError, PreconditionViolated, ZeroReference
 from .model import as_matrix
-from .rip import PerturbationLevels, RicEstimate
+from .rip import PerturbationLevels, RicEstimate, _frobenius_reference, _spectral_reference
 
 MODES = ("noiseless", "measurement", "sensing", "general")
 
@@ -182,7 +182,9 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     relative perturbation levels (all-zero when omitted).  Negative or
     non-finite levels, a non-finite ``t0``, and levels that ``mode``
     assumes zero but are not raise PreconditionViolated, since that
-    mode's certificate promises nothing there.  Out-of-domain
+    mode's certificate promises nothing there.  Y with a row count other
+    than Phi's raises DimensionMismatch, and a noisy mode refuses a zero
+    Phi or Y with ZeroReference (see ``_references``).  Out-of-domain
     closed forms are folded into the verdict, never raised.
     """
     if mode not in MODES:
@@ -205,9 +207,22 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     if outside:
         got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
         raise PreconditionViolated(f"mode {mode!r} assumes zero {', '.join(outside)}; got {got}")
+    return _evaluate_guarantee(*_references(Phi, Y, mode), t0, k, levels, delta, mode)
+
+
+def _references(Phi, Y, mode: str) -> tuple[float, float | None]:
+    """||Phi||_2 and ||Y||_F (None without measurements), the references
+    of the levels.  Y must have Phi's row count.  A noisy mode takes them
+    through ``rip``'s reference functions, as sweeps do, so a zero one
+    raises ZeroReference: levels relative to it mean nothing."""
     Phi = as_matrix(Phi, "sensing matrix")
-    frob_y = None if Y is None else float(np.linalg.norm(as_matrix(Y, "measurements")))
-    return _evaluate_guarantee(float(np.linalg.norm(Phi, 2)), frob_y, t0, k, levels, delta, mode)
+    Y = None if Y is None else as_matrix(Y, "measurements")
+    if Y is not None and Y.shape[0] != Phi.shape[0]:
+        raise DimensionMismatch(
+            f"measurements have {Y.shape[0]} rows, sensing matrix {Phi.shape[0]}")
+    if mode == "noiseless":   # reported, never used
+        return float(np.linalg.norm(Phi, 2)), None if Y is None else float(np.linalg.norm(Y))
+    return _spectral_reference(Phi), None if Y is None else _frobenius_reference(Y)
 
 
 def _evaluate_guarantee(spectral_phi: float, frob_y: float | None, t0: float | None, k: int,

@@ -23,10 +23,12 @@ symmetric eigendecomposition in descending order of their bounds, and
 evaluation stops once no remaining bound can reach the best value (less
 a float slack).  A subset whose bound could tie the best is still
 evaluated, so results are exactly those of evaluating every subset: the
-same float, and among equally extreme subsets the first in
-lexicographic order.  At order 1 the bound is the value (the diagonal
-entry, which is what an eigendecomposition of a 1 x 1 matrix returns),
-so nothing is eigendecomposed.  The same kernel lists every subset
+same float (up to the last bit where a Gram has exactly repeated
+eigenvalues, which ``eigvalsh`` can round differently depending on the
+subsets sharing its batch), and among equally extreme subsets the first
+in lexicographic order.  At order 1 the bound is the value (the
+diagonal entry, which is what an eigendecomposition of a 1 x 1 matrix
+returns), so nothing is eigendecomposed.  The same kernel lists every subset
 within a given factor of the extreme, which the frame builder in
 ``perturb`` shrinks.  The subset table and the lexicographic ranker of
 each shape are built once and kept in a small cache, since a sweep

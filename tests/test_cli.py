@@ -648,6 +648,58 @@ def test_check_refuses_a_sparsity_above_the_row_count(tmp_path, capsys):
     assert lines[-1].startswith("condition fails (1 >= ")
 
 
+def _check_refused(capsys, argv, message):
+    code = main(["check", *argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""   # refused before the enumeration prints anything
+    assert out.err == f"error: {message}\n"
+
+
+def test_check_refuses_measurements_of_another_row_count(tmp_path, capsys):
+    phi, _ = _frame_files(tmp_path)
+    y = tmp_path / "y19.txt"
+    write_matrix(y, np.ones((19, 2)))
+    _check_refused(capsys, ["--phi", phi, "--sparsity", "2", "--mode", "general",
+                            "--y", str(y), "--t0", "1"],
+                   "measurements have 19 rows, sensing matrix 20")
+
+
+def test_check_refuses_a_signal_that_is_not_n_by_l_or_too_dense(tmp_path, capsys):
+    # X must be the 25 x L signal of the 20 x L measurements, with at most
+    # k occupied rows; its weakest row is the floor t0
+    phi, y = _frame_files(tmp_path)
+    base = ["--phi", phi, "--sparsity", "2", "--mode", "general", "--y", y]
+    x = tmp_path / "x.txt"
+    for shape in ((7, 3), (25, 3), (24, 2)):
+        X = np.zeros(shape)
+        X[2] = 1.0
+        write_matrix(x, X)
+        _check_refused(capsys, [*base, "--x", str(x)],
+                       f"signal has shape {shape}, expected (25, 2)")
+    X = np.zeros((25, 2))
+    X[[3, 7, 11]] = 1.0
+    write_matrix(x, X)
+    _check_refused(capsys, [*base, "--x", str(x)],
+                   "signal has 3 occupied rows, more than the sparsity 2")
+    X[11] = 0.0
+    write_matrix(x, X)
+    assert main(["check", *base, "--x", str(x)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("condition ")
+
+
+@pytest.mark.parametrize("mode, levels", [("measurement", ["--epsb", "1e-2"]),
+                                          ("sensing", ["--eps0", "1e-3"]),
+                                          ("general", ["--eps0", "1e-3"])])
+def test_check_refuses_zero_measurements_in_every_noisy_mode(tmp_path, capsys, mode, levels):
+    phi, _ = _frame_files(tmp_path)
+    y = tmp_path / "y0.txt"
+    write_matrix(y, np.zeros((20, 2)))
+    _check_refused(capsys, ["--phi", phi, "--sparsity", "2", "--mode", mode, "--y", str(y),
+                            "--t0", "1", *levels],
+                   "measurements have zero Frobenius norm")
+
+
 def test_check_without_a_row_floor_exits_one(tmp_path, capsys):
     phi, y = _frame_files(tmp_path)
     code = main(["check", "--phi", phi, "--sparsity", "2", "--mode", "sensing", "--y", y])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from somplab import (
+    DimensionMismatch,
     DomainError,
     PreconditionViolated,
     ZeroReference,
@@ -327,3 +328,33 @@ def test_check_guarantee_refuses_levels_outside_its_mode():
     levels = PerturbationLevels(eps0=0.05, eps=0.05, epsb=0.0, order=1)
     with pytest.raises(PreconditionViolated, match="eps0, eps"):
         check_guarantee(Phi, Phi @ X, 2.0, 1, levels, delta, mode="measurement")
+
+
+@pytest.mark.parametrize("mode", ["noiseless", "measurement", "sensing", "general"])
+def test_check_guarantee_refuses_measurements_of_another_row_count(mode):
+    # Y's rows are Phi's rows; one row short is not a measurement set of Phi
+    Phi, delta = _noiseless_setup(0.1)
+    Y = np.ones((Phi.shape[0] - 1, 2))
+    with pytest.raises(DimensionMismatch, match="measurements have 7 rows, sensing matrix 8"):
+        check_guarantee(Phi, Y, 2.0, 1, None, delta, mode=mode)
+
+
+_NOISY_LEVELS = {"measurement": dict(eps0=0.0, eps=0.0, epsb=1e-2),
+                 "sensing": dict(eps0=1e-3, eps=1e-3, epsb=0.0),
+                 "general": dict(eps0=1e-3, eps=1e-3, epsb=1e-2)}
+
+
+@pytest.mark.parametrize("mode", sorted(_NOISY_LEVELS))
+def test_check_guarantee_refuses_a_zero_reference_in_every_noisy_mode(mode):
+    # the levels are relative to ||Phi||_2 and ||Y||_F; against a zero one
+    # the certificate would rest on a magnitude of zero
+    Phi, delta = _noiseless_setup(0.1)
+    Y = Phi @ (np.eye(8)[:, :1] * 2.0)
+    levels = PerturbationLevels(**_NOISY_LEVELS[mode], order=1)
+    with pytest.raises(ZeroReference, match="measurements have zero Frobenius norm"):
+        check_guarantee(Phi, np.zeros_like(Y), 2.0, 1, levels, delta, mode=mode)
+    with pytest.raises(ZeroReference, match="sensing matrix has zero spectral norm"):
+        check_guarantee(np.zeros_like(Phi), Y, 2.0, 1, levels, delta, mode=mode)
+    # noiseless mode uses neither reference
+    report = check_guarantee(Phi, np.zeros_like(Y), None, 1, None, delta, mode="noiseless")
+    assert report.condition_holds
