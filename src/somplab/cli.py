@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import DimensionMismatch, InvalidConfig, ParseError, PreconditionViolated, SomplabError
-from .guarantees import MODES, _references, check_guarantee, levels_outside_mode
+from .guarantees import MODES, _evaluate_guarantee, _references
 from .harness import CHECKS_NEEDING_RIC, TrialChecks, broken_promise, render_report, run_experiment
 from .matrixio import read_matrix, write_matrix
 from .model import min_support_row_norm
@@ -125,9 +125,9 @@ def _cmd_solve(args) -> int:
             lines.append(f"stopped early: {result.terminated_early}")
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines))
-    print(",".join(str(j) for j in result.support))
     if args.out:
         write_matrix(args.out, result.signal)
+    print(",".join(str(j) for j in result.support))
     return 0
 
 
@@ -155,7 +155,7 @@ def _cmd_check(args) -> int:
         raise _UsageError("somplab check: --x or --t0 is required for noisy modes")
     # every input is checked before the order-(k + 1) enumeration
     _check_sparsity(k, *Phi.shape)
-    _references(Phi, Y, args.mode)
+    spectral_phi, frob_y = _references(Phi, Y, args.mode)
     t0 = args.t0 if X is None else _weakest_row(X, Phi.shape[1], Y, k)
     eps = args.eps if args.eps is not None else args.eps0
     levels = PerturbationLevels(eps0=args.eps0, eps=eps, epsb=args.epsb, order=k)
@@ -166,23 +166,19 @@ def _cmd_check(args) -> int:
     print(f"eps0={levels.eps0!r}")
     print(f"eps={levels.eps!r}")
     print(f"epsb={levels.epsb!r}")
-    outside = levels_outside_mode(args.mode, levels)
-    if outside:
-        got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
-        print(f"condition n/a (mode {args.mode} assumes zero {', '.join(outside)}; got {got})")
-        return 0
-    report = check_guarantee(Phi, Y, t0, k, levels, delta, mode=args.mode)
-    print(f"eps_h={report.eps_h!r}")
-    print(f"q_threshold={'-' if report.q_threshold is None else repr(report.q_threshold)}")
-    print(f"error_bound={'-' if report.error_bound is None else repr(report.error_bound)}")
+    report = _evaluate_guarantee(spectral_phi, frob_y, t0, k, levels, delta, args.mode)
+    if report.verdict != "n/a":
+        print(f"eps_h={report.eps_h!r}")
+        print(f"q_threshold={'-' if report.q_threshold is None else repr(report.q_threshold)}")
+        print(f"error_bound={'-' if report.error_bound is None else repr(report.error_bound)}")
     if report.error_bound_direct is not None:
         print(f"error_bound_direct={report.error_bound_direct!r}")
-    if report.q_threshold is None:
-        print(f"condition unsatisfiable ({report.note})")
-    elif report.condition_holds:
+    if report.verdict == "pass":
         print(f"condition holds ({delta.delta:.6g} < {report.q_threshold:.6g})")
-    else:
+    elif report.verdict == "fail":
         print(f"condition fails ({delta.delta:.6g} >= {report.q_threshold:.6g})")
+    else:
+        print(f"condition {'n/a' if report.verdict == 'n/a' else 'unsatisfiable'} ({report.note})")
     return 0
 
 

@@ -12,9 +12,9 @@ Four modes are supported.  "noiseless" compares the constant against
 "sensing" (perturbed sensing matrix only) and "general" (both) first
 fold the perturbation levels into one magnitude with the same units as
 the weakest signal row, then evaluate the threshold at the ratio of the
-two.  Out-of-domain evaluations mean the sufficient condition cannot be
-satisfied at that perturbation level; ``check_guarantee`` reports that
-verdict instead of raising.
+two.  ``_evaluate_guarantee`` alone decides the verdict, "n/a", "unsat",
+"pass" or "fail", for ``check_guarantee``, ``somplab check`` and sweeps
+alike; each is an answer, never raised.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ MODES = ("noiseless", "measurement", "sensing", "general")
 # a measured level breaks its mode's assumption promises nothing.
 ZERO_LEVELS = {"noiseless": ("eps0", "eps", "epsb"), "measurement": ("eps0", "eps"),
                "sensing": ("epsb",), "general": ()}
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 def levels_outside_mode(mode: str, levels: PerturbationLevels) -> tuple[str, ...]:
@@ -150,20 +155,24 @@ def perturbation_magnitude_for_mode(mode: str, spectral_phi: float, frob_y: floa
 class GuaranteeReport:
     """Outcome of evaluating the sufficient recovery condition.
 
-    ``q_threshold`` is None when the condition is unsatisfiable at the
-    given perturbation level (out-of-domain threshold).  The error bound
-    is None in noiseless mode (recovery is exact there) and ``math.inf``
-    when no finite amplification factor exists (e.g. k = 1 with
-    perturbations).  ``error_bound_direct`` carries the alternative
-    direct form of the measurement-only bound, epsb (sqrt(k) + 1) /
-    sqrt(k - 1); the two published algebraic forms of that bound
-    disagree, so both are reported and downstream checks use the
-    amplification-factor form.
+    ``verdict`` is "n/a" (a level the mode assumes zero is not; the
+    report then has no magnitude, threshold or error bound, and ``note``
+    names the levels), "unsat", "pass" or "fail"; ``condition_holds`` is
+    true for "pass" alone.  ``q_threshold`` is None when the condition is
+    unsatisfiable at the given perturbation level (out-of-domain
+    threshold).  The error bound is None in noiseless mode (recovery is
+    exact there) and ``math.inf`` when no finite amplification factor
+    exists (e.g. k = 1 with perturbations).  ``error_bound_direct``
+    carries the alternative direct form of the measurement-only bound,
+    epsb (sqrt(k) + 1) / sqrt(k - 1); the two published algebraic forms
+    of that bound disagree, so both are reported and downstream checks
+    use the amplification-factor form.
     """
 
     mode: str
+    verdict: str   # "n/a" | "unsat" | "pass" | "fail"
     delta: RicEstimate
-    eps_h: float
+    eps_h: float | None
     q_threshold: float | None
     condition_holds: bool
     error_bound: float | None
@@ -180,15 +189,14 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     clean sensing matrix; ``t0`` the weakest occupied-row norm of the
     true signal (unused in noiseless mode); ``levels`` the measured
     relative perturbation levels (all-zero when omitted).  Negative or
-    non-finite levels, a non-finite ``t0``, and levels that ``mode``
-    assumes zero but are not raise PreconditionViolated, since that
-    mode's certificate promises nothing there.  Y with a row count other
-    than Phi's raises DimensionMismatch, and a noisy mode refuses a zero
-    Phi or Y with ZeroReference (see ``_references``).  Out-of-domain
-    closed forms are folded into the verdict, never raised.
+    non-finite levels and a non-finite ``t0`` raise PreconditionViolated.
+    Y with a row count other than Phi's raises DimensionMismatch, and a
+    noisy mode refuses a zero Phi or Y with ZeroReference (see
+    ``_references``).  Levels that ``mode`` assumes zero but are not, and
+    out-of-domain closed forms, are verdicts ("n/a", "unsat"), never
+    raised.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _check_mode(mode)
     if int(k) != k or k < 1:
         raise PreconditionViolated(f"sparsity must be a positive integer, got {k}")
     k = int(k)
@@ -203,10 +211,6 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
             raise PreconditionViolated(f"{name} must be finite and nonnegative, got {value!r}")
     if t0 is not None and not math.isfinite(t0):
         raise PreconditionViolated(f"weakest-row norm must be finite, got {t0!r}")
-    outside = levels_outside_mode(mode, levels)
-    if outside:
-        got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
-        raise PreconditionViolated(f"mode {mode!r} assumes zero {', '.join(outside)}; got {got}")
     return _evaluate_guarantee(*_references(Phi, Y, mode), t0, k, levels, delta, mode)
 
 
@@ -229,7 +233,21 @@ def _evaluate_guarantee(spectral_phi: float, frob_y: float | None, t0: float | N
                         levels: PerturbationLevels, delta: RicEstimate,
                         mode: str) -> GuaranteeReport:
     """``check_guarantee`` on validated inputs, given ||Phi||_2 and
-    ||Y||_F (None without measurements) instead of Phi and Y."""
+    ||Y||_F (None without measurements) instead of Phi and Y.  The one
+    rule that decides a verdict, for sweeps and ``somplab check`` too."""
+    def report(verdict, eps_h, q_threshold, error_bound, error_bound_direct, note):
+        return GuaranteeReport(
+            mode=mode, verdict=verdict, delta=delta, eps_h=eps_h, q_threshold=q_threshold,
+            condition_holds=verdict == "pass", error_bound=error_bound,
+            error_bound_direct=error_bound_direct, note=note,
+            inputs=dict(k=k, t0=t0, eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
+                        spectral_phi=spectral_phi, frob_y=frob_y))
+
+    outside = levels_outside_mode(mode, levels)
+    if outside:   # the mode's certificate promises nothing here
+        got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
+        return report("n/a", None, None, None, None,
+                      f"mode {mode} assumes zero {', '.join(outside)}; got {got}")
     note = ""
     if mode == "noiseless":
         eps_h = 0.0
@@ -243,19 +261,14 @@ def _evaluate_guarantee(spectral_phi: float, frob_y: float | None, t0: float | N
             eps_h = perturbation_magnitude_for_mode(
                 mode, spectral_phi, frob_y, levels.eps0, levels.eps, levels.epsb)
         except DomainError as exc:
-            return GuaranteeReport(
-                mode=mode, delta=delta, eps_h=math.inf, q_threshold=None,
-                condition_holds=False, error_bound=math.inf, error_bound_direct=None,
-                note=f"condition unsatisfiable: {exc}",
-                inputs=_inputs(k, t0, levels, spectral_phi, frob_y))
+            return report("unsat", math.inf, None, math.inf, None,
+                          f"condition unsatisfiable: {exc}")
         try:
             ratio = math.inf if eps_h == 0.0 else float(t0) / eps_h
             q_threshold = recovery_threshold(k, ratio)
         except DomainError as exc:
             q_threshold = None
             note = f"condition unsatisfiable at this perturbation level: {exc}"
-
-    condition_holds = q_threshold is not None and delta.delta < q_threshold
 
     error_bound = None
     error_bound_direct = None
@@ -279,20 +292,6 @@ def _evaluate_guarantee(spectral_phi: float, frob_y: float | None, t0: float | N
             else:
                 error_bound_direct = math.inf
 
-    return GuaranteeReport(
-        mode=mode, delta=delta, eps_h=eps_h, q_threshold=q_threshold,
-        condition_holds=condition_holds, error_bound=error_bound,
-        error_bound_direct=error_bound_direct, note=note,
-        inputs=_inputs(k, t0, levels, spectral_phi, frob_y))
-
-
-def _inputs(k, t0, levels, spectral_phi, frob_y):
-    return {
-        "k": k,
-        "t0": t0,
-        "eps0": levels.eps0,
-        "eps": levels.eps,
-        "epsb": levels.epsb,
-        "spectral_phi": spectral_phi,
-        "frob_y": frob_y,
-    }
+    verdict = ("unsat" if q_threshold is None
+               else "pass" if delta.delta < q_threshold else "fail")
+    return report(verdict, eps_h, q_threshold, error_bound, error_bound_direct, note)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidOrder, PreconditionViolated, TraceMismatch
-from .guarantees import _evaluate_guarantee, levels_outside_mode
+from .guarantees import _check_mode, _evaluate_guarantee
 from .model import (
     SupportSet,
     as_matrix,
@@ -62,6 +62,7 @@ from .model import (
 from .perturb import (
     InstanceConfig,
     PerturbationSpec,
+    _is_integer,
     _measurement,
     _sensing,
     _sensing_references,
@@ -367,14 +368,10 @@ def _point_stage(clean: _Clean, sensed: tuple[np.ndarray, float, float], measure
     B, epsb = measured(target_epsb)
     levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=max(cfg.k, 1))
 
-    verdict, report = "-", None
-    if checks.guarantee and levels_outside_mode(mode, levels):
-        verdict = "n/a"   # the mode's certificate promises nothing here
-    elif checks.guarantee:
+    report = None
+    if checks.guarantee:
         report = _evaluate_guarantee(clean.matrix.refs[0], clean.frob_y, clean.t0, cfg.k,
                                      levels, delta, mode)
-        verdict = ("unsat" if report.q_threshold is None
-                   else "pass" if report.condition_holds else "fail")
 
     solved = somp_solve(clean.Y + B, Phi_obs, cfg.k)
     support_exact = solved.support == clean.true_support
@@ -383,9 +380,9 @@ def _point_stage(clean: _Clean, sensed: tuple[np.ndarray, float, float], measure
     scores_ok = selected_scores_vanish(solved.trace) if checks.selected_scores else None
 
     deviation_ok = None  # also when there is no finite bound to compare against
-    if checks.filter_deviation and report is not None and math.isfinite(report.eps_h):
-        deviation_ok = filter_deviation_diagnostic(solved.trace, clean.clean_trace,
-                                                   report.eps_h).passed
+    eps_h = None if report is None else report.eps_h   # None on n/a
+    if checks.filter_deviation and eps_h is not None and math.isfinite(eps_h):
+        deviation_ok = filter_deviation_diagnostic(solved.trace, clean.clean_trace, eps_h).passed
 
     error_bound = None if report is None else report.error_bound
     bound_ok = None
@@ -397,7 +394,8 @@ def _point_stage(clean: _Clean, sensed: tuple[np.ndarray, float, float], measure
         eps0_target=target_eps0, epsb_target=target_epsb,
         eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
         delta=None if delta is None else delta.delta,
-        guarantee=verdict, support_exact=support_exact, rel_error=rel_error,
+        guarantee="-" if report is None else report.verdict,
+        support_exact=support_exact, rel_error=rel_error,
         error_bound=error_bound, bound_ok=bound_ok,
         selected_scores_ok=scores_ok, filter_proximity_ok=clean.proximity_ok,
         filter_deviation_ok=deviation_ok,
@@ -413,8 +411,10 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
     The trial derives every input from ``cfg`` and from ``pert``'s seed
     and targets.  A failing step raises with context; nothing is skipped
     silently.  The stages are those of a sweep, so a sweep's record
-    equals ``run_trial`` on its trial's config and spec.
+    equals ``run_trial`` on its trial's config and spec.  An unknown
+    ``mode`` raises ValueError.
     """
+    _check_mode(mode)
     clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget), checks)
     Phi = clean.matrix.Phi
     E, eps0, eps = _sensing(pert, Phi, clean.matrix.refs, subset_budget)(pert.target_eps0)
@@ -513,11 +513,17 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     identical instances and noise directions at different scales.  The
     sweep runs trial by trial and each stage once per change of its
     inputs (see the module docstring); records come out point by point.
+    Every argument is checked before the first trial: an unknown ``mode``
+    raises ValueError, and ``trials`` and ``master_seed`` must be
+    integers (at least 1 and 0).
     """
+    _check_mode(mode)
     eps0_levels = [float(e) for e in np.atleast_1d(eps0_levels)]
     epsb_levels = [float(e) for e in np.atleast_1d(epsb_levels)]
-    if trials < 1:
-        raise PreconditionViolated("need at least one trial per point")
+    if not _is_integer(trials) or trials < 1:
+        raise PreconditionViolated(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_integer(master_seed) or master_seed < 0:
+        raise PreconditionViolated(f"master_seed must be an integer >= 0, got {master_seed!r}")
     # one spec per point; each refuses a negative or non-finite level
     grid = [PerturbationSpec(target_eps0=e0, target_epsb=eb, b_mode=b_mode)
             for e0 in eps0_levels for eb in epsb_levels]

@@ -42,6 +42,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool: the sizes and counts a
+    config may hold."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class InstanceConfig:
     """One synthetic problem instance: sizes, ensemble, and seed.
@@ -63,12 +69,16 @@ class InstanceConfig:
     embed_overlap: float = 0.5
 
     def __post_init__(self):
+        sizes = (self.m, self.n, self.L, self.k)
+        if not all(_is_integer(size) for size in sizes):
+            raise InvalidConfig(f"m, n, L, k must be integers, got {sizes}")
         if min(self.m, self.n, self.L) < 1:
             raise InvalidConfig(f"m, n, L must be positive, got {(self.m, self.n, self.L)}")
         if not 0 <= self.k <= min(self.m, self.n):
             raise InvalidConfig(f"k = {self.k} outside 0..min({self.m}, {self.n})")
-        if self.signal_row_norm_min < 0:
-            raise InvalidConfig("signal_row_norm_min must be nonnegative")
+        if not 0 <= self.signal_row_norm_min < math.inf:   # also NaN
+            raise InvalidConfig(f"signal_row_norm_min must be finite and nonnegative, "
+                                f"got {self.signal_row_norm_min!r}")
         if self.matrix_ensemble not in ENSEMBLES:
             raise InvalidConfig(f"unknown ensemble {self.matrix_ensemble!r}; expected {ENSEMBLES}")
         if self.matrix_ensemble == "user-supplied":
@@ -294,10 +304,14 @@ def coherent_pair_matrix(n: int, rho: float, m: int | None = None) -> np.ndarray
     return A
 
 
-def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
-                        stage1_iters: int = 800, stage2_iters: int = 300) -> np.ndarray:
-    """Unit-norm frame tuned so every ``order``-column submatrix is well
-    conditioned.
+# Iterations of the frame builder's two stages.
+_FRAME_STAGE1_ITERS = 800
+_FRAME_STAGE2_ITERS = 300
+
+
+def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.ndarray:
+    """Unit-norm m x n frame tuned so every ``order``-column submatrix is
+    well conditioned.
 
     Stage 1 alternates between clipping Gram off-diagonals at an annealed
     ceiling and projecting back to rank m with a unit diagonal.  Stage 2
@@ -305,7 +319,9 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
     ``order``-subsets directly.  The best iterate (smallest exact
     order-``order`` isometry constant) is returned.  Deterministic per
     seed; at overcomplete desk sizes such as (20, 25) the result lands
-    well below the constants random draws achieve.
+    well below the constants random draws achieve.  With m > n the Gram
+    has only n eigenpairs, and m - n zero rows under their n x n factor
+    keep the shape without changing the Gram.
     """
     if not 1 <= order <= n:
         raise InvalidConfig(f"order {order} outside 1..{n}")
@@ -319,12 +335,13 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
         M = (V[:, -m:] * np.sqrt(lam)).T
         norms = np.linalg.norm(M, axis=0, keepdims=True)
         norms[norms == 0] = 1.0
-        return M / norms
+        M = M / norms
+        return M if len(lam) == m else np.vstack([M, np.zeros((m - len(lam), n))])
 
     best_dev, _ = _extreme_subsets(A, order, deviation=True)
     best = A.copy()
     mu = 0.35
-    for t in range(stage1_iters):
+    for t in range(_FRAME_STAGE1_ITERS):
         mu = max(0.10, mu * 0.99)
         G = A.T @ A
         off = G - np.diag(np.diag(G))
@@ -336,7 +353,7 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3,
                 best_dev, best = d, A.copy()
 
     A = best.copy()
-    for _ in range(stage2_iters):
+    for _ in range(_FRAME_STAGE2_ITERS):
         d, worst = _extreme_subsets(A, order, deviation=True, rel=0.98)
         if d < best_dev:
             best_dev, best = d, A.copy()

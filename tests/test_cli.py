@@ -433,6 +433,7 @@ def test_zero_level_sweep_keeps_exact_recoveries_within_the_bound(tmp_path, caps
 @pytest.mark.parametrize("mode, perturbation", [
     ("measurement", {"eps0": [0.05]}),
     ("noiseless", {"epsb": 0.5}),
+    ("sensing", {"epsb": 0.5}),
 ])
 def test_certificates_outside_their_mode_are_na(tmp_path, capsys, mode, perturbation):
     code, rows, summary = _frame_sweep(tmp_path, capsys, mode=mode, trials=20,
@@ -730,6 +731,18 @@ def test_solve_trace_records_a_zero_residual_stop(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert [line.split()[:2] for line in lines[:-1]] == [["iter=0", "selected=5"]]
     assert lines[-1] == "stopped early: zero-residual"
+
+
+def test_solve_that_cannot_write_its_out_file_prints_nothing(tmp_path, capsys):
+    # the support goes to stdout only once every requested file is written
+    phi, y = _frame_files(tmp_path, rows=(4, 7))
+    out = tmp_path / "missing" / "xhat.txt"
+    code = main(["solve", "--phi", phi, "--y", y, "--sparsity", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "xhat.txt" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, message", [

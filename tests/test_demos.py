@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke tests: every script under demos/, and README's library example,
+runs to completion."""
 
 import os
 import subprocess
@@ -22,3 +23,17 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the first python block after README's "Library in one minute" heading
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = text.split("## Library in one minute", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "(3, 11, 20)"
+    assert lines[1].split()[0] in ("n/a", "unsat", "pass", "fail")

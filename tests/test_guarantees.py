@@ -189,7 +189,7 @@ def _noiseless_setup(rho, n=8):
 def test_check_guarantee_noiseless_verdicts():
     Phi, delta = _noiseless_setup(0.1)
     report = check_guarantee(Phi, None, None, 1, None, delta, mode="noiseless")
-    assert report.condition_holds
+    assert report.condition_holds and report.verdict == "pass"
     assert report.q_threshold == recovery_threshold(1, math.inf)
     assert report.error_bound is None
     assert report.eps_h == 0.0
@@ -197,6 +197,7 @@ def test_check_guarantee_noiseless_verdicts():
     Phi, delta = _noiseless_setup(0.5)
     report = check_guarantee(Phi, None, None, 1, None, delta, mode="noiseless")
     assert not report.condition_holds  # 0.5 >= 1/3
+    assert report.verdict == "fail"
 
 
 def test_check_guarantee_validates_order_and_mode():
@@ -228,7 +229,7 @@ def test_check_guarantee_general_mode_paths():
     big = PerturbationLevels(eps0=0.0, eps=0.0, epsb=50.0, order=1)
     report = check_guarantee(Phi, Y, 2.0, 1, big, delta, mode="general")
     assert report.q_threshold is None
-    assert not report.condition_holds
+    assert not report.condition_holds and report.verdict == "unsat"
     assert "unsatisfiable" in report.note
 
 
@@ -284,7 +285,7 @@ def test_check_guarantee_outside_the_magnitude_domain(mode):
     assert report.q_threshold is None
     assert report.eps_h == math.inf
     assert report.error_bound == math.inf
-    assert not report.condition_holds
+    assert not report.condition_holds and report.verdict == "unsat"
     assert "magnitude undefined" in report.note
 
 
@@ -321,13 +322,18 @@ def test_check_guarantee_refuses_an_infinite_weakest_row():
 
 def test_check_guarantee_refuses_levels_outside_its_mode():
     # measurement mode assumes eps0 = eps = 0; with them nonzero it would
-    # otherwise report a passing condition that promises nothing
+    # otherwise report a passing condition that promises nothing, so the
+    # answer is n/a, with no threshold or bound and the levels named
     Phi, delta = _noiseless_setup(0.1)
     X = np.zeros((8, 1))
     X[0] = 2.0
     levels = PerturbationLevels(eps0=0.05, eps=0.05, epsb=0.0, order=1)
-    with pytest.raises(PreconditionViolated, match="eps0, eps"):
-        check_guarantee(Phi, Phi @ X, 2.0, 1, levels, delta, mode="measurement")
+    report = check_guarantee(Phi, Phi @ X, 2.0, 1, levels, delta, mode="measurement")
+    assert report.verdict == "n/a"
+    assert report.condition_holds is False
+    assert report.q_threshold is None and report.eps_h is None
+    assert report.error_bound is None and report.error_bound_direct is None
+    assert report.note == "mode measurement assumes zero eps0, eps; got eps0=0.05, eps=0.05"
 
 
 @pytest.mark.parametrize("mode", ["noiseless", "measurement", "sensing", "general"])

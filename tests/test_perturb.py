@@ -213,16 +213,27 @@ def test_coherent_pair_matrix_construction():
 
 
 def test_low_coherence_frame_properties():
-    A = low_coherence_frame(12, 15, seed=0, order=2, stage1_iters=120, stage2_iters=40)
+    A = low_coherence_frame(12, 15, seed=0, order=2)
     assert A.shape == (12, 15)
     assert np.allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-10)
-    B = low_coherence_frame(12, 15, seed=0, order=2, stage1_iters=120, stage2_iters=40)
+    B = low_coherence_frame(12, 15, seed=0, order=2)
     assert np.array_equal(A, B)
     # the optimizer beats the plain gaussian draw it started from
     cfg = InstanceConfig(m=12, n=15, L=1, k=1, seed=0)
     raw = gen_sensing_matrix(cfg)
     raw = raw / np.linalg.norm(raw, axis=0)
     assert ric_exact(A, 2).delta < ric_exact(raw, 2).delta
+
+
+@pytest.mark.parametrize("m, n", [(6, 5), (5, 5), (4, 5)])
+def test_low_coherence_frame_is_m_by_n_on_either_side_of_square(m, n):
+    # with m > n the Gram has n eigenpairs; the frame still has m rows
+    A = low_coherence_frame(m, n, seed=0, order=2)
+    assert A.shape == (m, n)
+    assert np.allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-10)
+    assert np.linalg.matrix_rank(A) == min(m, n)
+    if m >= n:   # room for n orthonormal columns: the frame finds them
+        assert ric_exact(A, 2).delta < 1e-3
 
 
 # SHA-256 of the five session frames (20 x 25, seeds 0..4) as built before
