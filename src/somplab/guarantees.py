@@ -178,7 +178,6 @@ class GuaranteeReport:
     error_bound: float | None
     error_bound_direct: float | None
     note: str
-    inputs: dict
 
 
 def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels | None,
@@ -239,9 +238,7 @@ def _evaluate_guarantee(spectral_phi: float, frob_y: float | None, t0: float | N
         return GuaranteeReport(
             mode=mode, verdict=verdict, delta=delta, eps_h=eps_h, q_threshold=q_threshold,
             condition_holds=verdict == "pass", error_bound=error_bound,
-            error_bound_direct=error_bound_direct, note=note,
-            inputs=dict(k=k, t0=t0, eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
-                        spectral_phi=spectral_phi, frob_y=frob_y))
+            error_bound_direct=error_bound_direct, note=note)
 
     outside = levels_outside_mode(mode, levels)
     if outside:   # the mode's certificate promises nothing here

@@ -53,6 +53,7 @@ from .errors import InvalidOrder, PreconditionViolated, TraceMismatch
 from .guarantees import _check_mode, _evaluate_guarantee
 from .model import (
     SupportSet,
+    _is_integer,
     as_matrix,
     as_support,
     min_support_row_norm,
@@ -62,7 +63,6 @@ from .model import (
 from .perturb import (
     InstanceConfig,
     PerturbationSpec,
-    _is_integer,
     _measurement,
     _sensing,
     _sensing_references,
@@ -152,16 +152,16 @@ class TrialRecord:
     stop: str                         # "-" or the early-stop reason
 
 
-def selected_scores_vanish(trace: IterationTrace, rel_tol: float = _SCORE_VANISH_TOL) -> bool:
+def selected_scores_vanish(trace: IterationTrace) -> bool:
     """True when already-selected indices score (numerically) zero.
 
     At every iteration, the matched-filter rows of previously selected
     indices are exact zeros in exact arithmetic; here they must stay
-    below ``rel_tol`` times the iteration's largest score.
+    below ``_SCORE_VANISH_TOL`` times the iteration's largest score.
     """
     for i, scores in enumerate(trace.score_tables):
         prev = trace.selected[:i]
-        if prev and float(np.max(scores[list(prev)])) > rel_tol * float(np.max(scores)):
+        if prev and np.max(scores[list(prev)]) > _SCORE_VANISH_TOL * np.max(scores):
             return False
     return True
 
@@ -222,7 +222,7 @@ def reference_omp_smv(y, Phi, k: int) -> RecoveryResult:
                           trace=trace, terminated_early=stopped)
 
 
-def matched_filter_oracle(Phi, support, x_star, subset_budget: int = DEFAULT_SUBSET_BUDGET,
+def matched_filter_oracle(Phi, support, x_star,
                           delta: RicEstimate | None = None) -> FilterProximityDiagnostic:
     """Check that the clean matched filter stays row-wise close to the signal.
 
@@ -233,9 +233,9 @@ def matched_filter_oracle(Phi, support, x_star, subset_budget: int = DEFAULT_SUB
         ||H(j) - x_star(j)||_2  <=  delta / (1 - delta) ||x_star||_F
 
     with ``delta`` the exact isometry constant at order
-    ``||x_star||_0 + |support| + 1`` (computed here by full enumeration
-    unless a matching estimate is passed in).  Requires delta < 1; the
-    bound is meaningless otherwise.
+    ``||x_star||_0 + |support| + 1`` (computed here, within the default
+    subset budget, unless a matching estimate is passed in).  Requires
+    delta < 1; the bound is meaningless otherwise.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     support = as_support(support, Phi.shape[1])
@@ -247,7 +247,7 @@ def matched_filter_oracle(Phi, support, x_star, subset_budget: int = DEFAULT_SUB
     if order > Phi.shape[1]:
         raise InvalidOrder(f"required order {order} exceeds the column count {Phi.shape[1]}")
     if delta is None:
-        delta = ric_exact(Phi, order, subset_budget)
+        delta = ric_exact(Phi, order)
     elif delta.order != order:
         raise PreconditionViolated(f"estimate has order {delta.order}, need {order}")
     d = delta.delta
@@ -326,7 +326,7 @@ def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int) 
     Phi = gen_sensing_matrix(cfg)
     delta = ric_exact(Phi, cfg.k + 1, subset_budget) if checks.ric else None
     return _Matrix(Phi=Phi, delta=delta,
-                   refs=_sensing_references(Phi, max(cfg.k, 1), subset_budget))
+                   refs=_sensing_references(Phi, cfg.k, subset_budget))
 
 
 def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks) -> _Clean:
@@ -366,7 +366,7 @@ def _point_stage(clean: _Clean, sensed: tuple[np.ndarray, float, float], measure
     cfg, delta = clean.cfg, clean.matrix.delta
     Phi_obs, eps0, eps = sensed
     B, epsb = measured(target_epsb)
-    levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=max(cfg.k, 1))
+    levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=cfg.k)
 
     report = None
     if checks.guarantee:

@@ -29,8 +29,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool: the sizes, counts, seeds
+    and indices an input may hold."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_support(indices, n: int) -> SupportSet:
-    """Normalize to a sorted tuple of distinct 0-based indices in [0, n)."""
+    """Normalize to a sorted tuple of distinct 0-based indices in [0, n);
+    an index that is not an integer (a bool or a float among them) is
+    refused, not truncated."""
+    indices = tuple(indices)
+    if not all(_is_integer(i) for i in indices):
+        raise ValueError(f"support indices must be integers: {indices}")
     idx = tuple(sorted(int(i) for i in indices))
     if any(i < 0 or i >= n for i in idx):
         raise ValueError(f"support index outside 0..{n - 1}: {idx}")
@@ -40,7 +51,7 @@ def as_support(indices, n: int) -> SupportSet:
 
 
 # Relative singular-value cutoff of every numerical span and rank: the
-# least-squares fit, the solver's basis and the selected-span projector.
+# least-squares fit, the solver's basis and the residual sensing matrix.
 RANK_TOL = 1e-12
 
 
@@ -53,23 +64,10 @@ def truncated_svd(A: np.ndarray):
     return U[:, keep], s[keep], Vt[keep]
 
 
-def row_norms(X) -> np.ndarray:
-    """Euclidean norm of every row of a signal matrix."""
-    return np.linalg.norm(as_matrix(X, "signal"), axis=1)
-
-
-def support_of(X, zero_tol: float = 0.0) -> SupportSet:
-    """Indices of rows whose Euclidean norm exceeds ``zero_tol``.
-
-    The default ``zero_tol=0`` is meant for exact inputs.  When
-    classifying a least-squares estimate, pass a relative cutoff such as
-    ``1e-12 * np.linalg.norm(X)`` so that rows carrying only rounding
-    noise do not count as occupied.
-    """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    norms = row_norms(X)
-    return tuple(int(i) for i in np.flatnonzero(norms > zero_tol))
+def support_of(X) -> SupportSet:
+    """Indices of the rows of ``X`` that are not exactly zero."""
+    norms = np.linalg.norm(as_matrix(X, "signal"), axis=1)
+    return tuple(int(i) for i in np.flatnonzero(norms > 0))
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def min_support_row_norm(X) -> RowNormProfile:
     Raises EmptySupport when every row is exactly zero, since the
     smallest occupied-row norm is undefined for the zero signal.
     """
-    norms = row_norms(X)
+    norms = np.linalg.norm(as_matrix(X, "signal"), axis=1)
     live = norms[norms > 0]
     if live.size == 0:
         raise EmptySupport("signal has no nonzero rows")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .model import as_matrix
+from .model import _is_integer, as_matrix
 from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
@@ -42,10 +42,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool: the sizes and counts a
-    config may hold."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a nonnegative integer, which ``_rng``
+    would otherwise truncate (a float) or fail on only at its first draw
+    (a negative one)."""
+    if not _is_integer(seed) or seed < 0:
+        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,9 @@ class InstanceConfig:
             raise InvalidConfig(f"m, n, L, k must be integers, got {sizes}")
         if min(self.m, self.n, self.L) < 1:
             raise InvalidConfig(f"m, n, L must be positive, got {(self.m, self.n, self.L)}")
-        if not 0 <= self.k <= min(self.m, self.n):
-            raise InvalidConfig(f"k = {self.k} outside 0..min({self.m}, {self.n})")
+        if not 1 <= self.k <= min(self.m, self.n):
+            raise InvalidConfig(f"k = {self.k} outside 1..min({self.m}, {self.n})")
+        _check_seed(self.seed)
         if not 0 <= self.signal_row_norm_min < math.inf:   # also NaN
             raise InvalidConfig(f"signal_row_norm_min must be finite and nonnegative, "
                                 f"got {self.signal_row_norm_min!r}")
@@ -123,12 +126,9 @@ def gen_sparse_signal(cfg: InstanceConfig) -> np.ndarray:
 
     The support is a uniform draw of k distinct rows; entries on it are
     standard normal, and any support row whose norm falls below
-    ``signal_row_norm_min`` is rescaled up to exactly that floor.  k = 0
-    yields the zero signal.
+    ``signal_row_norm_min`` is rescaled up to exactly that floor.
     """
     X = np.zeros((cfg.n, cfg.L))
-    if cfg.k == 0:
-        return X
     rng = _rng(cfg.seed, _SIGNAL_STREAM)
     support = np.sort(rng.choice(cfg.n, size=cfg.k, replace=False))
     rows = rng.standard_normal((cfg.k, cfg.L))
@@ -167,6 +167,7 @@ class PerturbationSpec:
                 raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
         if self.b_mode not in B_MODES:
             raise InvalidConfig(f"unknown b_mode {self.b_mode!r}; expected {B_MODES}")
+        _check_seed(self.seed)
 
 
 def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
@@ -280,8 +281,8 @@ def apply_perturbation(Y, Phi, E, B):
     return Y + B, Phi + E
 
 
-def coherent_pair_matrix(n: int, rho: float, m: int | None = None) -> np.ndarray:
-    """Unit-norm columns where exactly one pair has inner product rho.
+def coherent_pair_matrix(n: int, rho: float) -> np.ndarray:
+    """n x n, unit-norm columns where exactly one pair has inner product rho.
 
     Columns 0 and 1 span an angle with cosine rho; every other column is
     a fresh standard basis vector orthogonal to everything else.  The
@@ -290,17 +291,11 @@ def coherent_pair_matrix(n: int, rho: float, m: int | None = None) -> np.ndarray
     """
     if n < 2:
         raise InvalidConfig("need at least two columns")
-    m = n if m is None else m
-    if m < n:
-        raise InvalidConfig("need m >= n so the extra columns can stay orthogonal")
     if not 0 <= rho < 1:
         raise InvalidConfig("rho must lie in [0, 1)")
-    A = np.zeros((m, n))
-    A[0, 0] = 1.0
+    A = np.eye(n)
     A[0, 1] = rho
     A[1, 1] = math.sqrt(1.0 - rho ** 2)
-    for j in range(2, n):
-        A[j, j] = 1.0
     return A
 
 
@@ -325,6 +320,7 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.nda
     """
     if not 1 <= order <= n:
         raise InvalidConfig(f"order {order} outside 1..{n}")
+    _check_seed(seed)
     rng = _rng(seed, _FRAME_STREAM)
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=0, keepdims=True)

@@ -96,25 +96,6 @@ class PerturbationLevels:
     order: int
 
 
-@dataclass(frozen=True)
-class InequalityDiagnostic:
-    """One-sided check ``lhs <= rhs`` with both sides recorded."""
-
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SandwichDiagnostic:
-    """Two-sided check ``lower <= middle <= upper`` with all sides recorded."""
-
-    lower: float
-    middle: float
-    upper: float
-    passed: bool
-
-
 def _check_enumeration(n: int, order: int, subset_budget: int) -> int:
     if not 1 <= order <= n:
         raise InvalidOrder(f"order {order} outside 1..{n}")
@@ -126,10 +107,15 @@ def _check_enumeration(n: int, order: int, subset_budget: int) -> int:
     return count
 
 
-def column_subsets(n: int, order: int) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _subset_table(n: int, order: int) -> np.ndarray:
     """Every width-``order`` subset of range(n), one per row, in
     lexicographic order (the order of ``itertools.combinations``);
-    requires 1 <= order <= n.
+    requires 1 <= order <= n.  Built once per shape and shared read-only.
+    The kernel asks for it when it bounds every subset: for shapes of at
+    most ``_CHUNK`` subsets, and for larger ones whose listing would not
+    be smaller.  Eight shapes cover every width a sweep at order <= 8
+    enumerates; the least recently used table goes first.
 
     Entries use the smallest unsigned dtype that holds n - 1.  The table
     grows from its last column: the trailing width-r parts range over
@@ -150,17 +136,6 @@ def column_subsets(n: int, order: int) -> np.ndarray:
         for c in range(r - 1):
             table[:, c].take(rest, out=grown[:, c + 1])
         table = grown
-    return table
-
-
-@functools.lru_cache(maxsize=8)
-def _subset_table(n: int, order: int) -> np.ndarray:
-    """``column_subsets(n, order)``, built once per shape and shared
-    read-only.  The kernel asks for it when it bounds every subset: for
-    shapes of at most ``_CHUNK`` subsets, and for larger ones whose
-    listing would not be smaller.  Eight shapes cover every width a sweep
-    at order <= 8 enumerates; the least recently used table goes first."""
-    table = column_subsets(n, order)
     table.flags.writeable = False
     return table
 
@@ -223,8 +198,8 @@ def _subset_values(gram: np.ndarray, sub: np.ndarray, deviation: bool) -> np.nda
 @functools.lru_cache(maxsize=8)
 def _lex_ranker(n: int, width: int):
     """A function from sorted width-``width`` subsets of range(n), one per
-    row, to their rows in ``column_subsets(n, width)``; built once per
-    shape, like ``_subset_table``.
+    row, to their rows in ``_subset_table(n, width)``; built once per
+    shape, like that table.
 
     The row of s_0 < ... < s_{w-1} is C(n, w) - 1 less the sum of
     C(n - 1 - s_j, w - j).  Pascal's rule builds the binomials a column
@@ -567,22 +542,6 @@ def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...
     return eps0, eps
 
 
-def selected_span_projector(Phi, support) -> np.ndarray:
-    """Orthogonal projector onto the span of the selected columns.
-
-    Built from an orthonormal basis of the selected columns (singular
-    vectors above a small relative rank cutoff), independent of any
-    least-squares path that may have produced the support.
-    """
-    Phi = as_matrix(Phi, "sensing matrix")
-    support = as_support(support, Phi.shape[1])
-    m = Phi.shape[0]
-    if not support:
-        return np.zeros((m, m))
-    U, _, _ = truncated_svd(Phi[:, support])
-    return U @ U.T
-
-
 def residual_sensing_matrix(Phi, support) -> np.ndarray:
     """Every column of ``Phi`` projected off the selected columns' span."""
     Phi = as_matrix(Phi, "sensing matrix")
@@ -592,52 +551,3 @@ def residual_sensing_matrix(Phi, support) -> np.ndarray:
     U, _, _ = truncated_svd(Phi[:, support])
     return Phi - U @ (U.T @ Phi)
 
-
-def inner_product_check(Phi, u, v, delta: float) -> InequalityDiagnostic:
-    """Check that sensing nearly preserves the inner product of u and v.
-
-    With ``delta`` a valid isometry constant at order
-    ``max(||u - v||_0, ||u + v||_0)``, the deviation
-    ``|<Phi u, Phi v> - <u, v>|`` cannot exceed ``delta ||u|| ||v||``.
-    The caller supplies ``delta``; this function only evaluates both
-    sides, with a tiny float slack on the comparison.
-    """
-    Phi = as_matrix(Phi, "sensing matrix")
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.size != Phi.shape[1] or v.size != Phi.shape[1]:
-        raise DimensionMismatch(
-            f"vectors of length {u.size}, {v.size} against {Phi.shape[1]} columns")
-    lhs = abs(float((Phi @ u) @ (Phi @ v)) - float(u @ v))
-    scale = float(np.linalg.norm(u) * np.linalg.norm(v))
-    rhs = float(delta) * scale
-    passed = lhs <= rhs + _SLACK * max(1.0, scale)
-    return InequalityDiagnostic(lhs=lhs, rhs=rhs, passed=passed)
-
-
-def projected_isometry_check(Phi, support, u, delta: float) -> SandwichDiagnostic:
-    """Check the two-sided energy bound for columns projected off a span.
-
-    For ``A`` = ``residual_sensing_matrix(Phi, support)`` and a vector u
-    supported away from ``support``, with ``delta`` a valid isometry
-    constant at order ``|support| + ||u||_0`` or higher (and below 1):
-
-        (1 - delta/(1 - delta)) ||u||^2  <=  ||A u||^2  <=  (1 + delta) ||u||^2
-
-    Raises PreconditionViolated when u touches the selected support.
-    """
-    Phi = as_matrix(Phi, "sensing matrix")
-    support = as_support(support, Phi.shape[1])
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != Phi.shape[1]:
-        raise DimensionMismatch(f"vector of length {u.size} against {Phi.shape[1]} columns")
-    if set(np.flatnonzero(u).tolist()) & set(support):
-        raise PreconditionViolated("vector support overlaps the selected support")
-    delta = float(delta)
-    energy = float(u @ u)
-    middle = float(np.linalg.norm(residual_sensing_matrix(Phi, support) @ u) ** 2)
-    lower = -math.inf if delta >= 1.0 else (1.0 - delta / (1.0 - delta)) * energy
-    upper = (1.0 + delta) * energy
-    slack = _SLACK * max(1.0, energy)
-    passed = (lower - slack <= middle) and (middle <= upper + slack)
-    return SandwichDiagnostic(lower=lower, middle=middle, upper=upper, passed=passed)

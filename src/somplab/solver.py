@@ -147,20 +147,6 @@ def _subtract_outer(Ht, w, g, scratch):
     Ht -= scratch
 
 
-def match_scores(R, Phi) -> np.ndarray:
-    """Match score of every column index against a residual.
-
-    Score j is the Euclidean norm of row j of Phi^T R, i.e. the joint
-    correlation of column j with all residual channels at once.
-    """
-    R = as_matrix(R, "residual")
-    Phi = as_matrix(Phi, "sensing matrix")
-    if R.shape[0] != Phi.shape[0]:
-        raise DimensionMismatch(f"residual has {R.shape[0]} rows, sensing matrix {Phi.shape[0]}")
-    Ht = R.T @ Phi   # BLAS forms R^T Phi faster than Phi^T R
-    return _column_norms(Ht)
-
-
 def _fit(Y, A):
     """Least-squares coefficients of Y on the columns of A, and the rank
     kept after truncating singular values at ``RANK_TOL`` times the

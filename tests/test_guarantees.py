@@ -222,7 +222,6 @@ def test_check_guarantee_general_mode_paths():
     assert report.q_threshold < recovery_threshold(1, math.inf)
     # k = 1 has no finite amplification factor
     assert report.error_bound == math.inf
-    assert report.inputs["epsb"] == 1e-4
 
     # enormous measurement noise: threshold leaves its domain, folded
     # into the verdict rather than raised

@@ -306,33 +306,44 @@ def test_run_experiment_and_run_trial_refuse_an_unknown_mode(checks):
         run_trial(cfg, PerturbationSpec(), checks=checks, mode="bogus")
 
 
-@pytest.mark.parametrize("cfg_kw, run_kw, error, match", [
-    ({"m": 8.0}, {}, InvalidConfig, "must be integers"),
-    ({"k": 2.0}, {}, InvalidConfig, "must be integers"),
-    ({"L": True}, {}, InvalidConfig, "must be integers"),
-    ({"signal_row_norm_min": math.nan}, {}, InvalidConfig, "signal_row_norm_min"),
-    ({"signal_row_norm_min": math.inf}, {}, InvalidConfig, "signal_row_norm_min"),
-    ({}, {"trials": 2.0}, PreconditionViolated, "trials"),
-    ({}, {"master_seed": 1.5}, PreconditionViolated, "master_seed"),
-    ({"m": np.int64(8), "k": np.int32(2)}, {"trials": np.int64(2), "master_seed": np.uint32(3)},
-     None, None),
-], ids=["float-m", "float-k", "bool-L", "nan-floor", "inf-floor", "float-trials", "float-seed",
-        "numpy-integers"])
-def test_instance_and_sweep_refuse_what_the_config_table_refuses(cfg_kw, run_kw, error, match):
+@pytest.mark.parametrize("cfg_kw, run_kw, spec_kw, error, match", [
+    ({"m": 8.0}, {}, {}, InvalidConfig, "must be integers"),
+    ({"k": 2.0}, {}, {}, InvalidConfig, "must be integers"),
+    ({"L": True}, {}, {}, InvalidConfig, "must be integers"),
+    ({"signal_row_norm_min": math.nan}, {}, {}, InvalidConfig, "signal_row_norm_min"),
+    ({"signal_row_norm_min": math.inf}, {}, {}, InvalidConfig, "signal_row_norm_min"),
+    ({"k": 0}, {}, {}, InvalidConfig, r"k = 0 outside 1\.\.min"),
+    ({"seed": 1.5}, {}, {}, InvalidConfig, "seed must be a nonnegative integer"),
+    ({"seed": -1}, {}, {}, InvalidConfig, "seed must be a nonnegative integer"),
+    ({"seed": False}, {}, {}, InvalidConfig, "seed must be a nonnegative integer"),
+    ({}, {}, {"seed": 2.7}, InvalidConfig, "seed must be a nonnegative integer"),
+    ({}, {}, {"seed": -2}, InvalidConfig, "seed must be a nonnegative integer"),
+    ({}, {}, {"seed": True}, InvalidConfig, "seed must be a nonnegative integer"),
+    ({}, {"trials": 2.0}, {}, PreconditionViolated, "trials"),
+    ({}, {"master_seed": 1.5}, {}, PreconditionViolated, "master_seed"),
+    ({"m": np.int64(8), "k": np.int32(2), "seed": np.uint64(4)},
+     {"trials": np.int64(2), "master_seed": np.uint32(3)}, {"seed": np.int16(7)}, None, None),
+], ids=["float-m", "float-k", "bool-L", "nan-floor", "inf-floor", "zero-k", "float-cfg-seed",
+        "negative-cfg-seed", "bool-cfg-seed", "float-spec-seed", "negative-spec-seed",
+        "bool-spec-seed", "float-trials", "float-seed", "numpy-integers"])
+def test_instance_and_sweep_refuse_what_the_config_table_refuses(cfg_kw, run_kw, spec_kw,
+                                                                 error, match):
     # the table refuses these for `experiment`; a library caller gets the same
     # answer before any draw, while numpy integers read as the ints they hold
     cfg_kw = {"m": 8, "n": 12, "L": 2, "k": 2, **cfg_kw}
     run_kw = {"trials": 2, "master_seed": 3, **run_kw}
 
-    def sweep(cfg_kw, run_kw):
-        return render_report(run_experiment(InstanceConfig(**cfg_kw), 0.0, 1e-3, **run_kw))
+    def run(cfg_kw, run_kw, spec_kw):
+        cfg = InstanceConfig(**cfg_kw)
+        return (render_report(run_experiment(cfg, 0.0, 1e-3, **run_kw)),
+                run_trial(cfg, PerturbationSpec(target_epsb=1e-3, **spec_kw)))
 
     if error is None:
-        assert sweep(cfg_kw, run_kw) == sweep({k: int(v) for k, v in cfg_kw.items()},
-                                              {k: int(v) for k, v in run_kw.items()})
+        assert run(cfg_kw, run_kw, spec_kw) == run(*({k: int(v) for k, v in kw.items()}
+                                                     for kw in (cfg_kw, run_kw, spec_kw)))
     else:
         with pytest.raises(error, match=match):
-            sweep(cfg_kw, run_kw)
+            run(cfg_kw, run_kw, spec_kw)
 
 
 def test_guarantee_check_requires_ric():

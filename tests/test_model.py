@@ -7,7 +7,6 @@ from somplab import (
     ZeroReference,
     min_support_row_norm,
     relative_frobenius_error,
-    row_norms,
     support_of,
 )
 from somplab.model import as_matrix, as_support
@@ -44,19 +43,23 @@ def test_as_support_sorts_and_validates():
         as_support([-1], 5)
     with pytest.raises(ValueError):
         as_support([2, 2], 5)
+    # a fractional or boolean index is refused, not truncated or read as 0/1
+    for bad in ([1.7, 3], [2.0], [True, 3], [np.float64(1.0)]):
+        with pytest.raises(ValueError, match="must be integers"):
+            as_support(bad, 5)
+    assert as_support(np.array([3, 0]), 5) == (0, 3)
+    assert as_support([np.uint8(4), np.int64(1)], 5) == (1, 4)
 
 
 def test_row_norms_values():
     X = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-    assert np.allclose(row_norms(X), [5.0, 0.0, 1.0])
+    assert np.allclose(min_support_row_norm(X).norms, [5.0, 0.0, 1.0])
 
 
 def test_support_of_exact_and_tolerant():
+    # every row that is not exactly zero counts, however small
     X = np.array([[3.0, 4.0], [0.0, 0.0], [1e-14, 0.0]])
     assert support_of(X) == (0, 2)
-    assert support_of(X, zero_tol=1e-12 * np.linalg.norm(X)) == (0,)
-    with pytest.raises(ValueError):
-        support_of(X, zero_tol=-1.0)
 
 
 def test_min_support_row_norm():

@@ -30,12 +30,9 @@ from somplab import (
     ZeroReference,
     coherent_pair_matrix,
     gen_sensing_matrix,
-    inner_product_check,
     measure_perturbation_levels,
-    projected_isometry_check,
     residual_sensing_matrix,
     ric_exact,
-    selected_span_projector,
     submatrix_spectral_norm,
 )
 from somplab import rip
@@ -192,7 +189,7 @@ def test_width_loop_matches_the_full_table_at_32x40():
     for width, norm in enumerate(norms, 1):
         top, _ = rip._extreme_subsets(A, width, deviation=False)
         # every row of the table bounded, no listing
-        idx = rip.column_subsets(40, width)
+        idx = rip._subset_table(40, width)
         full, _ = rip._search(gram, idx, False, 1.0)
         assert norm == math.sqrt(top) == math.sqrt(full), width
     assert all(b >= a for a, b in zip(norms, norms[1:]))
@@ -341,7 +338,7 @@ def test_listing_falls_back_to_the_table_when_not_smaller(monkeypatch):
     value, near = rip._extreme_subsets(np.eye(40), 4, True)
     assert listings == [None]
     assert value == 0.0
-    assert np.array_equal(near, rip.column_subsets(40, 4))
+    assert np.array_equal(near, rip._subset_table(40, 4))
     assert sum(map(len, batches)) == math.comb(40, 4)
     assert _evaluated_once(batches, 40)
 
@@ -487,11 +484,7 @@ def test_subset_table_is_built_once_per_shape_and_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
-    fresh = rip.column_subsets(17, 3)
-    assert fresh is not table and fresh.flags.writeable
-    assert np.array_equal(fresh, list(itertools.combinations(range(17), 3)))
-    fresh[0, 0] = 5
-    assert np.array_equal(rip._subset_table(17, 3), rip.column_subsets(17, 3))
+    assert np.array_equal(table, list(itertools.combinations(range(17), 3)))
 
 
 def test_ties_resolve_to_the_lexicographically_first_subset():
@@ -507,12 +500,12 @@ def test_ties_resolve_to_the_lexicographically_first_subset():
 def test_column_subsets_match_itertools():
     for n in range(1, 12):
         for order in range(1, n + 1):
-            table = rip.column_subsets(n, order)
+            table = rip._subset_table(n, order)
             want = np.array(list(itertools.combinations(range(n), order)))
             assert table.dtype == np.uint8
             assert np.array_equal(table, want), (n, order)
             assert np.array_equal(rip._lex_ranker(n, order)(table), np.arange(len(want)))
-    assert rip.column_subsets(300, 1).dtype == np.uint16
+    assert rip._subset_table(300, 1).dtype == np.uint16
 
 
 def test_exact_constant_matches_per_subset_svd_oracle():
@@ -668,24 +661,35 @@ def test_measured_levels_reject_zero_references():
         measure_perturbation_levels(Phi, np.zeros_like(Phi), np.zeros((8, 2)), np.zeros((8, 2)), 1)
 
 
-def test_selected_span_projector_properties():
-    Phi = _unit_columns(9, 12, 14)
-    P = selected_span_projector(Phi, (1, 4, 6))
-    assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.allclose(P, P.T, atol=1e-12)
-    assert np.allclose(P @ Phi[:, [1, 4, 6]], Phi[:, [1, 4, 6]], atol=1e-12)
-    # empty support projects onto nothing
-    P0 = selected_span_projector(Phi, ())
-    assert not P0.any()
-
-
 def test_residual_sensing_matrix_kills_selected_columns():
     Phi = _unit_columns(9, 12, 15)
     A = residual_sensing_matrix(Phi, (0, 3))
     assert np.linalg.norm(A[:, [0, 3]]) <= 1e-12
     # remaining columns lose exactly their component in the selected span
-    P = selected_span_projector(Phi, (0, 3))
-    assert np.allclose(A, Phi - P @ Phi, atol=1e-13)
+    Q, _ = np.linalg.qr(Phi[:, [0, 3]])
+    assert np.allclose(A, Phi - Q @ (Q.T @ Phi), atol=1e-13)
+
+
+# The paper's two lemmas, written out against the exact constant.  The
+# float slack is the kernel's, relative to the sides' own scale.
+
+def _inner_product_holds(A, u, v, delta):
+    # |<A u, A v> - <u, v>| <= delta ||u|| ||v||, with delta an isometry
+    # constant at order max(||u - v||_0, ||u + v||_0)
+    scale = np.linalg.norm(u) * np.linalg.norm(v)
+    return abs((A @ u) @ (A @ v) - u @ v) <= delta * scale + rip._SLACK * max(1.0, scale)
+
+
+def _projected_isometry_holds(Phi, support, u, delta):
+    # with P Phi the columns projected off the selected span, u supported
+    # away from it and delta an isometry constant at order |support| + ||u||_0:
+    # (1 - delta / (1 - delta)) ||u||^2 <= ||P Phi u||^2 <= (1 + delta) ||u||^2,
+    # where the lower side says nothing once delta >= 1
+    energy = u @ u
+    middle = np.linalg.norm(residual_sensing_matrix(Phi, support) @ u) ** 2
+    slack = rip._SLACK * max(1.0, energy)
+    lower = -math.inf if delta >= 1.0 else (1.0 - delta / (1.0 - delta)) * energy
+    return lower - slack <= middle <= (1.0 + delta) * energy + slack
 
 
 def test_inner_product_check_randomized():
@@ -699,9 +703,7 @@ def test_inner_product_check_randomized():
         v = np.zeros(16)
         u[rows[:2]] = g.standard_normal(2)
         v[rows[2:]] = g.standard_normal(2)
-        diag = inner_product_check(A, u, v, est.delta)
-        assert diag.passed
-        assert diag.lhs == pytest.approx(abs((A @ u) @ (A @ v)), rel=1e-12, abs=1e-15)
+        assert _inner_product_holds(A, u, v, est.delta)
 
 
 def test_inner_product_check_overlapping_supports():
@@ -716,11 +718,12 @@ def test_inner_product_check_overlapping_supports():
         v = np.zeros(12)
         u[rows[:2]] = g.standard_normal(2)
         v[rows[1:]] = g.standard_normal(2)  # shares rows[1] with u
-        assert inner_product_check(A, u, v, est.delta).passed
+        assert _inner_product_holds(A, u, v, est.delta)
 
 
 def test_inner_product_check_with_identical_vectors():
-    # u = v collapses the deviation to |(norm of Au)^2 - (norm of u)^2|
+    # u = v collapses the deviation to |(norm of Au)^2 - (norm of u)^2|,
+    # which delta at the order of u bounds by delta (norm of u)^2
     A = _unit_columns(10, 12, 29)
     est = ric_exact(A, 2)
     g = _rng(31)
@@ -728,10 +731,7 @@ def test_inner_product_check_with_identical_vectors():
         rows = g.choice(12, size=2, replace=False)
         u = np.zeros(12)
         u[rows] = g.standard_normal(2)
-        diag = inner_product_check(A, u, u, est.delta)
-        assert diag.passed
-        expected = abs(np.linalg.norm(A @ u) ** 2 - np.linalg.norm(u) ** 2)
-        assert diag.lhs == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert _inner_product_holds(A, u, u, est.delta)
 
 
 def test_projected_isometry_check_randomized():
@@ -743,26 +743,7 @@ def test_projected_isometry_check_randomized():
         support = tuple(sorted(int(r) for r in rows[:2]))
         u = np.zeros(16)
         u[rows[2:]] = g.standard_normal(2)
-        diag = projected_isometry_check(A, support, u, est.delta)
-        assert diag.passed
-        assert diag.lower <= diag.middle <= diag.upper
-
-
-def test_projected_isometry_check_rejects_overlap():
-    A = _unit_columns(8, 10, 21)
-    u = np.zeros(10)
-    u[1] = 1.0
-    with pytest.raises(PreconditionViolated):
-        projected_isometry_check(A, (1, 2), u, 0.5)
-
-
-def test_projected_isometry_degenerate_constant():
-    A = _unit_columns(8, 10, 22)
-    u = np.zeros(10)
-    u[5] = 1.0
-    diag = projected_isometry_check(A, (0,), u, 1.5)
-    assert diag.lower == -math.inf
-    assert diag.passed
+        assert _projected_isometry_holds(A, support, u, est.delta)
 
 
 def test_projected_isometry_empty_support_is_plain_sandwich():
@@ -774,19 +755,17 @@ def test_projected_isometry_empty_support_is_plain_sandwich():
         rows = g.choice(14, size=2, replace=False)
         u = np.zeros(14)
         u[rows] = g.standard_normal(2)
-        diag = projected_isometry_check(A, (), u, est.delta)
-        assert diag.passed
-        assert diag.middle == pytest.approx(np.linalg.norm(A @ u) ** 2, rel=1e-12)
+        assert _projected_isometry_holds(A, (), u, est.delta)
 
 
 def test_projected_isometry_orthonormal_columns():
     # orthonormal columns: the projection removes nothing from a vector
-    # supported off the selected set, and the constant is zero
+    # supported off the selected set, and the constant is zero, so both
+    # sides of the lemma meet at ||u||^2
     Phi = np.eye(6)
     u = np.zeros(6)
     u[4] = 3.0
-    diag = projected_isometry_check(Phi, (0, 1), u, 0.0)
-    assert diag.passed
-    assert diag.middle == pytest.approx(9.0, rel=1e-14)
-    assert diag.lower == pytest.approx(9.0, rel=1e-14)
-    assert diag.upper == pytest.approx(9.0, rel=1e-14)
+    assert ric_exact(Phi, 3).delta == 0.0
+    assert np.linalg.norm(residual_sensing_matrix(Phi, (0, 1)) @ u) ** 2 == pytest.approx(
+        9.0, rel=1e-14)
+    assert _projected_isometry_holds(Phi, (0, 1), u, 0.0)
