@@ -17,14 +17,26 @@ import sys
 
 from .errors import DimensionMismatch, InvalidConfig, ParseError, PreconditionViolated, SomplabError
 from .guarantees import MODES, _evaluate_guarantee, _references
-from .harness import CHECKS_NEEDING_RIC, TrialChecks, broken_promise, render_report, run_experiment
+from .harness import TrialChecks, _checks_rules, broken_promise, render_report, run_experiment
 from .matrixio import read_matrix, write_matrix
-from .model import min_support_row_norm
+from .model import (
+    _BOOLEAN,
+    _COUNT,
+    _NONNEGATIVE,
+    _OVERLAP,
+    _SEED,
+    _kind,
+    _level,
+    _one_of,
+    min_support_row_norm,
+)
 from .perturb import (
+    _B_MODE,
+    _ENSEMBLE,
     B_MODES,
-    ENSEMBLES,
     InstanceConfig,
     PerturbationSpec,
+    _instance_rules,
     apply_perturbation,
     calibrate_perturbation,
 )
@@ -53,7 +65,7 @@ def _build_parser() -> _Parser:
                                     "and observation file; prints the support.")
     sp.add_argument("--phi", required=True, help="sensing matrix file")
     sp.add_argument("--y", required=True, help="observation matrix file")
-    sp.add_argument("--sparsity", type=_flag("--sparsity", _integer(1)), required=True,
+    sp.add_argument("--sparsity", type=_flag("--sparsity", _COUNT), required=True,
                     help="number of rows to select")
     sp.add_argument("--out", help="write the recovered signal matrix here")
     sp.add_argument("--trace", help="write per-iteration details to this file")
@@ -62,8 +74,8 @@ def _build_parser() -> _Parser:
                         description="Enumerate all column subsets of the given "
                                     "order and print the exact constant.")
     rp.add_argument("--matrix", required=True)
-    rp.add_argument("--order", type=_flag("--order", _integer(1)), required=True)
-    rp.add_argument("--budget", type=_flag("--budget", _integer(1)),
+    rp.add_argument("--order", type=_flag("--order", _COUNT), required=True)
+    rp.add_argument("--budget", type=_flag("--budget", _COUNT),
                     default=DEFAULT_SUBSET_BUDGET,
                     help="largest subset count the enumeration may attempt")
 
@@ -72,20 +84,20 @@ def _build_parser() -> _Parser:
                                     "for given perturbation levels.  The verdict "
                                     "is printed and the exit code stays 0 either way.")
     cp.add_argument("--phi", required=True, help="clean sensing matrix file")
-    cp.add_argument("--sparsity", type=_flag("--sparsity", _integer(1)), required=True)
+    cp.add_argument("--sparsity", type=_flag("--sparsity", _COUNT), required=True)
     cp.add_argument("--mode", choices=MODES, default="general")
     cp.add_argument("--y", help="clean observation file (noisy modes)")
     cp.add_argument("--x", help="true signal file; its weakest occupied row "
                                 "supplies the floor (noisy modes)")
-    cp.add_argument("--t0", type=_flag("--t0", _number(0.0)),
+    cp.add_argument("--t0", type=_flag("--t0", _NONNEGATIVE),
                     help="weakest occupied-row norm, given directly instead of --x")
-    cp.add_argument("--eps0", type=_flag("--eps0", _number(0.0)), default=0.0,
+    cp.add_argument("--eps0", type=_flag("--eps0", _NONNEGATIVE), default=0.0,
                     help="relative spectral size of the sensing perturbation")
-    cp.add_argument("--eps", type=_flag("--eps", _number(0.0)),
+    cp.add_argument("--eps", type=_flag("--eps", _NONNEGATIVE),
                     help="submatrix-level relative size (defaults to --eps0)")
-    cp.add_argument("--epsb", type=_flag("--epsb", _number(0.0)), default=0.0,
+    cp.add_argument("--epsb", type=_flag("--epsb", _NONNEGATIVE), default=0.0,
                     help="relative size of the observation perturbation")
-    cp.add_argument("--budget", type=_flag("--budget", _integer(1)),
+    cp.add_argument("--budget", type=_flag("--budget", _COUNT),
                     default=DEFAULT_SUBSET_BUDGET)
 
     pp = sub.add_parser("perturb", help="calibrate and apply a perturbation",
@@ -94,15 +106,15 @@ def _build_parser() -> _Parser:
                                     "and print the realized levels.")
     pp.add_argument("--phi", required=True)
     pp.add_argument("--y", required=True)
-    pp.add_argument("--eps0", type=_flag("--eps0", _number(0.0)), default=0.0)
-    pp.add_argument("--epsb", type=_flag("--epsb", _number(0.0)), default=0.0)
+    pp.add_argument("--eps0", type=_flag("--eps0", _NONNEGATIVE), default=0.0)
+    pp.add_argument("--epsb", type=_flag("--epsb", _NONNEGATIVE), default=0.0)
     pp.add_argument("--b-mode", choices=B_MODES, default="gaussian")
-    pp.add_argument("--sparsity", type=_flag("--sparsity", _integer(1)), default=1,
+    pp.add_argument("--sparsity", type=_flag("--sparsity", _COUNT), default=1,
                     help="submatrix width for level measurement")
-    pp.add_argument("--seed", type=_flag("--seed", _integer(0)), default=0)
+    pp.add_argument("--seed", type=_flag("--seed", _SEED), default=0)
     pp.add_argument("--out-prefix", required=True,
                     help="write PREFIX.phi.txt, PREFIX.y.txt, PREFIX.e.txt, PREFIX.b.txt")
-    pp.add_argument("--budget", type=_flag("--budget", _integer(1)),
+    pp.add_argument("--budget", type=_flag("--budget", _COUNT),
                     default=DEFAULT_SUBSET_BUDGET)
 
     ep = sub.add_parser("experiment", help="run a Monte Carlo sweep",
@@ -217,26 +229,6 @@ def _cmd_perturb(args) -> int:
 _REQUIRED = object()   # default of a key that the config must give
 
 
-def _kind(test, want: str, convert=None):
-    """A kind of config value: one that passes ``test`` is accepted (and
-    converted); any other is an InvalidConfig naming the dotted key."""
-    def check(value, where):
-        if not test(value):
-            raise InvalidConfig(f"{where!r} must be {want}, got {value!r}")
-        return convert(value) if convert else value
-    return check
-
-
-def _integer(lo: int):
-    return _kind(lambda v: type(v) is int and v >= lo, f"an integer >= {lo}")
-
-
-def _number(lo: float):
-    # the upper comparison also rejects NaN, infinities and ints beyond float range
-    return _kind(lambda v: type(v) in (int, float) and lo <= v <= sys.float_info.max,
-                 f"a finite number >= {lo}", float)
-
-
 def _flag(name: str, kind):
     """An argparse type that checks a numeric flag by the ``kind`` its
     config key uses, so a flag and a config key refuse the same values.
@@ -250,20 +242,7 @@ def _flag(name: str, kind):
     return number
 
 
-def _one_of(choices: tuple[str, ...]):
-    return _kind(lambda v: v in choices, f"one of {', '.join(choices)}")
-
-
-_BOOLEAN = _kind(lambda v: type(v) is bool, "true or false")
-_OVERLAP = _kind(lambda v: type(v) in (int, float) and 0 < v <= 1, "a number in (0, 1]", float)
-_PATH = _kind(lambda v: type(v) is str and v != "", "a path string")
-
-
-def _level(value, where):
-    """A perturbation level: one number, or a nonempty list of sweep levels."""
-    if value == []:
-        raise InvalidConfig(f"{where!r} must be a number or a nonempty list of numbers")
-    return [_number(0.0)(v, where) for v in (value if type(value) is list else [value])]
+_PATH = _kind(lambda v: type(v) is str and v != "", "a path string", str)
 
 
 def _walk(table: dict, raw, where: str) -> dict:
@@ -290,24 +269,24 @@ def _walk(table: dict, raw, where: str) -> dict:
 
 
 # Every key an experiment config may hold: key -> (kind, default), where a
-# kind is a check above or, for a nested section, its own table.
+# kind is one the library types take or, for a nested section, its own table.
 _CONFIG = {
     "instance": ({
-        **{size: (_integer(1), _REQUIRED) for size in ("m", "n", "L", "k")},
-        "ensemble": (_one_of(ENSEMBLES), "gaussian"),
+        **{size: (_COUNT, _REQUIRED) for size in ("m", "n", "L", "k")},
+        "ensemble": (_ENSEMBLE, "gaussian"),
         "matrix": (_PATH, None),
-        "signal_row_norm_min": (_number(0.0), 0.0),
+        "signal_row_norm_min": (_NONNEGATIVE, 0.0),
         "embed_overlap": (_OVERLAP, 0.5),
     }, _REQUIRED),
     "perturbation": ({
         "eps0": (_level, 0.0),
         "epsb": (_level, 0.0),
-        "b_mode": (_one_of(B_MODES), "gaussian"),
+        "b_mode": (_B_MODE, "gaussian"),
     }, {}),
-    "trials": (_integer(1), _REQUIRED),
-    "master_seed": (_integer(0), _REQUIRED),
+    "trials": (_COUNT, _REQUIRED),
+    "master_seed": (_SEED, _REQUIRED),
     "mode": (_one_of(MODES), "general"),
-    "subset_budget": (_integer(1), DEFAULT_SUBSET_BUDGET),
+    "subset_budget": (_COUNT, DEFAULT_SUBSET_BUDGET),
     "checks": ({f.name: (_BOOLEAN, f.default) for f in dataclasses.fields(TrialChecks)}, {}),
 }
 
@@ -320,18 +299,11 @@ def _load_config(path: str) -> dict:
     except ValueError as exc:   # also a file that is not UTF-8
         raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     conf = _walk(_CONFIG, raw, "")
-    for key in CHECKS_NEEDING_RIC:
-        if conf["checks"][key] and not conf["checks"]["ric"]:
-            raise InvalidConfig(f"'checks.{key}' needs 'checks.ric' enabled")
+    _checks_rules(conf["checks"], "checks.")
     inst = dict(conf["instance"])
-    if inst["k"] > min(inst["m"], inst["n"]):
-        raise InvalidConfig(f"'instance.k' must be at most min(m, n) = "
-                            f"{min(inst['m'], inst['n'])}, got {inst['k']}")
-    ensemble, matrix = inst.pop("ensemble"), inst.pop("matrix")
-    if matrix is not None:
-        if ensemble != "user-supplied":
-            raise InvalidConfig("'instance.matrix' requires ensemble 'user-supplied'")
-        matrix = read_matrix(matrix)
+    ensemble, path = inst.pop("ensemble"), inst.pop("matrix")
+    _instance_rules(inst["m"], inst["n"], inst["k"], ensemble, path, "instance.")
+    matrix = None if path is None else read_matrix(path)
     pert = conf["perturbation"]
     return dict(cfg=InstanceConfig(**inst, matrix_ensemble=ensemble, matrix=matrix),
                 eps0_levels=pert["eps0"], epsb_levels=pert["epsb"], b_mode=pert["b_mode"],

@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatch, DomainError, PreconditionViolated, ZeroReference
-from .model import as_matrix
+from .model import _COUNT, as_matrix
 from .rip import PerturbationLevels, RicEstimate, _frobenius_reference, _spectral_reference
 
 MODES = ("noiseless", "measurement", "sensing", "general")
@@ -187,49 +185,43 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     ``delta`` must be the exact isometry estimate at order k + 1 for the
     clean sensing matrix; ``t0`` the weakest occupied-row norm of the
     true signal (unused in noiseless mode); ``levels`` the measured
-    relative perturbation levels (all-zero when omitted).  Negative or
-    non-finite levels and a non-finite ``t0`` raise PreconditionViolated.
-    Y with a row count other than Phi's raises DimensionMismatch, and a
-    noisy mode refuses a zero Phi or Y with ZeroReference (see
-    ``_references``).  Levels that ``mode`` assumes zero but are not, and
-    out-of-domain closed forms, are verdicts ("n/a", "unsat"), never
-    raised.
+    relative perturbation levels (all-zero when omitted, finite and
+    nonnegative by construction).  A ``k`` that is not an integer >= 1
+    raises InvalidConfig; a non-finite ``t0`` PreconditionViolated; Y
+    with a row count other than Phi's DimensionMismatch; and a noisy
+    mode a zero Phi or Y ZeroReference (see ``_references``).  Levels
+    that ``mode`` assumes zero but are not, and out-of-domain closed
+    forms, are verdicts ("n/a", "unsat"), never raised.
     """
     _check_mode(mode)
-    if int(k) != k or k < 1:
-        raise PreconditionViolated(f"sparsity must be a positive integer, got {k}")
-    k = int(k)
+    k = _COUNT(k, "k")
     if delta.order != k + 1:
         raise PreconditionViolated(
             f"isometry estimate has order {delta.order}, need k + 1 = {k + 1}")
     if levels is None:
         levels = PerturbationLevels(eps0=0.0, eps=0.0, epsb=0.0, order=k)
-    for name in ("eps0", "eps", "epsb"):
-        value = getattr(levels, name)
-        if not 0 <= value < math.inf:   # also NaN
-            raise PreconditionViolated(f"{name} must be finite and nonnegative, got {value!r}")
     if t0 is not None and not math.isfinite(t0):
         raise PreconditionViolated(f"weakest-row norm must be finite, got {t0!r}")
     return _evaluate_guarantee(*_references(Phi, Y, mode), t0, k, levels, delta, mode)
 
 
-def _references(Phi, Y, mode: str) -> tuple[float, float | None]:
-    """||Phi||_2 and ||Y||_F (None without measurements), the references
-    of the levels.  Y must have Phi's row count.  A noisy mode takes them
-    through ``rip``'s reference functions, as sweeps do, so a zero one
-    raises ZeroReference: levels relative to it mean nothing."""
+def _references(Phi, Y, mode: str) -> tuple[float | None, float | None]:
+    """||Phi||_2 and ||Y||_F, the references of the levels (None without
+    measurements; both None in noiseless mode).  Y must have Phi's row
+    count.  A noisy mode takes them through ``rip``'s reference
+    functions, as sweeps do, so a zero one raises ZeroReference."""
     Phi = as_matrix(Phi, "sensing matrix")
     Y = None if Y is None else as_matrix(Y, "measurements")
     if Y is not None and Y.shape[0] != Phi.shape[0]:
         raise DimensionMismatch(
             f"measurements have {Y.shape[0]} rows, sensing matrix {Phi.shape[0]}")
-    if mode == "noiseless":   # reported, never used
-        return float(np.linalg.norm(Phi, 2)), None if Y is None else float(np.linalg.norm(Y))
+    if mode == "noiseless":
+        return None, None
     return _spectral_reference(Phi), None if Y is None else _frobenius_reference(Y)
 
 
-def _evaluate_guarantee(spectral_phi: float, frob_y: float | None, t0: float | None, k: int,
-                        levels: PerturbationLevels, delta: RicEstimate,
+def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
+                        t0: float | None, k: int, levels: PerturbationLevels, delta: RicEstimate,
                         mode: str) -> GuaranteeReport:
     """``check_guarantee`` on validated inputs, given ||Phi||_2 and
     ||Y||_F (None without measurements) instead of Phi and Y.  The one

@@ -49,11 +49,15 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidOrder, PreconditionViolated, TraceMismatch
+from .errors import InvalidConfig, InvalidOrder, PreconditionViolated, TraceMismatch
 from .guarantees import _check_mode, _evaluate_guarantee
 from .model import (
+    _BOOLEAN,
+    _COUNT,
+    _SEED,
     SupportSet,
-    _is_integer,
+    _check_fields,
+    _level,
     as_matrix,
     as_support,
     min_support_row_norm,
@@ -81,13 +85,10 @@ from .solver import RESIDUAL_STOP_TOL, IterationTrace, RecoveryResult, somp_solv
 
 _SCORE_VANISH_TOL = 1e-10
 
-# The checks that need the exact constant, which the isometry check provides.
-CHECKS_NEEDING_RIC = ("guarantee", "filter_proximity")
-
 
 @dataclass(frozen=True)
 class TrialChecks:
-    """Which optional diagnostics a trial should run."""
+    """Which optional diagnostics a trial should run (see ``_checks_rules``)."""
 
     ric: bool = True
     guarantee: bool = True
@@ -96,10 +97,16 @@ class TrialChecks:
     filter_deviation: bool = False
 
     def __post_init__(self):
-        for name in CHECKS_NEEDING_RIC:
-            if getattr(self, name) and not self.ric:
-                raise PreconditionViolated(
-                    f"{name.replace('_', ' ')} check needs the isometry check enabled")
+        _check_fields(self, **{f.name: _BOOLEAN for f in fields(self)})
+        _checks_rules(vars(self))
+
+
+def _checks_rules(checks: dict, where: str = "") -> None:
+    """The rule across ``TrialChecks``' fields: a check that needs the
+    exact constant needs ``ric``.  A refusal names the field, ``where`` in front."""
+    for name in ("guarantee", "filter_proximity"):
+        if checks[name] and not checks["ric"]:
+            raise InvalidConfig(f"'{where}{name}' needs '{where}ric' enabled")
 
 
 @dataclass(frozen=True)
@@ -514,21 +521,16 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     sweep runs trial by trial and each stage once per change of its
     inputs (see the module docstring); records come out point by point.
     Every argument is checked before the first trial: an unknown ``mode``
-    raises ValueError, and ``trials`` and ``master_seed`` must be
-    integers (at least 1 and 0).
+    raises ValueError, and any other argument of the wrong kind (see
+    ``experiment --config``) raises InvalidConfig naming it.
     """
     _check_mode(mode)
-    eps0_levels = [float(e) for e in np.atleast_1d(eps0_levels)]
-    epsb_levels = [float(e) for e in np.atleast_1d(epsb_levels)]
-    if not _is_integer(trials) or trials < 1:
-        raise PreconditionViolated(f"trials must be an integer >= 1, got {trials!r}")
-    if not _is_integer(master_seed) or master_seed < 0:
-        raise PreconditionViolated(f"master_seed must be an integer >= 0, got {master_seed!r}")
-    # one spec per point; each refuses a negative or non-finite level
+    eps0_levels = _level(eps0_levels, "eps0_levels")
+    epsb_levels = _level(epsb_levels, "epsb_levels")
+    trials, subset_budget = _COUNT(trials, "trials"), _COUNT(subset_budget, "subset_budget")
+    master_seed = _SEED(master_seed, "master_seed")
     grid = [PerturbationSpec(target_eps0=e0, target_epsb=eb, b_mode=b_mode)
             for e0 in eps0_levels for eb in epsb_levels]
-    if not grid:
-        raise PreconditionViolated("need at least one eps0 and one epsb level")
     all_records: list[TrialRecord] = [None] * (len(grid) * trials)   # point-major
     # Trial by trial, so only one trial's clean side is alive at a time.
     shared = None   # a user-supplied matrix's own work, done once
@@ -596,7 +598,7 @@ def render_report(report: ExperimentReport) -> str:
     lines = [
         "# somplab experiment report",
         f"# instance: m={cfg.m} n={cfg.n} L={cfg.L} k={cfg.k} "
-        f"ensemble={cfg.matrix_ensemble} signal_row_norm_min={_fmt(float(cfg.signal_row_norm_min))}",
+        f"ensemble={cfg.matrix_ensemble} signal_row_norm_min={_fmt(cfg.signal_row_norm_min)}",
         f"# sweep: mode={report.mode} b_mode={report.b_mode} "
         f"trials_per_point={report.trials_per_point} master_seed={report.master_seed}",
         " ".join(["# checks:"] + [f"{f.name}={_fmt(getattr(report.checks, f.name))}"

@@ -9,11 +9,12 @@ read-only.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySupport, ZeroReference
+from .errors import DimensionMismatch, EmptySupport, InvalidConfig, ZeroReference
 
 # A support set: strictly increasing 0-based row indices.
 SupportSet = tuple[int, ...]
@@ -33,6 +34,51 @@ def _is_integer(value) -> bool:
     """An int or numpy integer, but not a bool: the sizes, counts, seeds
     and indices an input may hold."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
+# The kinds of value a config and the library types take.  A kind takes a
+# value and its field's name (in a config, a dotted key) and returns the
+# value as stored, or raises InvalidConfig naming the field.
+
+def _kind(test, want: str, convert):
+    def check(value, where):
+        if not test(value):
+            raise InvalidConfig(f"{where!r} must be {want}, got {value!r}")
+        return convert(value)
+    return check
+
+
+def _one_of(choices: tuple[str, ...]):
+    return _kind(lambda v: isinstance(v, str) and v in choices, f"one of {', '.join(choices)}", str)
+
+
+_COUNT = _kind(lambda v: _is_integer(v) and v >= 1, "an integer >= 1", int)
+_SEED = _kind(lambda v: _is_integer(v) and v >= 0, "an integer >= 0", int)
+# the upper comparison also rejects NaN, infinities and ints beyond float range
+_NONNEGATIVE = _kind(lambda v: _is_real(v) and 0 <= v <= sys.float_info.max,
+                     "a finite number >= 0.0", float)
+_BOOLEAN = _kind(lambda v: isinstance(v, (bool, np.bool_)), "true or false", bool)
+_OVERLAP = _kind(lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]", float)
+
+
+def _level(value, where) -> list[float]:
+    """Perturbation levels: one number, or a nonempty list (or 1-d
+    array) of them."""
+    levels = value if isinstance(value, (list, tuple)) or np.ndim(value) == 1 else [value]
+    if len(levels) == 0:
+        raise InvalidConfig(f"{where!r} must be a number or a nonempty list of numbers")
+    return [_NONNEGATIVE(v, where) for v in levels]
+
+
+def _check_fields(obj, **kinds) -> None:
+    """Check the named fields of a frozen dataclass by their kinds, and
+    store each as its kind returns it (a numpy integer as an int)."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, kind(getattr(obj, name), name))
 
 
 def as_support(indices, n: int) -> SupportSet:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .model import _is_integer, as_matrix
+from .model import _COUNT, _NONNEGATIVE, _OVERLAP, _SEED, _check_fields, _one_of, as_matrix
 from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
@@ -30,6 +30,8 @@ from .rip import (
 
 ENSEMBLES = ("gaussian", "identity-embedded", "user-supplied")
 B_MODES = ("gaussian", "column-skewed")
+_ENSEMBLE = _one_of(ENSEMBLES)
+_B_MODE = _one_of(B_MODES)
 
 _MATRIX_STREAM = 0
 _SIGNAL_STREAM = 1
@@ -40,14 +42,6 @@ _FRAME_STREAM = 7
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream)])))
-
-
-def _check_seed(seed) -> None:
-    """Refuse a seed that is not a nonnegative integer, which ``_rng``
-    would otherwise truncate (a float) or fail on only at its first draw
-    (a negative one)."""
-    if not _is_integer(seed) or seed < 0:
-        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -71,29 +65,24 @@ class InstanceConfig:
     embed_overlap: float = 0.5
 
     def __post_init__(self):
-        sizes = (self.m, self.n, self.L, self.k)
-        if not all(_is_integer(size) for size in sizes):
-            raise InvalidConfig(f"m, n, L, k must be integers, got {sizes}")
-        if min(self.m, self.n, self.L) < 1:
-            raise InvalidConfig(f"m, n, L must be positive, got {(self.m, self.n, self.L)}")
-        if not 1 <= self.k <= min(self.m, self.n):
-            raise InvalidConfig(f"k = {self.k} outside 1..min({self.m}, {self.n})")
-        _check_seed(self.seed)
-        if not 0 <= self.signal_row_norm_min < math.inf:   # also NaN
-            raise InvalidConfig(f"signal_row_norm_min must be finite and nonnegative, "
-                                f"got {self.signal_row_norm_min!r}")
-        if self.matrix_ensemble not in ENSEMBLES:
-            raise InvalidConfig(f"unknown ensemble {self.matrix_ensemble!r}; expected {ENSEMBLES}")
-        if self.matrix_ensemble == "user-supplied":
-            if self.matrix is None:
-                raise InvalidConfig("user-supplied ensemble needs an explicit matrix")
-            if np.shape(self.matrix) != (self.m, self.n):
-                raise InvalidConfig(
-                    f"supplied matrix has shape {np.shape(self.matrix)}, expected {(self.m, self.n)}")
-        elif self.matrix is not None:
-            raise InvalidConfig(f"ensemble {self.matrix_ensemble!r} does not take a matrix")
-        if not 0 < self.embed_overlap <= 1:
-            raise InvalidConfig("embed_overlap must lie in (0, 1]")
+        _check_fields(self, m=_COUNT, n=_COUNT, L=_COUNT, k=_COUNT,
+                      signal_row_norm_min=_NONNEGATIVE, matrix_ensemble=_ENSEMBLE,
+                      seed=_SEED, embed_overlap=_OVERLAP)
+        _instance_rules(self.m, self.n, self.k, self.matrix_ensemble, self.matrix)
+        if self.matrix is not None and np.shape(self.matrix) != (self.m, self.n):
+            raise InvalidConfig(f"'matrix' has shape {np.shape(self.matrix)} != {(self.m, self.n)}")
+
+
+def _instance_rules(m: int, n: int, k: int, ensemble: str, matrix, where: str = "") -> None:
+    """The rules across ``InstanceConfig``'s fields: k <= min(m, n), and a
+    matrix (in a config, its path) is given exactly for the user-supplied
+    ensemble.  A refusal names the field, ``where`` (a section) in front."""
+    if k > min(m, n):
+        raise InvalidConfig(f"'{where}k' must be at most min(m, n) = {min(m, n)}, got {k}")
+    if matrix is not None and ensemble != "user-supplied":
+        raise InvalidConfig(f"'{where}matrix' requires ensemble 'user-supplied'")
+    if matrix is None and ensemble == "user-supplied":
+        raise InvalidConfig(f"ensemble 'user-supplied' requires '{where}matrix'")
 
 
 def gen_sensing_matrix(cfg: InstanceConfig) -> np.ndarray:
@@ -161,13 +150,8 @@ class PerturbationSpec:
     b_mode: str = "gaussian"
 
     def __post_init__(self):
-        for name in ("target_eps0", "target_epsb"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:   # also NaN
-                raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.b_mode not in B_MODES:
-            raise InvalidConfig(f"unknown b_mode {self.b_mode!r}; expected {B_MODES}")
-        _check_seed(self.seed)
+        _check_fields(self, target_eps0=_NONNEGATIVE, target_epsb=_NONNEGATIVE,
+                      seed=_SEED, b_mode=_B_MODE)
 
 
 def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
@@ -320,8 +304,7 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.nda
     """
     if not 1 <= order <= n:
         raise InvalidConfig(f"order {order} outside 1..{n}")
-    _check_seed(seed)
-    rng = _rng(seed, _FRAME_STREAM)
+    rng = _rng(_SEED(seed, "seed"), _FRAME_STREAM)
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=0, keepdims=True)
 

@@ -53,7 +53,7 @@ from .errors import (
     SubsetBudgetExceeded,
     ZeroReference,
 )
-from .model import SupportSet, as_matrix, as_support, truncated_svd
+from .model import _NONNEGATIVE, SupportSet, _check_fields, as_matrix, as_support, truncated_svd
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
@@ -87,13 +87,16 @@ class PerturbationLevels:
     ``eps0`` is the full spectral-norm ratio of the sensing perturbation,
     ``eps`` the largest such ratio over column submatrices of width
     1..order, and ``epsb`` the Frobenius ratio of the measurement
-    perturbation.
+    perturbation.  Each level is a finite number >= 0.
     """
 
     eps0: float
     eps: float
     epsb: float
     order: int
+
+    def __post_init__(self):
+        _check_fields(self, eps0=_NONNEGATIVE, eps=_NONNEGATIVE, epsb=_NONNEGATIVE)
 
 
 def _check_enumeration(n: int, order: int, subset_budget: int) -> int:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -8,11 +9,17 @@ import pytest
 
 from somplab import (
     InstanceConfig,
+    InvalidConfig,
     ParseError,
+    PerturbationLevels,
+    PerturbationSpec,
+    TrialChecks,
     gen_sensing_matrix,
     gen_sparse_signal,
+    low_coherence_frame,
     read_matrix,
     ric_exact,
+    run_experiment,
     write_matrix,
 )
 from somplab.cli import main
@@ -759,3 +766,118 @@ def test_experiment_refuses_misplaced_or_empty_values(tmp_path, capsys, override
     assert code == 1
     assert out.out == ""
     assert message in out.err
+
+
+# One refusal table for the library types and `experiment --config`: each
+# declared field, the library call that takes it, its config key (None
+# where a config has no such key: seeds a sweep derives, measured levels),
+# the values refused, and a numpy scalar accepted as the Python value.
+
+def _instance(**kw):
+    return InstanceConfig(**{"m": 16, "n": 24, "L": 2, "k": 2, **kw})
+
+
+def _sweep(**kw):
+    return run_experiment(**{"cfg": _instance(), "eps0_levels": 0.0, "epsb_levels": 1e-3,
+                             "trials": 1, "master_seed": 0, **kw})
+
+
+def _levels(**kw):
+    return PerturbationLevels(**{"eps0": 0.0, "eps": 0.0, "epsb": 0.0, "order": 1, **kw})
+
+
+def _frame(seed):
+    return low_coherence_frame(6, 8, seed=seed, order=2)
+
+
+_COUNTS = (True, "2", None, math.nan, 2.0, 0)
+_SEEDS = (False, "2", None, math.inf, 2.0, -1)
+_NUMBERS = (True, "1", None, math.nan, math.inf, -1.0)
+_CHOICES = (True, "bogus", None)
+_FLAGS = ("no", None, 1)
+
+_FIELDS = [
+    *[(_instance, size, f"instance.{size}", _COUNTS, np.int64(2)) for size in "mnLk"],
+    (_instance, "signal_row_norm_min", "instance.signal_row_norm_min", _NUMBERS,
+     np.float64(1.0)),
+    (_instance, "embed_overlap", "instance.embed_overlap",
+     (True, "0.5", None, math.nan, math.inf, 0.0), np.float64(0.5)),
+    (_instance, "matrix_ensemble", "instance.ensemble", _CHOICES, None),
+    (_instance, "seed", None, _SEEDS, np.int64(3)),
+    (PerturbationSpec, "target_eps0", "perturbation.eps0", _NUMBERS, np.float64(1e-3)),
+    (PerturbationSpec, "target_epsb", "perturbation.epsb", _NUMBERS, np.int64(0)),
+    (PerturbationSpec, "b_mode", "perturbation.b_mode", _CHOICES, None),
+    (PerturbationSpec, "seed", None, _SEEDS, np.int64(3)),
+    *[(TrialChecks, f.name, f"checks.{f.name}", _FLAGS, np.bool_(f.default))
+      for f in dataclasses.fields(TrialChecks)],
+    *[(_levels, name, None, _NUMBERS, np.float64(1e-3)) for name in ("eps0", "eps", "epsb")],
+    (_sweep, "eps0_levels", "perturbation.eps0", _NUMBERS + ([], [1e-3, "2e-3"]),
+     np.float64(1e-4)),
+    (_sweep, "epsb_levels", "perturbation.epsb", _NUMBERS + ([],), np.float64(1e-4)),
+    (_sweep, "trials", "trials", _COUNTS, np.int64(2)),
+    (_sweep, "master_seed", "master_seed", _SEEDS, np.int64(5)),
+    (_sweep, "subset_budget", "subset_budget", _COUNTS, np.int64(10**6)),
+    (_frame, "seed", None, _SEEDS, None),
+]
+
+
+def _config_at(key: str, value) -> dict:
+    """Overrides of ``_config`` that put ``value`` at the dotted ``key``."""
+    section, _, field = key.rpartition(".")
+    if not section:
+        return {key: value}
+    base = {"m": 16, "n": 24, "L": 2, "k": 2} if section == "instance" else {}
+    return {section: {**base, field: value}}
+
+
+@pytest.mark.parametrize("build, name, key, value", [
+    pytest.param(build, name, key, value, id=f"{build.__name__}.{name}={value!r}")
+    for build, name, key, refused, _ in _FIELDS for value in refused])
+def test_library_and_config_refuse_the_same_values(tmp_path, capsys, monkeypatch,
+                                                   build, name, key, value):
+    import somplab.harness as harness_mod
+
+    def drawn(cfg):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(harness_mod, "gen_sensing_matrix", drawn)
+    with pytest.raises(InvalidConfig, match=f"'{name}'"):
+        build(**{name: value})
+    if key is not None:
+        code = main(["experiment", "--config", str(_config(tmp_path, **_config_at(key, value)))])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: '{key}' must be ")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("build, name, value", [
+    pytest.param(build, name, value, id=f"{build.__name__}.{name}")
+    for build, name, _, _, value in _FIELDS if value is not None])
+def test_library_types_take_numpy_scalars_as_python_values(build, name, value):
+    built = build(**{name: value})
+    assert built == build(**{name: value.item()})
+    assert not isinstance(getattr(built, name, None), np.generic)   # stored as a Python value
+
+
+@pytest.mark.parametrize("build, kw, section, config", [
+    (InstanceConfig, {"m": 8, "n": 10, "L": 2, "k": 9}, "instance",
+     {"m": 8, "n": 10, "L": 2, "k": 9}),
+    (_instance, {"matrix": np.eye(16, 24)}, "instance",
+     {"m": 16, "n": 24, "L": 2, "k": 2, "matrix": str(FRAME)}),
+    (_instance, {"matrix_ensemble": "user-supplied"}, "instance",
+     {"m": 16, "n": 24, "L": 2, "k": 2, "ensemble": "user-supplied"}),
+    (TrialChecks, {"ric": False}, "checks", {"ric": False}),
+    (TrialChecks, {"ric": False, "guarantee": False, "filter_proximity": True}, "checks",
+     {"ric": False, "guarantee": False, "filter_proximity": True}),
+], ids=["k-above-min", "matrix-without-user-supplied", "user-supplied-without-matrix",
+        "guarantee-without-ric", "proximity-without-ric"])
+def test_cross_field_rules_refuse_alike_from_both_entry_points(tmp_path, capsys, build, kw,
+                                                               section, config):
+    # one rule, so one message: the config's names the fields by dotted key
+    with pytest.raises(InvalidConfig) as refused:
+        build(**kw)
+    code = main(["experiment", "--config", str(_config(tmp_path, **{section: config}))])
+    assert code == 1
+    assert capsys.readouterr().err == "error: " + re.sub(
+        r"'(\w+)'", rf"'{section}.\1'", str(refused.value)) + "\n"

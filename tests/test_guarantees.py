@@ -15,6 +15,7 @@ import pytest
 from somplab import (
     DimensionMismatch,
     DomainError,
+    InvalidConfig,
     PreconditionViolated,
     ZeroReference,
     check_guarantee,
@@ -290,24 +291,24 @@ def test_check_guarantee_outside_the_magnitude_domain(mode):
 
 def test_check_guarantee_rejects_bad_sparsity():
     Phi, delta = _noiseless_setup(0.1)
-    with pytest.raises(PreconditionViolated):
-        check_guarantee(Phi, None, None, 0, None, delta, mode="noiseless")
-    with pytest.raises(PreconditionViolated):
-        check_guarantee(Phi, None, None, 1.5, None, delta, mode="noiseless")
+    # refused as the config's instance.k is
+    for k in (0, 1.5, True):
+        with pytest.raises(InvalidConfig, match="'k' must be an integer >= 1"):
+            check_guarantee(Phi, None, None, k, None, delta, mode="noiseless")
 
 
 @pytest.mark.parametrize("mode", ["general", "sensing", "measurement"])
 @pytest.mark.parametrize("name", ["eps0", "eps", "epsb"])
 @pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
 def test_check_guarantee_refuses_negative_or_non_finite_levels(mode, name, value):
-    # checked before the mode's own assumptions: a negative eps0 would
-    # otherwise raise the sensing-mode threshold, and nan levels give nan
-    # bounds
+    # refused where the levels are built, so no mode ever sees them: a
+    # negative eps0 would otherwise raise the sensing-mode threshold, and
+    # nan levels give nan bounds
     Phi, delta = _noiseless_setup(0.1)
     Y = Phi @ (np.eye(8)[:, :1] * 2.0)
-    levels = PerturbationLevels(**{"eps0": 0.0, "eps": 0.0, "epsb": 0.0, name: value}, order=1)
-    with pytest.raises(PreconditionViolated, match=name):
-        check_guarantee(Phi, Y, 2.0, 1, levels, delta, mode=mode)
+    with pytest.raises(InvalidConfig, match=f"'{name}' must be a finite number >= 0"):
+        check_guarantee(Phi, Y, 2.0, 1, PerturbationLevels(
+            **{"eps0": 0.0, "eps": 0.0, "epsb": 0.0, name: value}, order=1), delta, mode=mode)
 
 
 def test_check_guarantee_refuses_an_infinite_weakest_row():

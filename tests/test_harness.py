@@ -256,7 +256,7 @@ def test_run_experiment_shares_instances_across_levels():
 
 def test_run_experiment_rejects_empty_plan():
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidConfig, match="'trials' must be an integer >= 1"):
         run_experiment(cfg, [0.0], [1e-3], trials=0, master_seed=0)
 
 
@@ -270,7 +270,7 @@ def test_run_experiment_refuses_an_empty_level_list_before_any_trial(
     monkeypatch.setattr(harness_mod, "gen_sensing_matrix",
                         lambda cfg: draws.append(cfg.seed) or real(cfg))
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
-    with pytest.raises(PreconditionViolated, match="level"):
+    with pytest.raises(InvalidConfig, match="_levels' must be a number or a nonempty list"):
         run_experiment(cfg, eps0_levels, epsb_levels, trials=2, master_seed=0)
     assert draws == []
 
@@ -290,7 +290,9 @@ def test_run_experiment_refuses_bad_levels_before_any_trial(
     monkeypatch.setattr(harness_mod, "gen_sensing_matrix",
                         lambda cfg: draws.append(cfg.seed) or real(cfg))
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
-    with pytest.raises(InvalidConfig, match=name):
+    # refused as the run_experiment argument that lists the spec's target
+    argument = name.removeprefix("target_") + "_levels"
+    with pytest.raises(InvalidConfig, match=f"'{argument}' must be a finite number >= 0"):
         run_experiment(cfg, eps0_levels, epsb_levels, trials=2, master_seed=0)
     assert draws == []
 
@@ -307,20 +309,20 @@ def test_run_experiment_and_run_trial_refuse_an_unknown_mode(checks):
 
 
 @pytest.mark.parametrize("cfg_kw, run_kw, spec_kw, error, match", [
-    ({"m": 8.0}, {}, {}, InvalidConfig, "must be integers"),
-    ({"k": 2.0}, {}, {}, InvalidConfig, "must be integers"),
-    ({"L": True}, {}, {}, InvalidConfig, "must be integers"),
-    ({"signal_row_norm_min": math.nan}, {}, {}, InvalidConfig, "signal_row_norm_min"),
-    ({"signal_row_norm_min": math.inf}, {}, {}, InvalidConfig, "signal_row_norm_min"),
-    ({"k": 0}, {}, {}, InvalidConfig, r"k = 0 outside 1\.\.min"),
-    ({"seed": 1.5}, {}, {}, InvalidConfig, "seed must be a nonnegative integer"),
-    ({"seed": -1}, {}, {}, InvalidConfig, "seed must be a nonnegative integer"),
-    ({"seed": False}, {}, {}, InvalidConfig, "seed must be a nonnegative integer"),
-    ({}, {}, {"seed": 2.7}, InvalidConfig, "seed must be a nonnegative integer"),
-    ({}, {}, {"seed": -2}, InvalidConfig, "seed must be a nonnegative integer"),
-    ({}, {}, {"seed": True}, InvalidConfig, "seed must be a nonnegative integer"),
-    ({}, {"trials": 2.0}, {}, PreconditionViolated, "trials"),
-    ({}, {"master_seed": 1.5}, {}, PreconditionViolated, "master_seed"),
+    ({"m": 8.0}, {}, {}, InvalidConfig, "'m' must be an integer >= 1"),
+    ({"k": 2.0}, {}, {}, InvalidConfig, "'k' must be an integer >= 1"),
+    ({"L": True}, {}, {}, InvalidConfig, "'L' must be an integer >= 1"),
+    ({"signal_row_norm_min": math.nan}, {}, {}, InvalidConfig, "'signal_row_norm_min'"),
+    ({"signal_row_norm_min": math.inf}, {}, {}, InvalidConfig, "'signal_row_norm_min'"),
+    ({"k": 0}, {}, {}, InvalidConfig, "'k' must be an integer >= 1, got 0"),
+    ({"seed": 1.5}, {}, {}, InvalidConfig, "'seed' must be an integer >= 0"),
+    ({"seed": -1}, {}, {}, InvalidConfig, "'seed' must be an integer >= 0"),
+    ({"seed": False}, {}, {}, InvalidConfig, "'seed' must be an integer >= 0"),
+    ({}, {}, {"seed": 2.7}, InvalidConfig, "'seed' must be an integer >= 0"),
+    ({}, {}, {"seed": -2}, InvalidConfig, "'seed' must be an integer >= 0"),
+    ({}, {}, {"seed": True}, InvalidConfig, "'seed' must be an integer >= 0"),
+    ({}, {"trials": 2.0}, {}, InvalidConfig, "'trials' must be an integer >= 1"),
+    ({}, {"master_seed": 1.5}, {}, InvalidConfig, "'master_seed' must be an integer >= 0"),
     ({"m": np.int64(8), "k": np.int32(2), "seed": np.uint64(4)},
      {"trials": np.int64(2), "master_seed": np.uint32(3)}, {"seed": np.int16(7)}, None, None),
 ], ids=["float-m", "float-k", "bool-L", "nan-floor", "inf-floor", "zero-k", "float-cfg-seed",
@@ -348,7 +350,7 @@ def test_instance_and_sweep_refuse_what_the_config_table_refuses(cfg_kw, run_kw,
 
 def test_guarantee_check_requires_ric():
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidConfig, match="'guarantee' needs 'ric' enabled"):
         run_trial(cfg, PerturbationSpec(),
                   checks=TrialChecks(ric=False, guarantee=True))
 
@@ -358,7 +360,8 @@ def test_guarantee_check_requires_ric():
     ({"guarantee": False, "filter_proximity": True}, "filter proximity"),
 ])
 def test_checks_needing_the_constant_are_refused_when_built(kw, name):
-    with pytest.raises(PreconditionViolated, match=f"{name} check needs the isometry check"):
+    field = name.replace(" ", "_")
+    with pytest.raises(InvalidConfig, match=f"'{field}' needs 'ric' enabled"):
         TrialChecks(ric=False, **kw)
     TrialChecks(ric=False, guarantee=False, filter_deviation=True)   # needs no constant
 
@@ -418,7 +421,7 @@ def test_run_experiment_refuses_checks_without_ric_before_any_trial(monkeypatch)
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
     # refused where the checks are built, so no sweep can start with them
     for kw in ({}, {"guarantee": False, "filter_proximity": True}):
-        with pytest.raises(PreconditionViolated, match="isometry check"):
+        with pytest.raises(InvalidConfig, match="needs 'ric' enabled"):
             run_experiment(cfg, [1e-3], [1e-3], trials=3, master_seed=0,
                            checks=TrialChecks(ric=False, **kw))
     assert draws == []

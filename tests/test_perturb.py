@@ -221,7 +221,7 @@ def test_low_coherence_frame_properties():
 @pytest.mark.parametrize("seed", [0.5, -1, True, np.float64(2.0)])
 def test_low_coherence_frame_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
     # refused before the draw, which would truncate a float seed
-    with pytest.raises(InvalidConfig, match="seed must be a nonnegative integer"):
+    with pytest.raises(InvalidConfig, match="'seed' must be an integer >= 0"):
         low_coherence_frame(6, 8, seed=seed, order=2)
 
 

@@ -301,9 +301,8 @@ def test_exhausted_span_does_not_reselect_a_column(tmp_path, capsys):
     assert out.out.strip() == ",".join(str(j) for j in range(10))
 
 
-def test_match_scores_equal_first_score_table():
-    # at this shape Phi^T R and (R^T Phi)^T round differently on OpenBLAS,
-    # so a second matched-filter kernel would show
+def test_first_score_table_is_the_column_norms_of_yt_phi():
+    # the first score table is the column norms of Y^T Phi, bit for bit
     for seed in range(5):
         Phi, X, Y = _instance(seed, m=128, n=256, L=8, k=3)
         Ht = Y.T @ Phi
