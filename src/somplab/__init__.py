@@ -4,6 +4,8 @@ guarantees, and a Monte Carlo harness that checks the guarantees against
 what actually happens.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -81,66 +83,6 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "B_MODES",
-    "DEFAULT_SUBSET_BUDGET",
-    "DimensionMismatch",
-    "DomainError",
-    "EmptySupport",
-    "ENSEMBLES",
-    "ExperimentReport",
-    "FilterDeviationDiagnostic",
-    "FilterProximityDiagnostic",
-    "GuaranteeReport",
-    "InstanceConfig",
-    "InvalidConfig",
-    "InvalidOrder",
-    "InvalidSparsity",
-    "IterationTrace",
-    "MODES",
-    "ParseError",
-    "PerturbationLevels",
-    "PerturbationSpec",
-    "PointSummary",
-    "PreconditionViolated",
-    "RecoveryResult",
-    "RicEstimate",
-    "RowNormProfile",
-    "SomplabError",
-    "SubsetBudgetExceeded",
-    "TraceMismatch",
-    "TrialChecks",
-    "TrialRecord",
-    "ZeroReference",
-    "apply_perturbation",
-    "calibrate_perturbation",
-    "check_guarantee",
-    "coherent_pair_matrix",
-    "error_amplification",
-    "filter_deviation_diagnostic",
-    "gen_sensing_matrix",
-    "gen_sparse_signal",
-    "least_squares_on_support",
-    "low_coherence_frame",
-    "matched_filter_oracle",
-    "measure_perturbation_levels",
-    "min_support_row_norm",
-    "perturbation_magnitude",
-    "perturbation_magnitude_for_mode",
-    "read_matrix",
-    "recovery_threshold",
-    "reference_omp_smv",
-    "relative_frobenius_error",
-    "render_report",
-    "residual_sensing_matrix",
-    "ric_exact",
-    "run_experiment",
-    "run_trial",
-    "selected_scores_vanish",
-    "solve_perturbed",
-    "somp_solve",
-    "submatrix_spectral_norm",
-    "support_of",
-    "trial_seeds",
-    "write_matrix",
-]
+# Every public name imported above, so the imports are the one list of them.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -28,6 +28,7 @@ from .model import (
     _kind,
     _level,
     _one_of,
+    _sparsity,
     min_support_row_norm,
 )
 from .perturb import (
@@ -41,7 +42,7 @@ from .perturb import (
     calibrate_perturbation,
 )
 from .rip import DEFAULT_SUBSET_BUDGET, PerturbationLevels, ric_exact
-from .solver import _check_sparsity, somp_solve
+from .solver import somp_solve
 
 
 class _UsageError(Exception):
@@ -166,7 +167,7 @@ def _cmd_check(args) -> int:
     if noisy and X is None and args.t0 is None:
         raise _UsageError("somplab check: --x or --t0 is required for noisy modes")
     # every input is checked before the order-(k + 1) enumeration
-    _check_sparsity(k, *Phi.shape)
+    _sparsity(k, *Phi.shape)
     spectral_phi, frob_y = _references(Phi, Y, args.mode)
     t0 = args.t0 if X is None else _weakest_row(X, Phi.shape[1], Y, k)
     eps = args.eps if args.eps is not None else args.eps0
@@ -301,9 +302,10 @@ def _load_config(path: str) -> dict:
     conf = _walk(_CONFIG, raw, "")
     _checks_rules(conf["checks"], "checks.")
     inst = dict(conf["instance"])
-    ensemble, path = inst.pop("ensemble"), inst.pop("matrix")
-    _instance_rules(inst["m"], inst["n"], inst["k"], ensemble, path, "instance.")
-    matrix = None if path is None else read_matrix(path)
+    ensemble, matrix = inst.pop("ensemble"), inst.pop("matrix")
+    if matrix is not None and ensemble == "user-supplied":
+        matrix = read_matrix(matrix)
+    _instance_rules(inst["m"], inst["n"], inst["k"], ensemble, matrix, "instance.")
     pert = conf["perturbation"]
     return dict(cfg=InstanceConfig(**inst, matrix_ensemble=ensemble, matrix=matrix),
                 eps0_levels=pert["eps0"], epsb_levels=pert["epsb"], b_mode=pert["b_mode"],

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, DomainError, PreconditionViolated, ZeroReference
-from .model import _COUNT, as_matrix
+from .errors import DomainError, PreconditionViolated, ZeroReference
+from .model import _COUNT, _rows_conform, as_matrix
 from .rip import PerturbationLevels, RicEstimate, _frobenius_reference, _spectral_reference
 
 MODES = ("noiseless", "measurement", "sensing", "general")
@@ -100,8 +100,9 @@ def perturbation_magnitude(spectral_phi: float, frob_y: float,
     The first term carries strong powers of the spectral norm, so
     magnitudes are only comparable across sensing matrices of similar
     scale; the expression is evaluated exactly as stated rather than
-    renormalized.  Raises DomainError when eps >= sqrt(1.5) - 1, where
-    the first term's denominator closes.
+    renormalized.  The term is 0 at eps = 0, and +inf where a power of
+    ||Phi||_2 overflows (above about 1e77).  Raises DomainError when
+    eps >= sqrt(1.5) - 1, where the first term's denominator closes.
     """
     spectral_phi = float(spectral_phi)
     frob_y = float(frob_y)
@@ -115,8 +116,13 @@ def perturbation_magnitude(spectral_phi: float, frob_y: float,
     denom = 12.0 - 8.0 * (1.0 + eps) ** 2
     if not denom > 0:
         raise DomainError(f"eps = {eps} >= sqrt(1.5) - 1: magnitude undefined")
-    rip_term = (9.0 * (2.0 + eps) * eps / denom) \
-        * (spectral_phi ** 4 + (2.0 / 3.0) * spectral_phi ** 2) * spectral_phi * frob_y
+    rip_term = 0.0   # at eps = 0 even where the powers overflow: 0 * inf is NaN
+    if eps:
+        try:
+            powers = spectral_phi ** 4 + (2.0 / 3.0) * spectral_phi ** 2
+        except OverflowError:
+            powers = math.inf
+        rip_term = (9.0 * (2.0 + eps) * eps / denom) * powers * spectral_phi * frob_y
     additive = (eps0 + epsb + eps0 * epsb) * spectral_phi * frob_y
     return rip_term + additive
 
@@ -128,7 +134,8 @@ def perturbation_magnitude_for_mode(mode: str, spectral_phi: float, frob_y: floa
 
     The single-sided formulas are coded on their own (not by delegating
     with zeroed levels), and agree exactly with ``perturbation_magnitude``
-    when the complementary levels vanish.
+    when the complementary levels vanish.  The library evaluates
+    ``perturbation_magnitude`` in every mode; this is its test oracle.
     """
     if mode == "noiseless":
         return 0.0
@@ -187,11 +194,12 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     true signal (unused in noiseless mode); ``levels`` the measured
     relative perturbation levels (all-zero when omitted, finite and
     nonnegative by construction).  A ``k`` that is not an integer >= 1
-    raises InvalidConfig; a non-finite ``t0`` PreconditionViolated; Y
-    with a row count other than Phi's DimensionMismatch; and a noisy
-    mode a zero Phi or Y ZeroReference (see ``_references``).  Levels
-    that ``mode`` assumes zero but are not, and out-of-domain closed
-    forms, are verdicts ("n/a", "unsat"), never raised.
+    raises InvalidConfig; levels measured below order k or a non-finite
+    ``t0`` PreconditionViolated; Y with a row count other than Phi's
+    DimensionMismatch; and a noisy mode a zero Phi or Y ZeroReference
+    (see ``_references``).  Levels that ``mode`` assumes zero but are
+    not, and out-of-domain closed forms, are verdicts ("n/a", "unsat"),
+    never raised.
     """
     _check_mode(mode)
     k = _COUNT(k, "k")
@@ -200,6 +208,9 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
             f"isometry estimate has order {delta.order}, need k + 1 = {k + 1}")
     if levels is None:
         levels = PerturbationLevels(eps0=0.0, eps=0.0, epsb=0.0, order=k)
+    if levels.order < k:   # eps would understate the widths the solver applies
+        raise PreconditionViolated(
+            f"levels measured at order {levels.order}, need at least k = {k}")
     if t0 is not None and not math.isfinite(t0):
         raise PreconditionViolated(f"weakest-row norm must be finite, got {t0!r}")
     return _evaluate_guarantee(*_references(Phi, Y, mode), t0, k, levels, delta, mode)
@@ -211,10 +222,9 @@ def _references(Phi, Y, mode: str) -> tuple[float | None, float | None]:
     count.  A noisy mode takes them through ``rip``'s reference
     functions, as sweeps do, so a zero one raises ZeroReference."""
     Phi = as_matrix(Phi, "sensing matrix")
-    Y = None if Y is None else as_matrix(Y, "measurements")
-    if Y is not None and Y.shape[0] != Phi.shape[0]:
-        raise DimensionMismatch(
-            f"measurements have {Y.shape[0]} rows, sensing matrix {Phi.shape[0]}")
+    if Y is not None:
+        Y = as_matrix(Y, "measurements")
+        _rows_conform(Y, Phi)
     if mode == "noiseless":
         return None, None
     return _spectral_reference(Phi), None if Y is None else _frobenius_reference(Y)
@@ -226,7 +236,11 @@ def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
     """``check_guarantee`` on validated inputs, given ||Phi||_2 and
     ||Y||_F (None without measurements) instead of Phi and Y.  The one
     rule that decides a verdict, for sweeps and ``somplab check`` too."""
-    def report(verdict, eps_h, q_threshold, error_bound, error_bound_direct, note):
+    def report(eps_h, q_threshold, error_bound=None, error_bound_direct=None, note="",
+               verdict=None):
+        if verdict is None:
+            verdict = ("unsat" if q_threshold is None
+                       else "pass" if delta.delta < q_threshold else "fail")
         return GuaranteeReport(
             mode=mode, verdict=verdict, delta=delta, eps_h=eps_h, q_threshold=q_threshold,
             condition_holds=verdict == "pass", error_bound=error_bound,
@@ -235,52 +249,33 @@ def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
     outside = levels_outside_mode(mode, levels)
     if outside:   # the mode's certificate promises nothing here
         got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
-        return report("n/a", None, None, None, None,
-                      f"mode {mode} assumes zero {', '.join(outside)}; got {got}")
-    note = ""
+        return report(None, None, verdict="n/a",
+                      note=f"mode {mode} assumes zero {', '.join(outside)}; got {got}")
     if mode == "noiseless":
-        eps_h = 0.0
-        q_threshold = recovery_threshold(k, math.inf)
-    else:
-        if frob_y is None:
-            raise PreconditionViolated(f"mode {mode!r} needs the measurement set")
-        if t0 is None or not t0 > 0:
-            raise PreconditionViolated(f"mode {mode!r} needs a positive weakest-row norm")
-        try:
-            eps_h = perturbation_magnitude_for_mode(
-                mode, spectral_phi, frob_y, levels.eps0, levels.eps, levels.epsb)
-        except DomainError as exc:
-            return report("unsat", math.inf, None, math.inf, None,
-                          f"condition unsatisfiable: {exc}")
-        try:
-            ratio = math.inf if eps_h == 0.0 else float(t0) / eps_h
-            q_threshold = recovery_threshold(k, ratio)
-        except DomainError as exc:
-            q_threshold = None
-            note = f"condition unsatisfiable at this perturbation level: {exc}"
-
-    error_bound = None
-    error_bound_direct = None
-    if mode != "noiseless":
-        w = 1.0 / math.sqrt(k)
-        feps = levels.eps if mode in ("sensing", "general") else 0.0
-        try:
-            amp = error_amplification(w, feps)
-            if mode == "measurement":
-                error_bound = levels.epsb * amp
-            elif mode == "sensing":
-                error_bound = levels.eps * amp
-            else:
-                error_bound = (levels.eps + levels.epsb) * amp
-        except DomainError:
-            error_bound = math.inf
-            note = (note + "; " if note else "") + "no finite error bound at this sparsity/level"
-        if mode == "measurement":
-            if k > 1:
-                error_bound_direct = levels.epsb * (math.sqrt(k) + 1.0) / math.sqrt(k - 1.0)
-            else:
-                error_bound_direct = math.inf
-
-    verdict = ("unsat" if q_threshold is None
-               else "pass" if delta.delta < q_threshold else "fail")
-    return report(verdict, eps_h, q_threshold, error_bound, error_bound_direct, note)
+        return report(0.0, recovery_threshold(k, math.inf))
+    if frob_y is None:
+        raise PreconditionViolated(f"mode {mode!r} needs the measurement set")
+    if t0 is None or not t0 > 0:
+        raise PreconditionViolated(f"mode {mode!r} needs a positive weakest-row norm")
+    # past the n/a gate the levels a mode assumes zero are zero, so one
+    # formula serves every noisy mode
+    try:
+        eps_h = perturbation_magnitude(spectral_phi, frob_y, levels.eps0, levels.eps, levels.epsb)
+    except DomainError as exc:
+        return report(math.inf, None, math.inf, note=f"condition unsatisfiable: {exc}")
+    notes = []
+    try:
+        q_threshold = recovery_threshold(k, math.inf if eps_h == 0.0 else float(t0) / eps_h)
+    except DomainError as exc:
+        q_threshold = None
+        notes.append(f"condition unsatisfiable at this perturbation level: {exc}")
+    try:
+        amp = error_amplification(1.0 / math.sqrt(k), levels.eps)
+        error_bound = (levels.eps + levels.epsb) * amp
+    except DomainError:
+        error_bound = math.inf
+        notes.append("no finite error bound at this sparsity/level")
+    direct = None   # measurement mode also reports the direct form of its bound
+    if mode == "measurement":
+        direct = levels.epsb * (math.sqrt(k) + 1.0) / math.sqrt(k - 1.0) if k > 1 else math.inf
+    return report(eps_h, q_threshold, error_bound, direct, "; ".join(notes))

@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidOrder, PreconditionViolated, TraceMismatch
+from .errors import InvalidConfig, PreconditionViolated, TraceMismatch
 from .guarantees import _check_mode, _evaluate_guarantee
 from .model import (
     _BOOLEAN,
@@ -58,6 +58,8 @@ from .model import (
     SupportSet,
     _check_fields,
     _level,
+    _order,
+    _sparsity,
     as_matrix,
     as_support,
     min_support_row_norm,
@@ -190,9 +192,7 @@ def reference_omp_smv(y, Phi, k: int) -> RecoveryResult:
     if y.ndim != 1 or y.size != Phi.shape[0]:
         raise PreconditionViolated(f"vector of length {y.size} against {Phi.shape[0]} rows")
     m, n = Phi.shape
-    if int(k) != k or not 1 <= int(k) <= min(m, n):
-        raise PreconditionViolated(f"sparsity {k} outside 1..min({m}, {n})")
-    k = int(k)
+    k = _sparsity(k, m, n)
 
     y_norm = float(np.linalg.norm(y))
     stop_at = RESIDUAL_STOP_TOL * y_norm
@@ -250,9 +250,7 @@ def matched_filter_oracle(Phi, support, x_star,
     star_rows = support_of(x_star)
     if set(star_rows) & set(support):
         raise PreconditionViolated("signal support overlaps the selected support")
-    order = len(star_rows) + len(support) + 1
-    if order > Phi.shape[1]:
-        raise InvalidOrder(f"required order {order} exceeds the column count {Phi.shape[1]}")
+    order = _order(len(star_rows) + len(support) + 1, Phi.shape[1])
     if delta is None:
         delta = ric_exact(Phi, order)
     elif delta.order != order:
@@ -575,14 +573,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_COLUMNS = ("point", "trial", "seed", "pert_seed", "eps0_target", "epsb_target",
-            "eps0", "eps", "epsb", "delta", "guarantee", "support_exact",
-            "rel_error", "error_bound", "bound_ok", "selected_scores_ok",
-            "filter_proximity_ok", "filter_deviation_ok", "stop")
+_COLUMNS = ("point", "trial", *(f.name for f in fields(TrialRecord)))
 
-_SUMMARY_FIELDS = ("trials", "support_recovery_rate", "mean_rel_error", "max_rel_error",
-                   "bound_rate", "guarantee_pass_count", "recovery_rate_given_pass",
-                   "bound_rate_given_pass")
+_SUMMARY_FIELDS = tuple(f.name for f in fields(PointSummary))[2:]   # after the two targets
 
 
 def _summary_line(head: str, summary: PointSummary) -> str:

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySupport, InvalidConfig, ZeroReference
+from .errors import (
+    DimensionMismatch,
+    EmptySupport,
+    InvalidConfig,
+    InvalidOrder,
+    InvalidSparsity,
+    ZeroReference,
+)
 
 # A support set: strictly increasing 0-based row indices.
 SupportSet = tuple[int, ...]
@@ -58,9 +65,10 @@ def _one_of(choices: tuple[str, ...]):
 
 _COUNT = _kind(lambda v: _is_integer(v) and v >= 1, "an integer >= 1", int)
 _SEED = _kind(lambda v: _is_integer(v) and v >= 0, "an integer >= 0", int)
-# the upper comparison also rejects NaN, infinities and ints beyond float range
+# the upper comparison also rejects NaN, infinities and ints beyond float
+# range; adding 0.0 stores -0.0 as 0.0
 _NONNEGATIVE = _kind(lambda v: _is_real(v) and 0 <= v <= sys.float_info.max,
-                     "a finite number >= 0.0", float)
+                     "a finite number >= 0.0", lambda v: float(v) + 0.0)
 _BOOLEAN = _kind(lambda v: isinstance(v, (bool, np.bool_)), "true or false", bool)
 _OVERLAP = _kind(lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]", float)
 
@@ -79,6 +87,45 @@ def _check_fields(obj, **kinds) -> None:
     store each as its kind returns it (a numpy integer as an int)."""
     for name, kind in kinds.items():
         object.__setattr__(obj, name, kind(getattr(obj, name), name))
+
+
+# The argument rules of the numeric API.  Unlike a kind, a rule reads its
+# argument against the matrix it applies to and raises its own error.
+
+def _whole_number(value, top: int, span: str, what: str, error) -> int:
+    """``value`` as an int; ``error`` unless it is an integer (no bool or
+    float) in 1..top, which ``span`` writes out."""
+    if not _is_integer(value):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if not 1 <= value <= top:
+        raise error(f"{what} {value} outside 1..{span}")
+    return int(value)
+
+
+def _sparsity(k, m: int, n: int) -> int:
+    """InvalidSparsity unless k is in 1..min(m, n), the most rows an m x n
+    sensing matrix can select."""
+    return _whole_number(k, min(m, n), f"min({m}, {n})", "sparsity", InvalidSparsity)
+
+
+def _order(order, n: int) -> int:
+    """InvalidOrder unless a subset order or width is in 1..n."""
+    return _whole_number(order, n, str(n), "order", InvalidOrder)
+
+
+def _rows_conform(Y: np.ndarray, Phi: np.ndarray) -> None:
+    """DimensionMismatch unless measurements Y have Phi's rows."""
+    if Y.shape[0] != Phi.shape[0]:
+        raise DimensionMismatch(f"measurements have {Y.shape[0]} rows, "
+                                f"sensing matrix {Phi.shape[0]}")
+
+
+def _perturbation_conforms(Phi: np.ndarray, E: np.ndarray, Y: np.ndarray, B: np.ndarray) -> None:
+    """DimensionMismatch unless the sensing perturbation E has Phi's shape
+    and the measurement perturbation B has Y's."""
+    if E.shape != Phi.shape or B.shape != Y.shape:
+        raise DimensionMismatch(f"perturbation shapes {E.shape} and {B.shape} do not match "
+                                f"the observations' {Phi.shape} and {Y.shape}")
 
 
 def as_support(indices, n: int) -> SupportSet:

@@ -16,8 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig
-from .model import _COUNT, _NONNEGATIVE, _OVERLAP, _SEED, _check_fields, _one_of, as_matrix
+from .errors import InvalidConfig
+from .model import (
+    _COUNT,
+    _NONNEGATIVE,
+    _OVERLAP,
+    _SEED,
+    _check_fields,
+    _one_of,
+    _order,
+    _perturbation_conforms,
+    _rows_conform,
+    as_matrix,
+)
 from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
@@ -69,20 +80,21 @@ class InstanceConfig:
                       signal_row_norm_min=_NONNEGATIVE, matrix_ensemble=_ENSEMBLE,
                       seed=_SEED, embed_overlap=_OVERLAP)
         _instance_rules(self.m, self.n, self.k, self.matrix_ensemble, self.matrix)
-        if self.matrix is not None and np.shape(self.matrix) != (self.m, self.n):
-            raise InvalidConfig(f"'matrix' has shape {np.shape(self.matrix)} != {(self.m, self.n)}")
 
 
 def _instance_rules(m: int, n: int, k: int, ensemble: str, matrix, where: str = "") -> None:
-    """The rules across ``InstanceConfig``'s fields: k <= min(m, n), and a
-    matrix (in a config, its path) is given exactly for the user-supplied
-    ensemble.  A refusal names the field, ``where`` (a section) in front."""
+    """The rules across ``InstanceConfig``'s fields: k <= min(m, n), and an
+    m x n matrix is given exactly for the user-supplied ensemble (a config
+    passes its path when the ensemble is another).  A refusal names the
+    field, ``where`` (a section) in front."""
     if k > min(m, n):
         raise InvalidConfig(f"'{where}k' must be at most min(m, n) = {min(m, n)}, got {k}")
     if matrix is not None and ensemble != "user-supplied":
         raise InvalidConfig(f"'{where}matrix' requires ensemble 'user-supplied'")
     if matrix is None and ensemble == "user-supplied":
         raise InvalidConfig(f"ensemble 'user-supplied' requires '{where}matrix'")
+    if matrix is not None and np.shape(matrix) != (m, n):
+        raise InvalidConfig(f"'{where}matrix' has shape {np.shape(matrix)} != {(m, n)}")
 
 
 def gen_sensing_matrix(cfg: InstanceConfig) -> np.ndarray:
@@ -168,8 +180,7 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     """
     Phi = as_matrix(Phi, "sensing matrix")
     Y = as_matrix(Y, "measurements")
-    if Phi.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"sensing matrix has {Phi.shape[0]} rows, measurements {Y.shape[0]}")
+    _rows_conform(Y, Phi)
     refs = _sensing_references(Phi, order, subset_budget)
     E, eps0, eps = _sensing(spec, Phi, refs, subset_budget)(spec.target_eps0)
     B, epsb = _measurement(spec, Y)(spec.target_epsb)
@@ -259,9 +270,7 @@ def apply_perturbation(Y, Phi, E, B):
     Y = as_matrix(Y, "measurements")
     E = as_matrix(E, "sensing perturbation")
     B = as_matrix(B, "measurement perturbation")
-    if E.shape != Phi.shape or B.shape != Y.shape:
-        raise DimensionMismatch(f"perturbation shapes {E.shape} and {B.shape} do not match "
-                                f"the observations' {Phi.shape} and {Y.shape}")
+    _perturbation_conforms(Phi, E, Y, B)
     return Y + B, Phi + E
 
 
@@ -302,8 +311,7 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.nda
     has only n eigenpairs, and m - n zero rows under their n x n factor
     keep the shape without changing the Gram.
     """
-    if not 1 <= order <= n:
-        raise InvalidConfig(f"order {order} outside 1..{n}")
+    order = _order(order, n)
     rng = _rng(_SEED(seed, "seed"), _FRAME_STREAM)
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=0, keepdims=True)

@@ -46,14 +46,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidOrder,
-    PreconditionViolated,
-    SubsetBudgetExceeded,
-    ZeroReference,
+from .errors import PreconditionViolated, SubsetBudgetExceeded, ZeroReference
+from .model import (
+    _COUNT,
+    _NONNEGATIVE,
+    SupportSet,
+    _check_fields,
+    _order,
+    _perturbation_conforms,
+    as_matrix,
+    as_support,
+    truncated_svd,
 )
-from .model import _NONNEGATIVE, SupportSet, _check_fields, as_matrix, as_support, truncated_svd
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
@@ -96,18 +100,20 @@ class PerturbationLevels:
     order: int
 
     def __post_init__(self):
-        _check_fields(self, eps0=_NONNEGATIVE, eps=_NONNEGATIVE, epsb=_NONNEGATIVE)
+        _check_fields(self, eps0=_NONNEGATIVE, eps=_NONNEGATIVE, epsb=_NONNEGATIVE, order=_COUNT)
 
 
-def _check_enumeration(n: int, order: int, subset_budget: int) -> int:
-    if not 1 <= order <= n:
-        raise InvalidOrder(f"order {order} outside 1..{n}")
+def _check_enumeration(n: int, order, subset_budget) -> tuple[int, int]:
+    """The order as an int and its subset count C(n, order), by the order
+    rule and the budget's kind; SubsetBudgetExceeded when the count
+    exceeds the budget."""
+    order = _order(order, n)
     count = math.comb(n, order)
-    if count > subset_budget:
+    if count > _COUNT(subset_budget, "subset_budget"):
         raise SubsetBudgetExceeded(
             f"C({n}, {order}) = {count} subsets exceed the budget of {subset_budget}"
         )
-    return count
+    return order, count
 
 
 @functools.lru_cache(maxsize=8)
@@ -143,6 +149,7 @@ def _subset_table(n: int, order: int) -> np.ndarray:
     return table
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is handled; see the end
 def _bounds(gram: np.ndarray, idx: np.ndarray, deviation: bool) -> np.ndarray:
     """Upper bound on each listed subset's value: on
     ``max(lam_max - 1, 1 - lam_min)`` of its Gram submatrix when
@@ -434,11 +441,12 @@ def ric_exact(A, order: int, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> RicE
     ``max(sigma_max^2 - 1, 1 - sigma_min^2)``.  Columns are taken as
     given; nothing is normalized on the caller's behalf.
 
-    Raises InvalidOrder when ``order`` is outside 1..n and
-    SubsetBudgetExceeded when C(n, order) exceeds ``subset_budget``.
+    Raises InvalidOrder unless ``order`` is an integer in 1..n,
+    InvalidConfig unless ``subset_budget`` is an integer >= 1, and
+    SubsetBudgetExceeded when C(n, order) exceeds it.
     """
     A = as_matrix(A, "sensing matrix")
-    examined = _check_enumeration(A.shape[1], order, subset_budget)
+    order, examined = _check_enumeration(A.shape[1], order, subset_budget)
     delta, attaining = _extreme_subsets(A, order, deviation=True)
     return RicEstimate(order=order, delta=delta,
                        witness_subset=tuple(int(i) for i in attaining[0]),
@@ -449,7 +457,7 @@ def submatrix_spectral_norm(A, width: int,
                             subset_budget: int = DEFAULT_SUBSET_BUDGET) -> float:
     """Largest spectral norm over all width-``width`` column submatrices."""
     A = as_matrix(A, "matrix")
-    _check_enumeration(A.shape[1], width, subset_budget)
+    width, _ = _check_enumeration(A.shape[1], width, subset_budget)
     top, _ = _extreme_subsets(A, width, deviation=False)
     return math.sqrt(max(top, 0.0))
 
@@ -460,8 +468,8 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
 
     ``eps`` maximizes the submatrix spectral-norm ratio over widths
     1..order, because the solver only ever applies width-at-most-order
-    column submatrices.  Raises InvalidOrder when ``order`` is outside
-    1..n (below 1, eps would be a maximum over no width), and
+    column submatrices.  Raises InvalidOrder unless ``order`` is an
+    integer in 1..n (below 1, eps would be a maximum over no width), and
     ZeroReference when Phi or Y has zero norm, since the ratios are then
     undefined.
     """
@@ -469,10 +477,7 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
     E = as_matrix(E, "sensing perturbation")
     Y = as_matrix(Y, "measurements")
     B = as_matrix(B, "measurement perturbation")
-    if E.shape != Phi.shape:
-        raise DimensionMismatch(f"perturbation shape {E.shape} != sensing shape {Phi.shape}")
-    if B.shape != Y.shape:
-        raise DimensionMismatch(f"perturbation shape {B.shape} != measurement shape {Y.shape}")
+    _perturbation_conforms(Phi, E, Y, B)
     spectral_phi = _spectral_reference(Phi)
     frob_y = _frobenius_reference(Y)
     eps0, eps = _sensing_levels(E, spectral_phi, _width_references(Phi, order, subset_budget),
@@ -520,8 +525,7 @@ def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[
     Gram's diagonal and width 2 starts from exact pair bounds.  An order
     outside 1..n raises InvalidOrder before any width is computed: eps is
     a maximum over at least one width, and over no more than n."""
-    if not 1 <= order <= Phi.shape[1]:
-        raise InvalidOrder(f"order {order} outside 1..{Phi.shape[1]}")
+    order = _order(order, Phi.shape[1])
     widths = []
     for width, den in enumerate(_width_norms(Phi, order, subset_budget), 1):
         if den == 0.0:

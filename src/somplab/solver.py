@@ -48,8 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySupport, InvalidSparsity
-from .model import RANK_TOL, SupportSet, as_matrix, as_support, truncated_svd
+from .errors import EmptySupport
+from .model import (
+    RANK_TOL,
+    SupportSet,
+    _rows_conform,
+    _sparsity,
+    as_matrix,
+    as_support,
+    truncated_svd,
+)
 
 # Iteration stops once the residual's Frobenius norm falls to this
 # fraction of ||Y||_F, which keeps selection away from numerically empty
@@ -166,8 +174,7 @@ def least_squares_on_support(Y, Phi, support) -> SupportFit:
     """
     Y = as_matrix(Y, "measurements")
     Phi = as_matrix(Phi, "sensing matrix")
-    if Y.shape[0] != Phi.shape[0]:
-        raise DimensionMismatch(f"measurements have {Y.shape[0]} rows, sensing matrix {Phi.shape[0]}")
+    _rows_conform(Y, Phi)
     n = Phi.shape[1]
     support = as_support(support, n)
     if not support:
@@ -258,14 +265,6 @@ class _GramRows:
         return dict(zip(C, self._Phi[:, C].T @ self._Phi))
 
 
-def _check_sparsity(k, m: int, n: int) -> int:
-    """``k`` as an int; InvalidSparsity unless it is a whole number in
-    1..min(m, n), the most rows an m x n sensing matrix can select."""
-    if int(k) != k or not 1 <= int(k) <= min(m, n):
-        raise InvalidSparsity(f"sparsity {k} outside 1..min({m}, {n})")
-    return int(k)
-
-
 def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     """Recover a jointly k-row-sparse signal from Y using Phi.
 
@@ -277,10 +276,9 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     """
     Y = as_matrix(Y, "measurements")
     Phi = as_matrix(Phi, "sensing matrix")
-    if Y.shape[0] != Phi.shape[0]:
-        raise DimensionMismatch(f"measurements have {Y.shape[0]} rows, sensing matrix {Phi.shape[0]}")
+    _rows_conform(Y, Phi)
     m, n = Phi.shape
-    k = _check_sparsity(k, m, n)
+    k = _sparsity(k, m, n)
 
     y_norm = float(np.linalg.norm(Y))
     stop_at = RESIDUAL_STOP_TOL * y_norm

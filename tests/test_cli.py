@@ -729,6 +729,56 @@ def test_check_outside_the_magnitude_domain_is_unsatisfiable(tmp_path, capsys, m
     assert lines[-1].startswith("condition unsatisfiable (condition unsatisfiable: eps = 0.3")
 
 
+def test_check_stores_a_negative_zero_level_as_zero(tmp_path, capsys):
+    phi, y = _frame_files(tmp_path)
+    code = main(["check", "--phi", phi, "--sparsity", "2", "--mode", "measurement", "--y", y,
+                 "--t0", "1.0", "--epsb", "-0.0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line for line in lines if line.startswith(("epsb=", "eps_h=", "error_bound"))] == [
+        "epsb=0.0", "eps_h=0.0", "error_bound=0.0", "error_bound_direct=0.0"]
+
+
+def _huge_files(tmp_path):
+    """An 8 x 10 sensing matrix scaled by 1e100, so ||Phi||_2^4 overflows a
+    double, and the measurements of a two-row signal."""
+    Phi = np.random.default_rng(0).standard_normal((8, 10)) * 1e100
+    X = np.zeros((10, 2))
+    X[[1, 4]] = [[1.0, 2.0], [-1.0, 0.5]]
+    write_matrix(tmp_path / "phi.txt", Phi)
+    write_matrix(tmp_path / "y.txt", Phi @ X)
+    return str(tmp_path / "phi.txt"), str(tmp_path / "y.txt")
+
+
+@pytest.mark.parametrize("mode, levels, verdict", [
+    ("general", ["--eps0", "1e-3"], "unsatisfiable"),
+    ("sensing", ["--eps0", "1e-3"], "unsatisfiable"),
+    ("sensing", [], "fails"),   # eps = 0: no power of ||Phi||_2 enters the magnitude
+])
+def test_check_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsys, mode, levels,
+                                                            verdict):
+    phi, y = _huge_files(tmp_path)
+    code = main(["check", "--phi", phi, "--sparsity", "2", "--mode", mode, "--y", y,
+                 "--t0", "1.0", *levels])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.err == ""
+    assert out.out.splitlines()[-1].startswith(f"condition {verdict} (")
+
+
+def test_experiment_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsys):
+    phi, _ = _huge_files(tmp_path)
+    cfg = _config(tmp_path, instance={"m": 8, "n": 10, "L": 2, "k": 2,
+                                      "ensemble": "user-supplied", "matrix": phi},
+                  perturbation={"eps0": [0.0, 1e-3], "epsb": 1e-3}, trials=2)
+    code = main(["experiment", "--config", str(cfg)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.err == ""
+    rows = [line.split("\t") for line in out.out.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 4 and {row[10] for row in rows} == {"unsat"}
+
+
 def test_solve_trace_records_a_zero_residual_stop(tmp_path, capsys):
     phi, y = _frame_files(tmp_path, rows=(5,))
     trace = tmp_path / "trace.txt"
@@ -811,6 +861,7 @@ _FIELDS = [
     *[(TrialChecks, f.name, f"checks.{f.name}", _FLAGS, np.bool_(f.default))
       for f in dataclasses.fields(TrialChecks)],
     *[(_levels, name, None, _NUMBERS, np.float64(1e-3)) for name in ("eps0", "eps", "epsb")],
+    (_levels, "order", None, _COUNTS, np.int64(2)),
     (_sweep, "eps0_levels", "perturbation.eps0", _NUMBERS + ([], [1e-3, "2e-3"]),
      np.float64(1e-4)),
     (_sweep, "epsb_levels", "perturbation.epsb", _NUMBERS + ([],), np.float64(1e-4)),
@@ -867,11 +918,13 @@ def test_library_types_take_numpy_scalars_as_python_values(build, name, value):
      {"m": 16, "n": 24, "L": 2, "k": 2, "matrix": str(FRAME)}),
     (_instance, {"matrix_ensemble": "user-supplied"}, "instance",
      {"m": 16, "n": 24, "L": 2, "k": 2, "ensemble": "user-supplied"}),
+    (_instance, {"matrix_ensemble": "user-supplied", "matrix": np.eye(20, 25)}, "instance",
+     {"m": 16, "n": 24, "L": 2, "k": 2, "ensemble": "user-supplied", "matrix": str(FRAME)}),
     (TrialChecks, {"ric": False}, "checks", {"ric": False}),
     (TrialChecks, {"ric": False, "guarantee": False, "filter_proximity": True}, "checks",
      {"ric": False, "guarantee": False, "filter_proximity": True}),
 ], ids=["k-above-min", "matrix-without-user-supplied", "user-supplied-without-matrix",
-        "guarantee-without-ric", "proximity-without-ric"])
+        "matrix-of-another-shape", "guarantee-without-ric", "proximity-without-ric"])
 def test_cross_field_rules_refuse_alike_from_both_entry_points(tmp_path, capsys, build, kw,
                                                                section, config):
     # one rule, so one message: the config's names the fields by dotted key

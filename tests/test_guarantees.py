@@ -16,8 +16,10 @@ from somplab import (
     DimensionMismatch,
     DomainError,
     InvalidConfig,
+    PerturbationSpec,
     PreconditionViolated,
     ZeroReference,
+    calibrate_perturbation,
     check_guarantee,
     coherent_pair_matrix,
     error_amplification,
@@ -142,6 +144,14 @@ def test_magnitude_domain_and_reference_errors():
         perturbation_magnitude(1.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def test_magnitude_overflow_is_infinite_and_eps_zero_skips_the_powers():
+    # ||Phi||_2^4 overflows a double above about 1e77; at eps = 0 the term
+    # holding it is 0, not 0 * inf
+    assert perturbation_magnitude(1e100, 1.0, 0.0, 1e-3, 0.0) == math.inf
+    assert perturbation_magnitude(1e100, 1.0, 1e-3, 0.0, 1e-3) == (
+        (1e-3 + 1e-3 + 1e-3 * 1e-3) * 1e100 * 1.0)
+
+
 def test_magnitude_against_mpmath():
     phi = 1.118
     y = 2.7
@@ -179,6 +189,23 @@ def test_mode_reductions_are_bitwise():
     assert perturbation_magnitude_for_mode("noiseless", 1.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         perturbation_magnitude_for_mode("bogus", 1.0, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["measurement", "sensing", "general"])
+def test_report_magnitude_is_the_mode_formula(mode):
+    # the report evaluates the general formula in every mode; past the n/a
+    # gate it must equal the mode's own formula bit for bit
+    Phi, delta = _noiseless_setup(0.1)
+    Y = Phi @ (np.eye(8)[:, :1] * 2.0)
+    spectral_phi, frob_y = float(np.linalg.norm(Phi, 2)), float(np.linalg.norm(Y))
+    grid = (0.0, 1e-4, 0.01, 0.1)
+    for e0 in grid if mode != "measurement" else (0.0,):
+        for e in grid if mode != "measurement" else (0.0,):
+            for b in grid if mode != "sensing" else (0.0,):
+                levels = PerturbationLevels(eps0=e0, eps=e, epsb=b, order=1)
+                report = check_guarantee(Phi, Y, 2.0, 1, levels, delta, mode=mode)
+                assert report.eps_h == perturbation_magnitude_for_mode(
+                    mode, spectral_phi, frob_y, e0, e, b)
 
 
 def _noiseless_setup(rho, n=8):
@@ -264,6 +291,20 @@ def _golden_frame():
     X[3] = [1.0, 1.0]
     X[7] = [2.0, -1.0]
     return Phi, ric_exact(Phi, 3), Phi @ X
+
+
+def test_check_guarantee_refuses_levels_measured_below_order_k():
+    # eps is a maximum over widths 1..order; measured at order 1 it
+    # understates the width-2 submatrices a k = 2 solve applies
+    Phi, delta, Y = _golden_frame()
+    spec = PerturbationSpec(target_eps0=1e-2, seed=2)
+    _, _, low = calibrate_perturbation(Phi, Y, spec)
+    _, _, full = calibrate_perturbation(Phi, Y, spec, order=2)
+    assert low.order == 1 and low.eps < full.eps
+    with pytest.raises(PreconditionViolated, match="measured at order 1, need at least k = 2"):
+        check_guarantee(Phi, Y, math.sqrt(2.0), 2, low, delta, mode="sensing")
+    assert check_guarantee(Phi, Y, math.sqrt(2.0), 2, full, delta, mode="sensing").verdict in (
+        "pass", "fail", "unsat")
 
 
 def test_check_guarantee_sensing_mode_bound():

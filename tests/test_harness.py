@@ -9,6 +9,7 @@ from somplab import (
     InstanceConfig,
     InvalidConfig,
     InvalidOrder,
+    InvalidSparsity,
     PerturbationSpec,
     PreconditionViolated,
     TraceMismatch,
@@ -89,7 +90,7 @@ def test_reference_solver_validates_input():
         reference_omp_smv(np.ones((8, 2)), Phi, 2)
     with pytest.raises(PreconditionViolated):
         reference_omp_smv(np.ones(7), Phi, 2)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidSparsity):   # the sparsity rule somp_solve applies
         reference_omp_smv(np.ones(8), Phi, 0)
 
 

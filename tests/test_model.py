@@ -4,9 +4,24 @@ import pytest
 from somplab import (
     DimensionMismatch,
     EmptySupport,
+    InstanceConfig,
+    InvalidConfig,
+    InvalidOrder,
+    InvalidSparsity,
+    PerturbationLevels,
+    PerturbationSpec,
+    SubsetBudgetExceeded,
     ZeroReference,
+    calibrate_perturbation,
+    low_coherence_frame,
+    measure_perturbation_levels,
     min_support_row_norm,
+    reference_omp_smv,
     relative_frobenius_error,
+    ric_exact,
+    run_trial,
+    somp_solve,
+    submatrix_spectral_norm,
     support_of,
 )
 from somplab.model import as_matrix, as_support
@@ -101,3 +116,58 @@ def test_relative_error_invariant_under_column_permutation():
         perm = g.permutation(4)
         assert relative_frobenius_error(X[:, perm], R[:, perm]) == pytest.approx(
             base, rel=1e-13)
+
+
+# Every sparsity, order, width and subset-budget argument of the public API,
+# on a 16 x 24 instance (n = 24): a call that passes the value, the class a
+# value of the wrong kind or below 1 raises, and the class n + 1 raises
+# (None where n + 1 is valid).
+
+_PHI = np.random.default_rng(3).standard_normal((16, 24)) / 4.0
+_Y = _PHI[:, [2, 9]] @ np.ones((2, 2))
+_SPEC = PerturbationSpec(target_eps0=1e-3, target_epsb=1e-3, seed=1)
+_CFG = InstanceConfig(m=16, n=24, L=2, k=2)
+
+_ARGUMENTS = {
+    "somp_solve.k": (lambda v: somp_solve(_Y, _PHI, v), InvalidSparsity, InvalidSparsity),
+    "reference_omp_smv.k": (lambda v: reference_omp_smv(_Y[:, 0], _PHI, v),
+                            InvalidSparsity, InvalidSparsity),
+    "ric_exact.order": (lambda v: ric_exact(_PHI, v), InvalidOrder, InvalidOrder),
+    "submatrix_spectral_norm.width": (lambda v: submatrix_spectral_norm(_PHI, v),
+                                      InvalidOrder, InvalidOrder),
+    "calibrate_perturbation.order": (lambda v: calibrate_perturbation(_PHI, _Y, _SPEC, order=v),
+                                     InvalidOrder, InvalidOrder),
+    "measure_perturbation_levels.order": (
+        lambda v: measure_perturbation_levels(_PHI, 1e-3 * _PHI, _Y, 1e-3 * _Y, order=v),
+        InvalidOrder, InvalidOrder),
+    "low_coherence_frame.order": (lambda v: low_coherence_frame(6, 24, order=v),
+                                  InvalidOrder, InvalidOrder),
+    "PerturbationLevels.order": (lambda v: PerturbationLevels(0.0, 0.0, 0.0, order=v),
+                                 InvalidConfig, None),
+    "ric_exact.subset_budget": (lambda v: ric_exact(_PHI, 2, subset_budget=v),
+                                InvalidConfig, SubsetBudgetExceeded),
+    "submatrix_spectral_norm.subset_budget": (
+        lambda v: submatrix_spectral_norm(_PHI, 2, subset_budget=v),
+        InvalidConfig, SubsetBudgetExceeded),
+    "calibrate_perturbation.subset_budget": (
+        lambda v: calibrate_perturbation(_PHI, _Y, _SPEC, order=2, subset_budget=v),
+        InvalidConfig, SubsetBudgetExceeded),
+    "measure_perturbation_levels.subset_budget": (
+        lambda v: measure_perturbation_levels(_PHI, 1e-3 * _PHI, _Y, 1e-3 * _Y, order=2,
+                                              subset_budget=v),
+        InvalidConfig, SubsetBudgetExceeded),
+    "run_trial.subset_budget": (lambda v: run_trial(_CFG, _SPEC, subset_budget=v),
+                                InvalidConfig, SubsetBudgetExceeded),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 0, 25], ids=["True", "2.5", "0", "n+1"])
+@pytest.mark.parametrize("argument", sorted(_ARGUMENTS))
+def test_each_size_argument_is_read_by_its_rule(argument, value):
+    call, refused, above = _ARGUMENTS[argument]
+    want = above if value == 25 else refused
+    if want is None:
+        call(value)
+    else:
+        with pytest.raises(want):
+            call(value)

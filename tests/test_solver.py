@@ -159,15 +159,22 @@ def test_least_squares_flags_rank_deficiency():
 def test_sparsity_validation():
     Phi = _rng(8).standard_normal((10, 20))
     Y = _rng(9).standard_normal((10, 2))
-    for bad in (0, -1, 11, 2.5):
+    for bad in (0, -1, 11, 2.5, 2.0):   # a whole float is no sparsity either
         with pytest.raises(InvalidSparsity):
             somp_solve(Y, Phi, bad)
-    assert somp_solve(Y, Phi, 2.0).support  # integral float is fine
+    assert somp_solve(Y, Phi, np.int64(2)).support == somp_solve(Y, Phi, 2).support
 
 
 def test_shape_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="measurements have 9 rows, sensing matrix 10"):
         somp_solve(np.zeros((9, 2)), np.zeros((10, 20)) + 1.0, 2)
+    with pytest.raises(DimensionMismatch, match="measurements have 9 rows, sensing matrix 10"):
+        least_squares_on_support(np.zeros((9, 2)), np.zeros((10, 20)) + 1.0, (0, 1))
+    # a bool or a whole float is no sparsity, though True == 1 and 2.0 == 2
+    Phi, X, Y = _instance(4, m=16, n=24, L=2, k=2)
+    for bad in (True, 2.0, np.float64(2.0)):
+        with pytest.raises(InvalidSparsity, match=r"sparsity must be an integer, got "):
+            somp_solve(Y, Phi, bad)
 
 
 def test_trace_records_every_iteration():
