@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import DimensionMismatch, InvalidConfig, ParseError, PreconditionViolated, SomplabError
-from .guarantees import MODES, _evaluate_guarantee, _references
+from .guarantees import MODES, _evaluate_guarantee, _gate
 from .harness import TrialChecks, _checks_rules, broken_promise, render_report, run_experiment
 from .matrixio import read_matrix, write_matrix
 from .model import (
@@ -28,7 +28,6 @@ from .model import (
     _kind,
     _level,
     _one_of,
-    _sparsity,
     min_support_row_norm,
 )
 from .perturb import (
@@ -156,7 +155,6 @@ def _cmd_ric(args) -> int:
 
 def _cmd_check(args) -> int:
     Phi = read_matrix(args.phi)
-    k = args.sparsity
     noisy = args.mode != "noiseless"
     Y = read_matrix(args.y) if args.y else None
     X = None if args.x is None else read_matrix(args.x)
@@ -166,12 +164,11 @@ def _cmd_check(args) -> int:
         raise _UsageError("somplab check: --y is required for noisy modes")
     if noisy and X is None and args.t0 is None:
         raise _UsageError("somplab check: --x or --t0 is required for noisy modes")
-    # every input is checked before the order-(k + 1) enumeration
-    _sparsity(k, *Phi.shape)
-    spectral_phi, frob_y = _references(Phi, Y, args.mode)
-    t0 = args.t0 if X is None else _weakest_row(X, Phi.shape[1], Y, k)
+    t0 = args.t0 if X is None else _weakest_row(X, Phi.shape[1], Y, args.sparsity)
     eps = args.eps if args.eps is not None else args.eps0
-    levels = PerturbationLevels(eps0=args.eps0, eps=eps, epsb=args.epsb, order=k)
+    levels = PerturbationLevels(eps0=args.eps0, eps=eps, epsb=args.epsb, order=args.sparsity)
+    # every input is refused, if at all, before the order-(k + 1) enumeration
+    spectral_phi, frob_y, k, levels = _gate(Phi, Y, t0, args.sparsity, levels, args.mode)
     delta = ric_exact(Phi, k + 1, subset_budget=args.budget)
     print(f"mode={args.mode}")
     print(f"order={delta.order}")

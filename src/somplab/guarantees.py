@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionViolated, ZeroReference
-from .model import _COUNT, _rows_conform, as_matrix
+from .model import _rows_conform, _sparsity, as_matrix
 from .rip import PerturbationLevels, RicEstimate, _frobenius_reference, _spectral_reference
 
 MODES = ("noiseless", "measurement", "sensing", "general")
@@ -193,19 +193,35 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
     clean sensing matrix; ``t0`` the weakest occupied-row norm of the
     true signal (unused in noiseless mode); ``levels`` the measured
     relative perturbation levels (all-zero when omitted, finite and
-    nonnegative by construction).  A ``k`` that is not an integer >= 1
-    raises InvalidConfig; levels measured below order k or a non-finite
-    ``t0`` PreconditionViolated; Y with a row count other than Phi's
-    DimensionMismatch; and a noisy mode a zero Phi or Y ZeroReference
-    (see ``_references``).  Levels that ``mode`` assumes zero but are
-    not, and out-of-domain closed forms, are verdicts ("n/a", "unsat"),
-    never raised.
+    nonnegative by construction).  Every refusal comes before delta's
+    constant is read, in this order, all but the last from ``_gate`` as
+    in ``somplab check``: ValueError for an unknown mode; InvalidSparsity
+    for k outside 1..min(m, n); DimensionMismatch for Y without Phi's
+    rows; ZeroReference for a zero Phi or Y in a noisy mode; and
+    PreconditionViolated for levels measured below order k, a non-finite
+    t0, in a noisy mode that is not n/a a missing Y or a t0 <= 0, and a
+    delta not at order k + 1.  Levels that ``mode`` assumes zero but are
+    not, and out-of-domain closed forms, are verdicts, never raised.
     """
-    _check_mode(mode)
-    k = _COUNT(k, "k")
+    spectral_phi, frob_y, k, levels = _gate(Phi, Y, t0, k, levels, mode)
     if delta.order != k + 1:
         raise PreconditionViolated(
             f"isometry estimate has order {delta.order}, need k + 1 = {k + 1}")
+    return _evaluate_guarantee(spectral_phi, frob_y, t0, k, levels, delta, mode)
+
+
+def _gate(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels | None, mode: str):
+    """``check_guarantee``'s refusals but delta's, in the order it lists them.
+    Returns ||Phi||_2, ||Y||_F (None where unused), k as an int and the levels."""
+    _check_mode(mode)
+    Phi = as_matrix(Phi, "sensing matrix")
+    k = _sparsity(k, *Phi.shape)
+    if Y is not None:
+        Y = as_matrix(Y, "measurements")
+        _rows_conform(Y, Phi)
+    noisy = mode != "noiseless"
+    spectral_phi = _spectral_reference(Phi) if noisy else None
+    frob_y = _frobenius_reference(Y) if noisy and Y is not None else None
     if levels is None:
         levels = PerturbationLevels(eps0=0.0, eps=0.0, epsb=0.0, order=k)
     if levels.order < k:   # eps would understate the widths the solver applies
@@ -213,29 +229,19 @@ def check_guarantee(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels
             f"levels measured at order {levels.order}, need at least k = {k}")
     if t0 is not None and not math.isfinite(t0):
         raise PreconditionViolated(f"weakest-row norm must be finite, got {t0!r}")
-    return _evaluate_guarantee(*_references(Phi, Y, mode), t0, k, levels, delta, mode)
-
-
-def _references(Phi, Y, mode: str) -> tuple[float | None, float | None]:
-    """||Phi||_2 and ||Y||_F, the references of the levels (None without
-    measurements; both None in noiseless mode).  Y must have Phi's row
-    count.  A noisy mode takes them through ``rip``'s reference
-    functions, as sweeps do, so a zero one raises ZeroReference."""
-    Phi = as_matrix(Phi, "sensing matrix")
-    if Y is not None:
-        Y = as_matrix(Y, "measurements")
-        _rows_conform(Y, Phi)
-    if mode == "noiseless":
-        return None, None
-    return _spectral_reference(Phi), None if Y is None else _frobenius_reference(Y)
+    if noisy and not levels_outside_mode(mode, levels):   # an n/a answer needs neither
+        if Y is None:
+            raise PreconditionViolated(f"mode {mode!r} needs the measurement set")
+        if t0 is None or not t0 > 0:
+            raise PreconditionViolated(f"mode {mode!r} needs a positive weakest-row norm")
+    return spectral_phi, frob_y, k, levels
 
 
 def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
                         t0: float | None, k: int, levels: PerturbationLevels, delta: RicEstimate,
                         mode: str) -> GuaranteeReport:
-    """``check_guarantee`` on validated inputs, given ||Phi||_2 and
-    ||Y||_F (None without measurements) instead of Phi and Y.  The one
-    rule that decides a verdict, for sweeps and ``somplab check`` too."""
+    """The closed forms and the one rule that decides a verdict, on inputs
+    ``_gate`` passes; sweeps pass ||Y||_F > 0 and t0 from ``min_support_row_norm``."""
     def report(eps_h, q_threshold, error_bound=None, error_bound_direct=None, note="",
                verdict=None):
         if verdict is None:
@@ -253,10 +259,6 @@ def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
                       note=f"mode {mode} assumes zero {', '.join(outside)}; got {got}")
     if mode == "noiseless":
         return report(0.0, recovery_threshold(k, math.inf))
-    if frob_y is None:
-        raise PreconditionViolated(f"mode {mode!r} needs the measurement set")
-    if t0 is None or not t0 > 0:
-        raise PreconditionViolated(f"mode {mode!r} needs a positive weakest-row norm")
     # past the n/a gate the levels a mode assumes zero are zero, so one
     # formula serves every noisy mode
     try:

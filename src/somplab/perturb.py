@@ -35,6 +35,7 @@ from .rip import (
     _extreme_subsets,
     _frobenius_reference,
     _sensing_levels,
+    _spectral_norm,
     _spectral_reference,
     _width_references,
 )
@@ -203,7 +204,7 @@ def _sensing_noise(spec: PerturbationSpec, Phi: np.ndarray) -> tuple[np.ndarray,
     """The direction of the spec's generated sensing perturbation and the
     norm it is scaled by: a standard normal E0 and ||E0||_2."""
     E0 = _rng(spec.seed, _SENSING_NOISE_STREAM).standard_normal(Phi.shape)
-    return E0, float(np.linalg.norm(E0, 2))
+    return E0, _spectral_norm(E0)
 
 
 def _sensing(spec: PerturbationSpec, Phi: np.ndarray, refs: tuple[float, tuple[float, ...]],
@@ -282,6 +283,7 @@ def coherent_pair_matrix(n: int, rho: float) -> np.ndarray:
     order-2 isometry constant of this matrix is exactly rho, which makes
     it a handy analytic test case.
     """
+    n = _COUNT(n, "n")
     if n < 2:
         raise InvalidConfig("need at least two columns")
     if not 0 <= rho < 1:
@@ -311,6 +313,7 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.nda
     has only n eigenpairs, and m - n zero rows under their n x n factor
     keep the shape without changing the Gram.
     """
+    m, n = _COUNT(m, "m"), _COUNT(n, "n")
     order = _order(order, n)
     rng = _rng(_SEED(seed, "seed"), _FRAME_STREAM)
     A = rng.standard_normal((m, n))

@@ -489,9 +489,15 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
 # The level arithmetic in pieces, so that a sweep computes the references
 # of a clean matrix once and the levels of each sensing perturbation once.
 
+def _spectral_norm(A: np.ndarray) -> float:
+    """||A||_2, A's largest singular value: the float ``np.linalg.norm(A, 2)``
+    returns, without its wrapper."""
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
 def _spectral_reference(Phi: np.ndarray) -> float:
     """||Phi||_2, the reference of eps0."""
-    spectral_phi = float(np.linalg.norm(Phi, 2))
+    spectral_phi = _spectral_norm(Phi)
     if spectral_phi == 0.0:
         raise ZeroReference("sensing matrix has zero spectral norm")
     return spectral_phi
@@ -542,7 +548,7 @@ def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...
     send each one to the eigensolver; its levels are zero without that."""
     if not E.any():
         return 0.0, 0.0
-    eps0 = float(np.linalg.norm(E, 2)) / spectral_phi
+    eps0 = _spectral_norm(E) / spectral_phi
     eps = 0.0
     for den, norm in zip(widths, _width_norms(E, len(widths), subset_budget)):
         eps = max(eps, norm / den)

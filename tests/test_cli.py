@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from somplab import (
+    MODES,
     InstanceConfig,
     InvalidConfig,
     ParseError,
     PerturbationLevels,
     PerturbationSpec,
+    SomplabError,
     TrialChecks,
+    check_guarantee,
     gen_sensing_matrix,
     gen_sparse_signal,
     low_coherence_frame,
@@ -934,3 +937,52 @@ def test_cross_field_rules_refuse_alike_from_both_entry_points(tmp_path, capsys,
     assert code == 1
     assert capsys.readouterr().err == "error: " + re.sub(
         r"'(\w+)'", rf"'{section}.\1'", str(refused.value)) + "\n"
+
+
+# One refusal table for the certificate's two entry points, on an 8 x 10
+# Gaussian Phi: `somplab check` refuses each input with the class and the
+# message `check_guarantee` raises, before the order-(k + 1) enumeration.
+_GATE_PHI = np.random.default_rng(5).standard_normal((8, 10))
+_GATE_Y = _GATE_PHI[:, [1, 4]] @ np.array([[1.0, 2.0], [-1.0, 0.5]])
+_GATE_LEVELS = {"noiseless": {}, "measurement": {"epsb": 1e-2}, "sensing": {"eps0": 1e-3},
+                "general": {"eps0": 1e-3, "epsb": 1e-2}}
+_NOISY = [mode for mode in MODES if mode != "noiseless"]
+_GATE_REFUSALS = {
+    **{f"{mode}-k-above-min": (mode, {"k": 9}) for mode in MODES},
+    **{f"{mode}-t0-zero": (mode, {"t0": 0.0}) for mode in _NOISY},
+    **{f"{mode}-y-of-7-rows": (mode, {"Y": np.ones((7, 2))}) for mode in MODES},
+    **{f"{mode}-zero-y": (mode, {"Y": np.zeros((8, 2))}) for mode in _NOISY},
+    **{f"{mode}-zero-phi": (mode, {"Phi": np.zeros((8, 10))}) for mode in _NOISY},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GATE_REFUSALS))
+def test_check_and_check_guarantee_share_every_refusal(tmp_path, capsys, monkeypatch, case):
+    import somplab.cli as cli_mod
+
+    mode, fault = _GATE_REFUSALS[case]
+    given = {"Phi": _GATE_PHI, "Y": _GATE_Y, "t0": 1.0, "k": 2, **fault}
+    eps0, epsb = _GATE_LEVELS[mode].get("eps0", 0.0), _GATE_LEVELS[mode].get("epsb", 0.0)
+    levels = PerturbationLevels(eps0=eps0, eps=eps0, epsb=epsb, order=given["k"])
+    with pytest.raises(SomplabError) as library:   # delta None: refused before it is read
+        check_guarantee(given["Phi"], given["Y"], given["t0"], given["k"], levels, None,
+                        mode=mode)
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("check entered the enumeration")
+
+    monkeypatch.setattr(cli_mod, "ric_exact", enumerated)
+    write_matrix(tmp_path / "phi.txt", given["Phi"])
+    write_matrix(tmp_path / "y.txt", given["Y"])
+    argv = ["check", "--phi", str(tmp_path / "phi.txt"), "--sparsity", str(given["k"]),
+            "--mode", mode, "--y", str(tmp_path / "y.txt"), "--t0", repr(given["t0"]),
+            "--eps0", repr(eps0), "--epsb", repr(epsb)]
+    with pytest.raises(SomplabError) as command:
+        cli_mod._cmd_check(cli_mod._build_parser().parse_args(argv))
+    assert type(command.value) is type(library.value)
+    assert str(command.value) == str(library.value)
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: {library.value}\n"

@@ -16,6 +16,7 @@ from somplab import (
     DimensionMismatch,
     DomainError,
     InvalidConfig,
+    InvalidSparsity,
     PerturbationSpec,
     PreconditionViolated,
     ZeroReference,
@@ -332,10 +333,14 @@ def test_check_guarantee_outside_the_magnitude_domain(mode):
 
 def test_check_guarantee_rejects_bad_sparsity():
     Phi, delta = _noiseless_setup(0.1)
-    # refused as the config's instance.k is
+    # refused by the sparsity rule of somp_solve and `somplab check`
     for k in (0, 1.5, True):
-        with pytest.raises(InvalidConfig, match="'k' must be an integer >= 1"):
+        with pytest.raises(InvalidSparsity, match="sparsity "):
             check_guarantee(Phi, None, None, k, None, delta, mode="noiseless")
+    # k = 7 on a 6 x 10 Phi selects more rows than it has, whatever delta says
+    Phi = np.random.default_rng(0).standard_normal((6, 10))
+    with pytest.raises(InvalidSparsity, match=r"sparsity 7 outside 1..min\(6, 10\)"):
+        check_guarantee(Phi, None, 1.0, 7, None, ric_exact(Phi, 8), mode="noiseless")
 
 
 @pytest.mark.parametrize("mode", ["general", "sensing", "measurement"])

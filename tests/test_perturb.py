@@ -205,6 +205,14 @@ def test_coherent_pair_matrix_construction():
         coherent_pair_matrix(10, -0.1)
 
 
+def test_coherent_pair_matrix_reads_n_by_its_kind():
+    with pytest.raises(InvalidConfig, match="'n' must be an integer >= 1, got 3.0"):
+        coherent_pair_matrix(3.0, 0.5)
+    with pytest.raises(InvalidConfig, match="need at least two columns"):
+        coherent_pair_matrix(1, 0.5)
+    assert np.array_equal(coherent_pair_matrix(np.int64(3), 0.5), coherent_pair_matrix(3, 0.5))
+
+
 def test_low_coherence_frame_properties():
     A = low_coherence_frame(12, 15, seed=0, order=2)
     assert A.shape == (12, 15)
@@ -223,6 +231,13 @@ def test_low_coherence_frame_refuses_a_seed_that_is_not_a_nonnegative_integer(se
     # refused before the draw, which would truncate a float seed
     with pytest.raises(InvalidConfig, match="'seed' must be an integer >= 0"):
         low_coherence_frame(6, 8, seed=seed, order=2)
+
+
+@pytest.mark.parametrize("m, n, name", [(0, 8, "m"), (True, 8, "m"), (6, 8.0, "n")])
+def test_low_coherence_frame_refuses_sizes_that_are_not_counts(m, n, name):
+    # refused before numpy sees them, naming the argument
+    with pytest.raises(InvalidConfig, match=f"'{name}' must be an integer >= 1"):
+        low_coherence_frame(m, n, order=2)
 
 
 @pytest.mark.parametrize("m, n", [(6, 5), (5, 5), (4, 5)])

@@ -609,6 +609,16 @@ def test_submatrix_spectral_norm_small_case():
         assert submatrix_spectral_norm(B, width) == pytest.approx(worst, rel=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(20, 25), (32, 40), (25, 20), (1, 6), (6, 1)])
+def test_spectral_norm_is_the_float_numpy_norm_returns(shape):
+    # the references and levels of every sweep were recorded through
+    # np.linalg.norm(A, 2); the one helper must give the same float
+    rng = _rng(11)
+    for _ in range(10):
+        A = rng.standard_normal(shape)
+        assert rip._spectral_norm(A) == float(np.linalg.norm(A, 2))
+
+
 def test_measured_levels_for_scaled_perturbations():
     Phi = _unit_columns(10, 14, 9)
     X = np.zeros((14, 3))
