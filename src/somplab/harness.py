@@ -11,27 +11,29 @@ Sweep points and the whole sweep are summarized by one rule, where each
 rate counts only the trials that evaluated its flag, and rendered by one
 formatter.
 
-A trial runs in three stages, and a sweep runs each stage only as often
-as its inputs change:
+One trial body serves ``run_trial`` and every sweep: for a trial's
+clean matrix, signal and noise seed it yields one record per (eps0,
+epsb) pair, and it does each piece of work only as often as its inputs
+change:
 
-- clean, once per trial: the instance draw (Phi, X, Y, ||Y||_F, true
-  support, t0), the references of the levels eps0 and eps (||Phi||_2 and
-  Phi's largest submatrix spectral norms), the exact constant of Phi and,
-  when a filter check is on, the clean solve and the filter-proximity
-  verdict.  The parts that depend on Phi alone are computed once per
-  sweep for a user-supplied matrix;
-- sensing, once per (trial, eps0 level): the sensing perturbation E,
-  its levels eps0 and eps, and Phi + E.  The direction of a generated E
-  (and its spectral norm) is drawn once per trial, at its first nonzero
-  eps0 level, and each level only scales it;
-- point, once per sweep point: the measurement perturbation B and
-  epsb against ||Y||_F, the guarantee (evaluated on the clean ||Phi||_2
-  and ||Y||_F held above), the perturbed solve and its diagnostics.  The
-  direction of a generated B is drawn once per trial, at its first
-  nonzero epsb level, and each point only scales it.
+- once per clean matrix: Phi, its exact constant and the references of
+  the levels eps0 and eps (||Phi||_2 and Phi's largest submatrix
+  spectral norms).  A sweep on a user-supplied matrix does this once for
+  all its trials, any other sweep once per trial;
+- once per trial: the signal draw (X, Y, ||Y||_F, true support, t0)
+  and, when a filter check is on, the clean solve and the
+  filter-proximity verdict;
+- once per eps0 level: the sensing perturbation E, its levels eps0 and
+  eps, and Phi + E.  The direction of a generated E (and its spectral
+  norm) is drawn once per trial, at its first nonzero eps0 level, and
+  each level only scales it;
+- once per point: the measurement perturbation B and epsb against
+  ||Y||_F, the guarantee (evaluated on the clean ||Phi||_2 and ||Y||_F
+  held above), the perturbed solve and its diagnostics.  The direction
+  of a generated B is drawn once per trial, at its first nonzero epsb
+  level, and each point only scales it.
 
-``run_trial`` applies the same three stages to one perturbation spec,
-through the same calls.
+``run_trial`` is that body at one point.
 
 Determinism: the seeds of trial t derive from SeedSequence([master_seed,
 t]) (two 64-bit words: instance seed, perturbation seed).  Sweep points
@@ -55,9 +57,9 @@ from .model import (
     _BOOLEAN,
     _COUNT,
     _SEED,
-    SupportSet,
     _check_fields,
     _level,
+    _measurement_norm,
     _order,
     _sparsity,
     as_matrix,
@@ -67,6 +69,7 @@ from .model import (
     support_of,
 )
 from .perturb import (
+    _B_MODE,
     InstanceConfig,
     PerturbationSpec,
     _measurement,
@@ -80,6 +83,7 @@ from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
     RicEstimate,
+    _frobenius_reference,
     residual_sensing_matrix,
     ric_exact,
 )
@@ -194,7 +198,7 @@ def reference_omp_smv(y, Phi, k: int) -> RecoveryResult:
     m, n = Phi.shape
     k = _sparsity(k, m, n)
 
-    y_norm = float(np.linalg.norm(y))
+    y_norm = _measurement_norm(y)
     stop_at = RESIDUAL_STOP_TOL * y_norm
     r = y.copy()
     x = np.zeros(n)
@@ -310,21 +314,6 @@ class _Matrix:
     refs: tuple[float, tuple[float, ...]]   # the references of eps0 and eps
 
 
-@dataclass(frozen=True)
-class _Clean:
-    """The clean side of a trial, shared by every sweep point."""
-
-    cfg: InstanceConfig
-    matrix: _Matrix
-    X: np.ndarray
-    Y: np.ndarray
-    frob_y: float   # ||Y||_F, an input of the guarantee at every point
-    true_support: SupportSet
-    t0: float | None
-    clean_trace: IterationTrace | None
-    proximity_ok: bool | None
-
-
 def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int) -> _Matrix:
     """Draw the clean sensing matrix and do its own work: the exact
     constant (with the isometry check) and the references of the levels."""
@@ -334,11 +323,16 @@ def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int) 
                    refs=_sensing_references(Phi, cfg.k, subset_budget))
 
 
-def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks) -> _Clean:
-    """Draw the signal on ``matrix`` and do the trial's clean-side work."""
+def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_levels,
+           epsb_levels, checks: TrialChecks, mode: str, subset_budget: int):
+    """Run one trial on ``matrix`` and yield its records, one per (eps0,
+    epsb) pair, eps0-major.  The signal comes from ``cfg``, and E and B
+    from ``noise``'s seed and b_mode; each piece of work runs once per
+    change of its inputs (see the module docstring)."""
     Phi, delta = matrix.Phi, matrix.delta
     X = gen_sparse_signal(cfg)
     Y = Phi @ X
+    frob_y = _frobenius_reference(Y)   # an input of the guarantee at every point
     true_support = support_of(X)
     t0 = min_support_row_norm(X).t0 if checks.guarantee else None
 
@@ -355,57 +349,47 @@ def _clean_stage(cfg: InstanceConfig, matrix: _Matrix, checks: TrialChecks) -> _
             X_rest[list(prefix)] = 0.0
             diag = matched_filter_oracle(Phi, prefix, X_rest, delta=delta)
             proximity_ok = proximity_ok and diag.passed
-    return _Clean(cfg=cfg, matrix=matrix, X=X, Y=Y, frob_y=float(np.linalg.norm(Y)),
-                  true_support=true_support, t0=t0, clean_trace=clean_trace,
-                  proximity_ok=proximity_ok)
 
+    sensing = _sensing(noise, Phi, matrix.refs, subset_budget)
+    measured = _measurement(noise, Y)
+    for target_eps0 in eps0_levels:
+        E, eps0, eps = sensing(target_eps0)
+        Phi_obs = Phi + E
+        for target_epsb in epsb_levels:
+            B, epsb = measured(target_epsb)
+            levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=cfg.k)
+            report = None
+            if checks.guarantee:
+                report = _evaluate_guarantee(matrix.refs[0], frob_y, t0, cfg.k, levels,
+                                             delta, mode)
 
-def _point_stage(clean: _Clean, sensed: tuple[np.ndarray, float, float], measured,
-                 target_eps0: float, target_epsb: float, pseed: int,
-                 checks: TrialChecks, mode: str) -> TrialRecord:
-    """Realize the measurement perturbation at ``target_epsb``, from the
-    trial's ``_measurement`` of the clean Y, evaluate the guarantee,
-    solve from the perturbed observations and record the outcome.
-    ``sensed`` is the point's Phi + E with the levels eps0 and eps of E,
-    realized at ``target_eps0``; ``pseed`` is the trial's perturbation seed."""
-    cfg, delta = clean.cfg, clean.matrix.delta
-    Phi_obs, eps0, eps = sensed
-    B, epsb = measured(target_epsb)
-    levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=cfg.k)
+            solved = somp_solve(Y + B, Phi_obs, cfg.k)
+            rel_error = relative_frobenius_error(solved.signal, X)
+            scores_ok = selected_scores_vanish(solved.trace) if checks.selected_scores else None
 
-    report = None
-    if checks.guarantee:
-        report = _evaluate_guarantee(clean.matrix.refs[0], clean.frob_y, clean.t0, cfg.k,
-                                     levels, delta, mode)
+            deviation_ok = None  # also when there is no finite bound to compare against
+            eps_h = None if report is None else report.eps_h   # None on n/a
+            if checks.filter_deviation and eps_h is not None and math.isfinite(eps_h):
+                deviation_ok = filter_deviation_diagnostic(solved.trace, clean_trace,
+                                                           eps_h).passed
 
-    solved = somp_solve(clean.Y + B, Phi_obs, cfg.k)
-    support_exact = solved.support == clean.true_support
-    rel_error = relative_frobenius_error(solved.signal, clean.X)
+            error_bound = None if report is None else report.error_bound
+            bound_ok = None
+            if error_bound is not None:
+                bound_ok = rel_error <= error_bound + _SLACK * max(1.0, error_bound)
 
-    scores_ok = selected_scores_vanish(solved.trace) if checks.selected_scores else None
-
-    deviation_ok = None  # also when there is no finite bound to compare against
-    eps_h = None if report is None else report.eps_h   # None on n/a
-    if checks.filter_deviation and eps_h is not None and math.isfinite(eps_h):
-        deviation_ok = filter_deviation_diagnostic(solved.trace, clean.clean_trace, eps_h).passed
-
-    error_bound = None if report is None else report.error_bound
-    bound_ok = None
-    if error_bound is not None:
-        bound_ok = rel_error <= error_bound + _SLACK * max(1.0, error_bound)
-
-    return TrialRecord(
-        seed=cfg.seed, pert_seed=pseed,
-        eps0_target=target_eps0, epsb_target=target_epsb,
-        eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
-        delta=None if delta is None else delta.delta,
-        guarantee="-" if report is None else report.verdict,
-        support_exact=support_exact, rel_error=rel_error,
-        error_bound=error_bound, bound_ok=bound_ok,
-        selected_scores_ok=scores_ok, filter_proximity_ok=clean.proximity_ok,
-        filter_deviation_ok=deviation_ok,
-        stop=solved.terminated_early or "-",
-    )
+            yield TrialRecord(
+                seed=cfg.seed, pert_seed=noise.seed,
+                eps0_target=target_eps0, epsb_target=target_epsb,
+                eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
+                delta=None if delta is None else delta.delta,
+                guarantee="-" if report is None else report.verdict,
+                support_exact=solved.support == true_support, rel_error=rel_error,
+                error_bound=error_bound, bound_ok=bound_ok,
+                selected_scores_ok=scores_ok, filter_proximity_ok=proximity_ok,
+                filter_deviation_ok=deviation_ok,
+                stop=solved.terminated_early or "-",
+            )
 
 
 def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
@@ -415,16 +399,15 @@ def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,
 
     The trial derives every input from ``cfg`` and from ``pert``'s seed
     and targets.  A failing step raises with context; nothing is skipped
-    silently.  The stages are those of a sweep, so a sweep's record
+    silently.  It is the trial body a sweep runs, at the one point
+    (``pert.target_eps0``, ``pert.target_epsb``), so a sweep's record
     equals ``run_trial`` on its trial's config and spec.  An unknown
     ``mode`` raises ValueError.
     """
     _check_mode(mode)
-    clean = _clean_stage(cfg, _matrix_stage(cfg, checks, subset_budget), checks)
-    Phi = clean.matrix.Phi
-    E, eps0, eps = _sensing(pert, Phi, clean.matrix.refs, subset_budget)(pert.target_eps0)
-    return _point_stage(clean, (Phi + E, eps0, eps), _measurement(pert, clean.Y),
-                        pert.target_eps0, pert.target_epsb, pert.seed, checks, mode)
+    matrix = _matrix_stage(cfg, checks, subset_budget)
+    return next(_trial(cfg, matrix, pert, [pert.target_eps0], [pert.target_epsb],
+                       checks, mode, subset_budget))
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -516,8 +499,9 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     promoted to one-element lists).  Each point runs ``trials`` trials
     whose seeds depend only on (master_seed, trial index), so points see
     identical instances and noise directions at different scales.  The
-    sweep runs trial by trial and each stage once per change of its
-    inputs (see the module docstring); records come out point by point.
+    sweep runs the trial body of ``run_trial`` trial by trial, over every
+    point at once (see the module docstring); records come out point by
+    point.
     Every argument is checked before the first trial: an unknown ``mode``
     raises ValueError, and any other argument of the wrong kind (see
     ``experiment --config``) raises InvalidConfig naming it.
@@ -527,36 +511,26 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     epsb_levels = _level(epsb_levels, "epsb_levels")
     trials, subset_budget = _COUNT(trials, "trials"), _COUNT(subset_budget, "subset_budget")
     master_seed = _SEED(master_seed, "master_seed")
-    grid = [PerturbationSpec(target_eps0=e0, target_epsb=eb, b_mode=b_mode)
-            for e0 in eps0_levels for eb in epsb_levels]
+    b_mode = _B_MODE(b_mode, "b_mode")
+    grid = [(e0, eb) for e0 in eps0_levels for eb in epsb_levels]
     all_records: list[TrialRecord] = [None] * (len(grid) * trials)   # point-major
     # Trial by trial, so only one trial's clean side is alive at a time.
     shared = None   # a user-supplied matrix's own work, done once
     for t in range(trials):
         iseed, pseed = trial_seeds(master_seed, t)
         tcfg = replace(cfg, seed=iseed)
-        matrix = shared
-        if matrix is None:
-            matrix = _matrix_stage(tcfg, checks, subset_budget)
-            if cfg.matrix_ensemble == "user-supplied":
-                shared = matrix
-        clean = _clean_stage(tcfg, matrix, checks)
+        matrix = shared or _matrix_stage(tcfg, checks, subset_budget)
+        if cfg.matrix_ensemble == "user-supplied":
+            shared = matrix
         noise = PerturbationSpec(seed=pseed, b_mode=b_mode)
-        sensing = _sensing(noise, matrix.Phi, matrix.refs, subset_budget)
-        measured = _measurement(noise, clean.Y)
-        for i, e0 in enumerate(eps0_levels):
-            E, eps0, eps = sensing(e0)
-            sensed = (matrix.Phi + E, eps0, eps)
-            for j, eb in enumerate(epsb_levels):
-                point = i * len(epsb_levels) + j
-                all_records[point * trials + t] = _point_stage(clean, sensed, measured, e0, eb,
-                                                               pseed, checks, mode)
+        for point, rec in enumerate(_trial(tcfg, matrix, noise, eps0_levels, epsb_levels,
+                                           checks, mode, subset_budget)):
+            all_records[point * trials + t] = rec
     return ExperimentReport(
         cfg=cfg, mode=mode, b_mode=b_mode, trials_per_point=trials,
         master_seed=master_seed, checks=checks,
-        points=tuple(_summarize(spec.target_eps0, spec.target_epsb,
-                                all_records[p * trials:(p + 1) * trials])
-                     for p, spec in enumerate(grid)),
+        points=tuple(_summarize(e0, eb, all_records[p * trials:(p + 1) * trials])
+                     for p, (e0, eb) in enumerate(grid)),
         records=tuple(all_records),
         overall=_summarize(None, None, all_records),
         red_alert=any(broken_promise(r) for r in all_records),

@@ -9,6 +9,7 @@ read-only.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .errors import (
     InvalidConfig,
     InvalidOrder,
     InvalidSparsity,
+    PreconditionViolated,
     ZeroReference,
 )
 
@@ -35,6 +37,17 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _measurement_norm(Y: np.ndarray) -> float:
+    """||Y||_F of measurements (a vector's 2-norm), refused when it
+    overflows double precision: a stop level or a relative level taken
+    against it would be meaningless."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(Y))
+    if not math.isfinite(norm):
+        raise PreconditionViolated("the norm of the measurements overflows double precision")
+    return norm
 
 
 def _is_integer(value) -> bool:
@@ -157,9 +170,16 @@ def truncated_svd(A: np.ndarray):
     return U[:, keep], s[keep], Vt[keep]
 
 
+def _row_norms(X) -> np.ndarray:
+    """The Euclidean norm of each row of a signal; a row whose norm
+    overflows reads inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(as_matrix(X, "signal"), axis=1)
+
+
 def support_of(X) -> SupportSet:
     """Indices of the rows of ``X`` that are not exactly zero."""
-    norms = np.linalg.norm(as_matrix(X, "signal"), axis=1)
+    norms = _row_norms(X)
     return tuple(int(i) for i in np.flatnonzero(norms > 0))
 
 
@@ -175,9 +195,10 @@ def min_support_row_norm(X) -> RowNormProfile:
     """Profile the row norms of ``X``; ``t0`` is the smallest nonzero one.
 
     Raises EmptySupport when every row is exactly zero, since the
-    smallest occupied-row norm is undefined for the zero signal.
+    smallest occupied-row norm is undefined for the zero signal.  A row
+    whose norm overflows reads inf.
     """
-    norms = np.linalg.norm(as_matrix(X, "signal"), axis=1)
+    norms = _row_norms(X)
     live = norms[norms > 0]
     if live.size == 0:
         raise EmptySupport("signal has no nonzero rows")

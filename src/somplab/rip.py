@@ -52,6 +52,7 @@ from .model import (
     _NONNEGATIVE,
     SupportSet,
     _check_fields,
+    _measurement_norm,
     _order,
     _perturbation_conforms,
     as_matrix,
@@ -504,8 +505,8 @@ def _spectral_reference(Phi: np.ndarray) -> float:
 
 
 def _frobenius_reference(Y: np.ndarray) -> float:
-    """||Y||_F, the reference of epsb."""
-    frob_y = float(np.linalg.norm(Y))
+    """||Y||_F, the reference of epsb; refused when it is zero or overflows."""
+    frob_y = _measurement_norm(Y)
     if frob_y == 0.0:
         raise ZeroReference("measurements have zero Frobenius norm")
     return frob_y

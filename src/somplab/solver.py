@@ -52,6 +52,7 @@ from .errors import EmptySupport
 from .model import (
     RANK_TOL,
     SupportSet,
+    _measurement_norm,
     _rows_conform,
     _sparsity,
     as_matrix,
@@ -272,7 +273,8 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     stopping early only when the residual norm falls to
     ``RESIDUAL_STOP_TOL * ||Y||_F``, then fits the signal on the selected
     support by least squares.  With Y = 0 the stop comes before the first
-    selection and the result has an empty support.
+    selection and the result has an empty support; a Y whose norm
+    overflows raises PreconditionViolated.
     """
     Y = as_matrix(Y, "measurements")
     Phi = as_matrix(Phi, "sensing matrix")
@@ -280,7 +282,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     m, n = Phi.shape
     k = _sparsity(k, m, n)
 
-    y_norm = float(np.linalg.norm(Y))
+    y_norm = _measurement_norm(Y)
     stop_at = RESIDUAL_STOP_TOL * y_norm
     # Row i of Qt is the i-th kept basis vector q_i, and Phi_kept = Qt^T T.
     # W[i] = q_i^T R when q_i was kept (q_i^T Y in exact arithmetic), so

@@ -782,6 +782,35 @@ def test_experiment_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsy
     assert len(rows) == 4 and {row[10] for row in rows} == {"unsat"}
 
 
+def test_measurements_whose_norm_overflows_are_refused(tmp_path, capsys):
+    # every entry of Y is finite, ||Y||_F is not; warnings are errors in this suite
+    Phi = np.random.default_rng(0).standard_normal((8, 12))
+    X = np.zeros((12, 2))
+    X[[1, 5]] = 1e200
+    write_matrix(tmp_path / "phi.txt", Phi)
+    write_matrix(tmp_path / "y.txt", Phi @ X)
+    files = ["--phi", str(tmp_path / "phi.txt"), "--y", str(tmp_path / "y.txt")]
+    for argv in (["solve", "--sparsity", "2"],
+                 ["perturb", "--epsb", "0.01", "--out-prefix", str(tmp_path / "out")],
+                 ["check", "--sparsity", "2", "--mode", "measurement", "--t0", "1",
+                  "--epsb", "0.01"]):
+        code = main([*argv, *files])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == "error: the norm of the measurements overflows double precision\n"
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_check_refuses_a_signal_whose_weakest_row_norm_overflows(tmp_path, capsys):
+    phi, y = _frame_files(tmp_path)
+    X = np.zeros((25, 2))
+    X[[3, 7]] = 1e200
+    write_matrix(tmp_path / "x.txt", X)
+    _check_refused(capsys, ["--phi", phi, "--sparsity", "2", "--mode", "measurement", "--y", y,
+                            "--x", str(tmp_path / "x.txt"), "--epsb", "0.01"],
+                   "weakest-row norm must be finite, got inf")
+
+
 def test_solve_trace_records_a_zero_residual_stop(tmp_path, capsys):
     phi, y = _frame_files(tmp_path, rows=(5,))
     trace = tmp_path / "trace.txt"

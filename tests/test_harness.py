@@ -433,25 +433,32 @@ def _count_sweep_work(monkeypatch, clean_matrices):
     split by whether they run on a clean matrix (Phi side) or on a
     perturbation (E side), and the clean solves the harness starts.  One
     solver serves the clean and the perturbed solves, and at an eps0 = 0
-    level the perturbed Phi is the clean one, so a clean solve is told
-    apart by its caller."""
+    level the perturbed Phi equals the clean one, so a clean solve is
+    told apart by its arguments: it gets the very Phi the harness drew,
+    while every perturbed solve gets the new array Phi + E."""
     import somplab.harness as harness_mod
     import somplab.rip as rip_mod
 
-    levels, solves = [], []
+    levels, solves, drawn = [], [], []
     real_levels = rip_mod._width_norms
     real_solve = harness_mod.somp_solve
+    real_draw = harness_mod.gen_sensing_matrix
 
     def widths(A, order, subset_budget):
         side = "phi" if any(np.array_equal(A, P) for P in clean_matrices) else "E"
         levels.append((side, order))
         return real_levels(A, order, subset_budget)
 
-    def solve(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_clean_stage":
-            solves.append(1)
-        return real_solve(*args, **kwargs)
+    def draw(cfg):
+        drawn.append(real_draw(cfg))
+        return drawn[-1]
 
+    def solve(Y, Phi, k):
+        if any(Phi is P for P in drawn):
+            solves.append(1)
+        return real_solve(Y, Phi, k)
+
+    monkeypatch.setattr(harness_mod, "gen_sensing_matrix", draw)
     monkeypatch.setattr(rip_mod, "_width_norms", widths)
     monkeypatch.setattr(harness_mod, "somp_solve", solve)
     return levels, solves

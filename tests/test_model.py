@@ -10,6 +10,7 @@ from somplab import (
     InvalidSparsity,
     PerturbationLevels,
     PerturbationSpec,
+    PreconditionViolated,
     SubsetBudgetExceeded,
     ZeroReference,
     calibrate_perturbation,
@@ -87,6 +88,42 @@ def test_min_support_row_norm():
 def test_min_support_row_norm_empty():
     with pytest.raises(EmptySupport):
         min_support_row_norm(np.zeros((4, 2)))
+
+
+def test_row_norms_that_overflow_read_inf_without_a_warning():
+    # 1e200 squared overflows; warnings are errors in this suite
+    X = np.zeros((4, 2))
+    X[[0, 2]] = 1e200
+    X[3] = 1.0
+    assert support_of(X) == (0, 2, 3)
+    prof = min_support_row_norm(X)
+    assert prof.t0 == np.sqrt(2.0)
+    assert list(prof.norms) == [np.inf, 0.0, np.inf, np.sqrt(2.0)]
+    X[3] = 0.0
+    assert min_support_row_norm(X).t0 == np.inf
+
+
+def _overflowing_measurements():
+    """An 8 x 12 Gaussian Phi and the measurements of a signal whose rows
+    1 and 5 hold 1e200: every entry of Y is finite, ||Y||_F overflows."""
+    Phi = np.random.default_rng(0).standard_normal((8, 12))
+    X = np.zeros((12, 2))
+    X[[1, 5]] = 1e200
+    Y = Phi @ X
+    assert np.isfinite(Y).all()
+    return Phi, Y
+
+
+def test_measurements_whose_norm_overflows_are_refused():
+    Phi, Y = _overflowing_measurements()
+    calls = [lambda: somp_solve(Y, Phi, 2),
+             lambda: reference_omp_smv(Y[:, 0], Phi, 2),
+             lambda: measure_perturbation_levels(Phi, 0 * Phi, Y, 0 * Y, order=1),
+             lambda: calibrate_perturbation(Phi, Y, PerturbationSpec(target_epsb=0.01))]
+    for call in calls:
+        with pytest.raises(PreconditionViolated,
+                           match="^the norm of the measurements overflows double precision$"):
+            call()
 
 
 def test_relative_frobenius_error():
