@@ -40,15 +40,15 @@ delta = ric_exact(Phi, 3)
 print("delta_3 =", delta.delta)
 
 noiseless = check_guarantee(Phi, None, None, 2, None, delta, mode="noiseless")
-print("noiseless:", "holds" if noiseless.condition_holds else "fails",
+print("noiseless:", "holds" if noiseless.verdict == "pass" else "fails",
       "(threshold", f"{noiseless.q_threshold:.6f})")
 
 levels = PerturbationLevels(eps0=1e-4, eps=1e-4, epsb=1e-3, order=2)
 general = check_guarantee(Phi, Y, 2.0, 2, levels, delta, mode="general")
-print("general: ", "holds" if general.condition_holds else "fails",
+print("general: ", "holds" if general.verdict == "pass" else "fails",
       "(eps_h", f"{general.eps_h:.3e},",
       "error bound", f"{general.error_bound:.3e})")
-assert general.condition_holds
+assert general.verdict == "pass"
 
 # crank the observation noise and the verdict flips to unsatisfiable:
 # no isometry constant could certify recovery at this noise level

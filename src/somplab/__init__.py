@@ -47,7 +47,6 @@ from .harness import (
 )
 from .matrixio import read_matrix, write_matrix
 from .model import (
-    RowNormProfile,
     min_support_row_norm,
     relative_frobenius_error,
     support_of,

@@ -29,6 +29,7 @@ from .model import (
     _level,
     _one_of,
     min_support_row_norm,
+    support_of,
 )
 from .perturb import (
     _B_MODE,
@@ -198,12 +199,11 @@ def _weakest_row(X, n: int, Y, k: int) -> float:
     want = (n, X.shape[1] if Y is None else Y.shape[1])
     if X.shape != want:
         raise DimensionMismatch(f"signal has shape {X.shape}, expected {want}")
-    profile = min_support_row_norm(X)
-    occupied = int((profile.norms > 0).sum())
+    occupied = len(support_of(X))
     if occupied > k:
         raise PreconditionViolated(
             f"signal has {occupied} occupied rows, more than the sparsity {k}")
-    return profile.t0
+    return min_support_row_norm(X)
 
 
 def _cmd_perturb(args) -> int:

@@ -162,8 +162,8 @@ class GuaranteeReport:
 
     ``verdict`` is "n/a" (a level the mode assumes zero is not; the
     report then has no magnitude, threshold or error bound, and ``note``
-    names the levels), "unsat", "pass" or "fail"; ``condition_holds`` is
-    true for "pass" alone.  ``q_threshold`` is None when the condition is
+    names the levels), "unsat", "pass" or "fail"; the condition holds for
+    "pass" alone.  ``q_threshold`` is None when the condition is
     unsatisfiable at the given perturbation level (out-of-domain
     threshold).  The error bound is None in noiseless mode (recovery is
     exact there) and ``math.inf`` when no finite amplification factor
@@ -179,7 +179,6 @@ class GuaranteeReport:
     delta: RicEstimate
     eps_h: float | None
     q_threshold: float | None
-    condition_holds: bool
     error_bound: float | None
     error_bound_direct: float | None
     note: str
@@ -249,8 +248,7 @@ def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
                        else "pass" if delta.delta < q_threshold else "fail")
         return GuaranteeReport(
             mode=mode, verdict=verdict, delta=delta, eps_h=eps_h, q_threshold=q_threshold,
-            condition_holds=verdict == "pass", error_bound=error_bound,
-            error_bound_direct=error_bound_direct, note=note)
+            error_bound=error_bound, error_bound_direct=error_bound_direct, note=note)
 
     outside = levels_outside_mode(mode, levels)
     if outside:   # the mode's certificate promises nothing here

@@ -20,9 +20,9 @@ change:
   the levels eps0 and eps (||Phi||_2 and Phi's largest submatrix
   spectral norms).  A sweep on a user-supplied matrix does this once for
   all its trials, any other sweep once per trial;
-- once per trial: the signal draw (X, Y, ||Y||_F, true support, t0)
-  and, when a filter check is on, the clean solve and the
-  filter-proximity verdict;
+- once per trial: the signal draw (X, Y, true support, t0), ||Y||_F
+  (the reference of epsb and an input of the guarantee) and, when a
+  filter check is on, the clean solve and the filter-proximity verdict;
 - once per eps0 level: the sensing perturbation E, its levels eps0 and
   eps, and Phi + E.  The direction of a generated E (and its spectral
   norm) is drawn once per trial, at its first nonzero eps0 level, and
@@ -332,9 +332,9 @@ def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_l
     Phi, delta = matrix.Phi, matrix.delta
     X = gen_sparse_signal(cfg)
     Y = Phi @ X
-    frob_y = _frobenius_reference(Y)   # an input of the guarantee at every point
+    frob_y = _frobenius_reference(Y)   # the guarantee's and epsb's reference
     true_support = support_of(X)
-    t0 = min_support_row_norm(X).t0 if checks.guarantee else None
+    t0 = min_support_row_norm(X) if checks.guarantee else None
 
     clean_trace = proximity_ok = None
     if checks.filter_proximity or checks.filter_deviation:
@@ -351,7 +351,7 @@ def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_l
             proximity_ok = proximity_ok and diag.passed
 
     sensing = _sensing(noise, Phi, matrix.refs, subset_budget)
-    measured = _measurement(noise, Y)
+    measured = _measurement(noise, Y, frob_y)
     for target_eps0 in eps0_levels:
         E, eps0, eps = sensing(target_eps0)
         Phi_obs = Phi + E

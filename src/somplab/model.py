@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +47,16 @@ def _measurement_norm(Y: np.ndarray) -> float:
     if not math.isfinite(norm):
         raise PreconditionViolated("the norm of the measurements overflows double precision")
     return norm
+
+
+def _column_products_fit(Phi: np.ndarray) -> None:
+    """PreconditionViolated unless Phi's largest squared column norm is a
+    finite double.  The column inner products, which the solver's
+    orthogonalization and every Gram work from, are bounded by it."""
+    with np.errstate(over="ignore"):
+        top = float(np.einsum("ij,ij->j", Phi, Phi).max())
+    if not math.isfinite(top):
+        raise PreconditionViolated("column inner products overflow double precision")
 
 
 def _is_integer(value) -> bool:
@@ -183,16 +192,8 @@ def support_of(X) -> SupportSet:
     return tuple(int(i) for i in np.flatnonzero(norms > 0))
 
 
-@dataclass(frozen=True)
-class RowNormProfile:
-    """Per-row norms of a signal together with the weakest occupied row."""
-
-    norms: np.ndarray  # length n, Euclidean norm per row
-    t0: float          # smallest norm over nonzero rows
-
-
-def min_support_row_norm(X) -> RowNormProfile:
-    """Profile the row norms of ``X``; ``t0`` is the smallest nonzero one.
+def min_support_row_norm(X) -> float:
+    """t0, the smallest norm over the nonzero rows of ``X``.
 
     Raises EmptySupport when every row is exactly zero, since the
     smallest occupied-row norm is undefined for the zero signal.  A row
@@ -202,7 +203,7 @@ def min_support_row_norm(X) -> RowNormProfile:
     live = norms[norms > 0]
     if live.size == 0:
         raise EmptySupport("signal has no nonzero rows")
-    return RowNormProfile(norms=norms, t0=float(live.min()))
+    return float(live.min())
 
 
 def relative_frobenius_error(X_hat, X) -> float:

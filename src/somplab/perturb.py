@@ -24,7 +24,6 @@ from .model import (
     _SEED,
     _check_fields,
     _one_of,
-    _order,
     _perturbation_conforms,
     _rows_conform,
     as_matrix,
@@ -32,6 +31,7 @@ from .model import (
 from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
+    _check_enumeration,
     _extreme_subsets,
     _frobenius_reference,
     _sensing_levels,
@@ -184,7 +184,7 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     _rows_conform(Y, Phi)
     refs = _sensing_references(Phi, order, subset_budget)
     E, eps0, eps = _sensing(spec, Phi, refs, subset_budget)(spec.target_eps0)
-    B, epsb = _measurement(spec, Y)(spec.target_epsb)
+    B, epsb = _measurement(spec, Y, _frobenius_reference(Y))(spec.target_epsb)
     return E, B, PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order)
 
 
@@ -244,14 +244,13 @@ def _measurement_noise(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarra
     return B0, float(np.linalg.norm(b))
 
 
-def _measurement(spec: PerturbationSpec, Y: np.ndarray):
+def _measurement(spec: PerturbationSpec, Y: np.ndarray, frob_y: float):
     """A function from a target epsb to the spec's B against clean
-    measurements Y and its level epsb.  A generated B is the direction
-    of ``_measurement_noise`` times target ||Y||_F / its norm; the
-    direction is drawn at the first nonzero target and only scaled for
-    every later one, so the sweep points of a trial share it.  ||Y||_F
-    is taken once, here."""
-    frob_y = _frobenius_reference(Y)
+    measurements Y, whose ||Y||_F (from ``_frobenius_reference``) the
+    caller passes as ``frob_y``, and its level epsb.  A generated B is
+    the direction of ``_measurement_noise`` times target ||Y||_F / its
+    norm; the direction is drawn at the first nonzero target and only
+    scaled for every later one, so the sweep points of a trial share it."""
     noise = functools.cache(lambda: _measurement_noise(spec, Y))
 
     def measured(target_epsb: float) -> tuple[np.ndarray, float]:
@@ -311,10 +310,12 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.nda
     seed; at overcomplete desk sizes such as (20, 25) the result lands
     well below the constants random draws achieve.  With m > n the Gram
     has only n eigenpairs, and m - n zero rows under their n x n factor
-    keep the shape without changing the Gram.
+    keep the shape without changing the Gram.  Every iterate is valued
+    over all C(n, ``order``) subsets, so a count above
+    ``DEFAULT_SUBSET_BUDGET`` raises SubsetBudgetExceeded before the draw.
     """
     m, n = _COUNT(m, "m"), _COUNT(n, "n")
-    order = _order(order, n)
+    order, _ = _check_enumeration(n, order, DEFAULT_SUBSET_BUDGET)
     rng = _rng(_SEED(seed, "seed"), _FRAME_STREAM)
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=0, keepdims=True)

@@ -52,6 +52,7 @@ from .model import (
     _NONNEGATIVE,
     SupportSet,
     _check_fields,
+    _column_products_fit,
     _measurement_norm,
     _order,
     _perturbation_conforms,
@@ -392,7 +393,10 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
-    """A's Gram matrix, refused when it overflows double precision."""
+    """A's Gram matrix, refused when it overflows double precision: by
+    ``_column_products_fit`` before the product, so numpy has no overflow
+    to warn about, and by the product's entries after it."""
+    _column_products_fit(A)
     gram = A.T @ A
     if not np.isfinite(gram).all():
         raise PreconditionViolated("column inner products overflow double precision")

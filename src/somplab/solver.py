@@ -52,6 +52,7 @@ from .errors import EmptySupport
 from .model import (
     RANK_TOL,
     SupportSet,
+    _column_products_fit,
     _measurement_norm,
     _rows_conform,
     _sparsity,
@@ -274,13 +275,15 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     ``RESIDUAL_STOP_TOL * ||Y||_F``, then fits the signal on the selected
     support by least squares.  With Y = 0 the stop comes before the first
     selection and the result has an empty support; a Y whose norm
-    overflows raises PreconditionViolated.
+    overflows, or a Phi whose squared column norms do, raises
+    PreconditionViolated.
     """
     Y = as_matrix(Y, "measurements")
     Phi = as_matrix(Phi, "sensing matrix")
     _rows_conform(Y, Phi)
     m, n = Phi.shape
     k = _sparsity(k, m, n)
+    _column_products_fit(Phi)
 
     y_norm = _measurement_norm(Y)
     stop_at = RESIDUAL_STOP_TOL * y_norm

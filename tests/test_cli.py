@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -798,6 +801,29 @@ def test_measurements_whose_norm_overflows_are_refused(tmp_path, capsys):
         out = capsys.readouterr()
         assert (code, out.out) == (2, "")
         assert out.err == "error: the norm of the measurements overflows double precision\n"
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--phi", "phi.txt", "--y", "y.txt", "--sparsity", "2"],
+    ["ric", "--matrix", "phi.txt", "--order", "2"],
+    ["check", "--phi", "phi.txt", "--sparsity", "2", "--mode", "noiseless"],
+    ["perturb", "--phi", "phi.txt", "--y", "y.txt", "--out-prefix", "out"],
+], ids=lambda argv: argv[0])
+def test_columns_whose_squared_norms_overflow_are_refused_under_w_error(tmp_path, argv):
+    # an 8 x 12 Gaussian scaled by 1e200 (every v @ v overflows) and the
+    # finite measurements of a signal with rows 1 and 5 at 1e-200, run as
+    # a fresh interpreter that turns every warning into an exception
+    Phi = np.random.default_rng(0).standard_normal((8, 12)) * 1e200
+    X = np.zeros((12, 2))
+    X[[1, 5]] = 1e-200
+    write_matrix(tmp_path / "phi.txt", Phi)
+    write_matrix(tmp_path / "y.txt", Phi @ X)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "somplab.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: column inner products overflow double precision\n"
     assert not list(tmp_path.glob("out.*"))
 
 

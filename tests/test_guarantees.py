@@ -218,15 +218,14 @@ def _noiseless_setup(rho, n=8):
 def test_check_guarantee_noiseless_verdicts():
     Phi, delta = _noiseless_setup(0.1)
     report = check_guarantee(Phi, None, None, 1, None, delta, mode="noiseless")
-    assert report.condition_holds and report.verdict == "pass"
+    assert report.verdict == "pass"
     assert report.q_threshold == recovery_threshold(1, math.inf)
     assert report.error_bound is None
     assert report.eps_h == 0.0
 
     Phi, delta = _noiseless_setup(0.5)
     report = check_guarantee(Phi, None, None, 1, None, delta, mode="noiseless")
-    assert not report.condition_holds  # 0.5 >= 1/3
-    assert report.verdict == "fail"
+    assert report.verdict == "fail"  # 0.5 >= 1/3
 
 
 def test_check_guarantee_validates_order_and_mode():
@@ -247,7 +246,7 @@ def test_check_guarantee_general_mode_paths():
     Y = Phi @ (np.eye(8)[:, :1] * 2.0)
     levels = PerturbationLevels(eps0=1e-5, eps=1e-5, epsb=1e-4, order=1)
     report = check_guarantee(Phi, Y, 2.0, 1, levels, delta, mode="general")
-    assert report.condition_holds
+    assert report.verdict == "pass"
     assert report.q_threshold < recovery_threshold(1, math.inf)
     # k = 1 has no finite amplification factor
     assert report.error_bound == math.inf
@@ -257,7 +256,7 @@ def test_check_guarantee_general_mode_paths():
     big = PerturbationLevels(eps0=0.0, eps=0.0, epsb=50.0, order=1)
     report = check_guarantee(Phi, Y, 2.0, 1, big, delta, mode="general")
     assert report.q_threshold is None
-    assert not report.condition_holds and report.verdict == "unsat"
+    assert report.verdict == "unsat"
     assert "unsatisfiable" in report.note
 
 
@@ -327,7 +326,7 @@ def test_check_guarantee_outside_the_magnitude_domain(mode):
     assert report.q_threshold is None
     assert report.eps_h == math.inf
     assert report.error_bound == math.inf
-    assert not report.condition_holds and report.verdict == "unsat"
+    assert report.verdict == "unsat"
     assert "magnitude undefined" in report.note
 
 
@@ -376,7 +375,6 @@ def test_check_guarantee_refuses_levels_outside_its_mode():
     levels = PerturbationLevels(eps0=0.05, eps=0.05, epsb=0.0, order=1)
     report = check_guarantee(Phi, Phi @ X, 2.0, 1, levels, delta, mode="measurement")
     assert report.verdict == "n/a"
-    assert report.condition_holds is False
     assert report.q_threshold is None and report.eps_h is None
     assert report.error_bound is None and report.error_bound_direct is None
     assert report.note == "mode measurement assumes zero eps0, eps; got eps0=0.05, eps=0.05"
@@ -409,4 +407,4 @@ def test_check_guarantee_refuses_a_zero_reference_in_every_noisy_mode(mode):
         check_guarantee(np.zeros_like(Phi), Y, 2.0, 1, levels, delta, mode=mode)
     # noiseless mode uses neither reference
     report = check_guarantee(Phi, np.zeros_like(Y), None, 1, None, delta, mode="noiseless")
-    assert report.condition_holds
+    assert report.verdict == "pass"

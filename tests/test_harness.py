@@ -431,18 +431,21 @@ def test_run_experiment_refuses_checks_without_ric_before_any_trial(monkeypatch)
 def _count_sweep_work(monkeypatch, clean_matrices):
     """Count level computations (one Gram and its widths 1..k each),
     split by whether they run on a clean matrix (Phi side) or on a
-    perturbation (E side), and the clean solves the harness starts.  One
+    perturbation (E side), the clean solves the harness starts, and the
+    ||Y||_F references taken by the harness and the perturbation.  One
     solver serves the clean and the perturbed solves, and at an eps0 = 0
     level the perturbed Phi equals the clean one, so a clean solve is
     told apart by its arguments: it gets the very Phi the harness drew,
     while every perturbed solve gets the new array Phi + E."""
     import somplab.harness as harness_mod
+    import somplab.perturb as perturb_mod
     import somplab.rip as rip_mod
 
-    levels, solves, drawn = [], [], []
+    levels, solves, drawn, norms = [], [], [], []
     real_levels = rip_mod._width_norms
     real_solve = harness_mod.somp_solve
     real_draw = harness_mod.gen_sensing_matrix
+    real_norm = rip_mod._frobenius_reference
 
     def widths(A, order, subset_budget):
         side = "phi" if any(np.array_equal(A, P) for P in clean_matrices) else "E"
@@ -458,10 +461,16 @@ def _count_sweep_work(monkeypatch, clean_matrices):
             solves.append(1)
         return real_solve(Y, Phi, k)
 
+    def norm(Y):
+        norms.append(1)
+        return real_norm(Y)
+
     monkeypatch.setattr(harness_mod, "gen_sensing_matrix", draw)
     monkeypatch.setattr(rip_mod, "_width_norms", widths)
     monkeypatch.setattr(harness_mod, "somp_solve", solve)
-    return levels, solves
+    for module in (harness_mod, perturb_mod):
+        monkeypatch.setattr(module, "_frobenius_reference", norm)
+    return levels, solves, norms
 
 
 def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
@@ -471,30 +480,34 @@ def test_run_experiment_does_clean_work_once_per_trial(monkeypatch):
     trials, seed = 3, 71
     phis = [gen_sensing_matrix(dataclasses.replace(cfg, seed=trial_seeds(seed, t)[0]))
             for t in range(trials)]
-    levels, solves = _count_sweep_work(monkeypatch, phis)
+    levels, solves, norms = _count_sweep_work(monkeypatch, phis)
     # three eps0 levels, one of them zero, times two epsb levels
     kw = dict(eps0_levels=[0.0, 1e-4, 1e-3], epsb_levels=[1e-3, 1e-2], trials=trials,
               master_seed=seed)
     run_experiment(cfg, **kw, checks=TrialChecks(filter_deviation=True))
     # Phi side: one level computation (widths 1..k) per clean matrix; E
     # side: one per (trial, nonzero eps0 level), since an all-zero E needs
-    # none; one clean solve per trial
+    # none; one clean solve and one ||Y||_F per trial, over all six points
     assert Counter(levels) == {("phi", 2): 3, ("E", 2): 6}
     assert len(solves) == trials
+    assert len(norms) == trials
 
     levels.clear()
     solves.clear()
+    norms.clear()
     run_experiment(cfg, **kw)
     assert Counter(levels) == {("phi", 2): 3, ("E", 2): 6}
     assert solves == []
+    assert len(norms) == trials
 
     # a user-supplied matrix is one clean matrix for the whole sweep
     Phi = _rng(5).standard_normal((40, 12)) / np.sqrt(40)
     shared = InstanceConfig(m=40, n=12, L=2, k=2, matrix_ensemble="user-supplied", matrix=Phi)
-    levels, solves = _count_sweep_work(monkeypatch, [Phi])
+    levels, solves, norms = _count_sweep_work(monkeypatch, [Phi])
     run_experiment(shared, **kw, checks=TrialChecks(filter_proximity=True))
     assert Counter(levels) == {("phi", 2): 1, ("E", 2): 6}
     assert len(solves) == trials
+    assert len(norms) == trials
 
 
 def _count_noise_draws(monkeypatch, drawer):

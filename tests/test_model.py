@@ -68,8 +68,10 @@ def test_as_support_sorts_and_validates():
 
 
 def test_row_norms_values():
+    # t0 of a one-row signal is that row's norm
     X = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-    assert np.allclose(min_support_row_norm(X).norms, [5.0, 0.0, 1.0])
+    assert [min_support_row_norm(X[[i]]) for i in (0, 2)] == [5.0, 1.0]
+    assert support_of(X) == (0, 2)
 
 
 def test_support_of_exact_and_tolerant():
@@ -80,9 +82,8 @@ def test_support_of_exact_and_tolerant():
 
 def test_min_support_row_norm():
     X = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-    prof = min_support_row_norm(X)
-    assert prof.t0 == 1.0
-    assert np.allclose(prof.norms, [5.0, 0.0, 1.0])
+    t0 = min_support_row_norm(X)
+    assert type(t0) is float and t0 == 1.0
 
 
 def test_min_support_row_norm_empty():
@@ -96,11 +97,10 @@ def test_row_norms_that_overflow_read_inf_without_a_warning():
     X[[0, 2]] = 1e200
     X[3] = 1.0
     assert support_of(X) == (0, 2, 3)
-    prof = min_support_row_norm(X)
-    assert prof.t0 == np.sqrt(2.0)
-    assert list(prof.norms) == [np.inf, 0.0, np.inf, np.sqrt(2.0)]
+    assert min_support_row_norm(X) == np.sqrt(2.0)
+    assert [min_support_row_norm(X[[i]]) for i in (0, 2)] == [np.inf, np.inf]
     X[3] = 0.0
-    assert min_support_row_norm(X).t0 == np.inf
+    assert min_support_row_norm(X) == np.inf
 
 
 def _overflowing_measurements():
@@ -141,7 +141,7 @@ def test_weakest_row_never_beats_full_energy():
     for _ in range(50):
         X = g.standard_normal((8, 3))
         X[g.choice(8, size=3, replace=False)] = 0.0
-        assert min_support_row_norm(X).t0 <= np.linalg.norm(X) + 1e-15
+        assert min_support_row_norm(X) <= np.linalg.norm(X) + 1e-15
 
 
 def test_relative_error_invariant_under_column_permutation():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from somplab import (
     InvalidConfig,
     InvalidOrder,
     PerturbationSpec,
+    SubsetBudgetExceeded,
     apply_perturbation,
     calibrate_perturbation,
     coherent_pair_matrix,
@@ -238,6 +240,16 @@ def test_low_coherence_frame_refuses_sizes_that_are_not_counts(m, n, name):
     # refused before numpy sees them, naming the argument
     with pytest.raises(InvalidConfig, match=f"'{name}' must be an integer >= 1"):
         low_coherence_frame(m, n, order=2)
+
+
+def test_low_coherence_frame_refuses_more_subsets_than_the_default_budget():
+    # C(60, 5) = 5,461,512 subsets, refused before the draw as ric_exact
+    # refuses them, instead of enumerating them at every iterate
+    start = time.perf_counter()
+    with pytest.raises(SubsetBudgetExceeded,
+                       match=r"^C\(60, 5\) = 5461512 subsets exceed the budget of 2000000$"):
+        low_coherence_frame(30, 60, order=5)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("m, n", [(6, 5), (5, 5), (4, 5)])

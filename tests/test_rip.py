@@ -583,17 +583,17 @@ def test_validation_and_budget():
 
 
 def test_overflowing_gram_is_rejected():
+    # refused before the product, so numpy never warns (warnings are errors here)
     A = _unit_columns(6, 8, 46) * 1e200
-    with np.errstate(over="ignore"):
-        with pytest.raises(PreconditionViolated):
-            ric_exact(A, 2)
-        with pytest.raises(PreconditionViolated):
-            submatrix_spectral_norm(A, 2)
-        # the level widths, all from one Gram
-        with pytest.raises(PreconditionViolated):
-            rip._width_references(A, 2, rip.DEFAULT_SUBSET_BUDGET)
-        with pytest.raises(PreconditionViolated):
-            rip._sensing_levels(A, 1.0, (1.0, 1.0), rip.DEFAULT_SUBSET_BUDGET)
+    with pytest.raises(PreconditionViolated):
+        ric_exact(A, 2)
+    with pytest.raises(PreconditionViolated):
+        submatrix_spectral_norm(A, 2)
+    # the level widths, all from one Gram
+    with pytest.raises(PreconditionViolated):
+        rip._width_references(A, 2, rip.DEFAULT_SUBSET_BUDGET)
+    with pytest.raises(PreconditionViolated):
+        rip._sensing_levels(A, 1.0, (1.0, 1.0), rip.DEFAULT_SUBSET_BUDGET)
 
 
 def test_submatrix_spectral_norm_small_case():

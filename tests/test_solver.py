@@ -13,6 +13,7 @@ from somplab import (
     DimensionMismatch,
     EmptySupport,
     InvalidSparsity,
+    PreconditionViolated,
     least_squares_on_support,
     somp_solve,
     solve_perturbed,
@@ -277,6 +278,18 @@ def test_solve_validates_inputs_once(monkeypatch):
         res = somp_solve(Y, Phi, k)
         assert len(res.trace.selected) == k
         assert len(calls) <= 2
+
+
+def test_columns_whose_squared_norms_overflow_are_refused():
+    # every column of an 8 x 12 Gaussian scaled by 1e200 has v @ v = inf,
+    # which would leave Gram-Schmidt with infinite norms and no sound pick;
+    # Y is finite and small (warnings are errors in this suite)
+    Phi = np.random.default_rng(0).standard_normal((8, 12)) * 1e200
+    X = np.zeros((12, 2))
+    X[[1, 5]] = 1e-200
+    with pytest.raises(PreconditionViolated,
+                       match="^column inner products overflow double precision$"):
+        somp_solve(Phi @ X, Phi, 2)
 
 
 def _duplicated_column_instance():
