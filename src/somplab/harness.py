@@ -25,13 +25,13 @@ change:
   filter check is on, the clean solve and the filter-proximity verdict;
 - once per eps0 level: the sensing perturbation E, its levels eps0 and
   eps, and Phi + E.  The direction of a generated E (and its spectral
-  norm) is drawn once per trial, at its first nonzero eps0 level, and
-  each level only scales it;
+  norm) is drawn once per trial, before its levels, when any of them is
+  nonzero, and each level only scales it;
 - once per point: the measurement perturbation B and epsb against
   ||Y||_F, the guarantee (evaluated on the clean ||Phi||_2 and ||Y||_F
   held above), the perturbed solve and its diagnostics.  The direction
-  of a generated B is drawn once per trial, at its first nonzero epsb
-  level, and each point only scales it.
+  of a generated B is drawn once per trial, before its levels, when any
+  of them is nonzero, and each point only scales it.
 
 ``run_trial`` is that body at one point.
 
@@ -72,9 +72,9 @@ from .perturb import (
     _B_MODE,
     InstanceConfig,
     PerturbationSpec,
-    _measurement,
-    _sensing,
-    _sensing_references,
+    _measurement_noise,
+    _scaled,
+    _sensing_noise,
     gen_sensing_matrix,
     gen_sparse_signal,
 )
@@ -84,6 +84,10 @@ from .rip import (
     PerturbationLevels,
     RicEstimate,
     _frobenius_reference,
+    _measurement_level,
+    _sensing_levels,
+    _spectral_reference,
+    _width_references,
     residual_sensing_matrix,
     ric_exact,
 )
@@ -320,7 +324,7 @@ def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int) 
     Phi = gen_sensing_matrix(cfg)
     delta = ric_exact(Phi, cfg.k + 1, subset_budget) if checks.ric else None
     return _Matrix(Phi=Phi, delta=delta,
-                   refs=_sensing_references(Phi, cfg.k, subset_budget))
+                   refs=(_spectral_reference(Phi), _width_references(Phi, cfg.k, subset_budget)))
 
 
 def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_levels,
@@ -350,18 +354,20 @@ def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_l
             diag = matched_filter_oracle(Phi, prefix, X_rest, delta=delta)
             proximity_ok = proximity_ok and diag.passed
 
-    sensing = _sensing(noise, Phi, matrix.refs, subset_budget)
-    measured = _measurement(noise, Y, frob_y)
+    spectral_phi, widths = matrix.refs
+    e_noise = _sensing_noise(noise, Phi) if any(eps0_levels) else None
+    b_noise = _measurement_noise(noise, Y) if any(epsb_levels) else None
     for target_eps0 in eps0_levels:
-        E, eps0, eps = sensing(target_eps0)
+        E = _scaled(e_noise, target_eps0, spectral_phi, Phi)
+        eps0, eps = _sensing_levels(E, spectral_phi, widths, subset_budget)
         Phi_obs = Phi + E
         for target_epsb in epsb_levels:
-            B, epsb = measured(target_epsb)
-            levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=cfg.k)
+            B = _scaled(b_noise, target_epsb, frob_y, Y)
+            levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=_measurement_level(B, frob_y),
+                                        order=cfg.k)
             report = None
             if checks.guarantee:
-                report = _evaluate_guarantee(matrix.refs[0], frob_y, t0, cfg.k, levels,
-                                             delta, mode)
+                report = _evaluate_guarantee(spectral_phi, frob_y, t0, cfg.k, levels, delta, mode)
 
             solved = somp_solve(Y + B, Phi_obs, cfg.k)
             rel_error = relative_frobenius_error(solved.signal, X)

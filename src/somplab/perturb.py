@@ -10,7 +10,6 @@ measurement noise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .rip import (
     _check_enumeration,
     _extreme_subsets,
     _frobenius_reference,
+    _measurement_level,
     _sensing_levels,
     _spectral_norm,
     _spectral_reference,
@@ -172,60 +172,38 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
                            ) -> tuple[np.ndarray, np.ndarray, PerturbationLevels]:
     """Realize a perturbation spec against concrete clean observations.
 
-    E and B are drawn from ``spec.seed`` and scaled in one multiplication
+    E and B are drawn from ``spec.seed`` and scaled by ``_scaled``
     (E = E0 * target_eps0 ||Phi||_2 / ||E0||_2, and likewise for B with
     Frobenius norms), so the realized full-matrix levels match the
-    targets to rounding.  The submatrix level eps is then measured over
-    widths 1..``order`` (in 1..n), never targeted.  Returns E, B and the
-    measured levels; ``measure_perturbation_levels`` measures a given pair.
+    targets to rounding; a direction is drawn only for a nonzero target.
+    The submatrix level eps is then measured over widths 1..``order``
+    (in 1..n), never targeted.  Returns E, B and the measured levels;
+    ``measure_perturbation_levels`` measures a given pair.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     Y = as_matrix(Y, "measurements")
     _rows_conform(Y, Phi)
-    refs = _sensing_references(Phi, order, subset_budget)
-    E, eps0, eps = _sensing(spec, Phi, refs, subset_budget)(spec.target_eps0)
-    B, epsb = _measurement(spec, Y, _frobenius_reference(Y))(spec.target_epsb)
-    return E, B, PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order)
+    spectral_phi = _spectral_reference(Phi)
+    widths = _width_references(Phi, order, subset_budget)
+    e_noise = _sensing_noise(spec, Phi) if spec.target_eps0 else None
+    E = _scaled(e_noise, spec.target_eps0, spectral_phi, Phi)
+    eps0, eps = _sensing_levels(E, spectral_phi, widths, subset_budget)
+    frob_y = _frobenius_reference(Y)
+    b_noise = _measurement_noise(spec, Y) if spec.target_epsb else None
+    B = _scaled(b_noise, spec.target_epsb, frob_y, Y)
+    return E, B, PerturbationLevels(eps0=eps0, eps=eps, epsb=_measurement_level(B, frob_y),
+                                    order=order)
 
 
 # The calibration in the pieces a sweep runs at different rates: the
-# references once per clean matrix, the directions of both noises once
-# per trial, E and its levels once per sensing level, and B and its level
-# once per measurement level.
-
-def _sensing_references(Phi: np.ndarray, order: int,
-                        subset_budget: int) -> tuple[float, tuple[float, ...]]:
-    """||Phi||_2 and Phi's largest width-w submatrix spectral norms for
-    w = 1..order: the references of eps0 and eps."""
-    return _spectral_reference(Phi), _width_references(Phi, order, subset_budget)
-
+# direction of each noise once per trial (and only when some level of it
+# is nonzero), and its scaling to a level once per level.
 
 def _sensing_noise(spec: PerturbationSpec, Phi: np.ndarray) -> tuple[np.ndarray, float]:
     """The direction of the spec's generated sensing perturbation and the
     norm it is scaled by: a standard normal E0 and ||E0||_2."""
     E0 = _rng(spec.seed, _SENSING_NOISE_STREAM).standard_normal(Phi.shape)
     return E0, _spectral_norm(E0)
-
-
-def _sensing(spec: PerturbationSpec, Phi: np.ndarray, refs: tuple[float, tuple[float, ...]],
-             subset_budget: int):
-    """A function from a target eps0 to the spec's E against a clean Phi
-    with references ``refs``, and its levels eps0 and eps.  A generated E
-    is the direction of ``_sensing_noise`` times target ||Phi||_2 / its
-    norm; the direction is drawn at the first nonzero target and only
-    scaled for every later one, so the eps0 levels of a trial share it."""
-    spectral_phi, widths = refs
-    noise = functools.cache(lambda: _sensing_noise(spec, Phi))
-
-    def sensed(target_eps0: float) -> tuple[np.ndarray, float, float]:
-        if target_eps0 == 0.0:
-            E = np.zeros_like(Phi)
-        else:
-            E0, size = noise()
-            E = E0 * (target_eps0 * spectral_phi / size)
-        return (E, *_sensing_levels(E, spectral_phi, widths, subset_budget))
-
-    return sensed
 
 
 def _measurement_noise(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -244,24 +222,16 @@ def _measurement_noise(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarra
     return B0, float(np.linalg.norm(b))
 
 
-def _measurement(spec: PerturbationSpec, Y: np.ndarray, frob_y: float):
-    """A function from a target epsb to the spec's B against clean
-    measurements Y, whose ||Y||_F (from ``_frobenius_reference``) the
-    caller passes as ``frob_y``, and its level epsb.  A generated B is
-    the direction of ``_measurement_noise`` times target ||Y||_F / its
-    norm; the direction is drawn at the first nonzero target and only
-    scaled for every later one, so the sweep points of a trial share it."""
-    noise = functools.cache(lambda: _measurement_noise(spec, Y))
-
-    def measured(target_epsb: float) -> tuple[np.ndarray, float]:
-        if target_epsb == 0.0:
-            B = np.zeros_like(Y)
-        else:
-            B0, size = noise()
-            B = B0 * (target_epsb * frob_y / size)
-        return B, float(np.linalg.norm(B)) / frob_y
-
-    return measured
+def _scaled(noise: tuple[np.ndarray, float] | None, target: float, reference: float,
+            like: np.ndarray) -> np.ndarray:
+    """A perturbation at relative level ``target`` of ``reference``: zeros
+    shaped like ``like`` at a zero target (``noise`` is then not read),
+    else the direction of ``noise = (direction, size)`` times
+    target * reference / size."""
+    if target == 0.0:
+        return np.zeros_like(like)
+    direction, size = noise
+    return direction * (target * reference / size)
 
 
 def apply_perturbation(Y, Phi, E, B):

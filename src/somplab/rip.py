@@ -487,7 +487,7 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
     frob_y = _frobenius_reference(Y)
     eps0, eps = _sensing_levels(E, spectral_phi, _width_references(Phi, order, subset_budget),
                                 subset_budget)
-    return PerturbationLevels(eps0=eps0, eps=eps, epsb=float(np.linalg.norm(B)) / frob_y,
+    return PerturbationLevels(eps0=eps0, eps=eps, epsb=_measurement_level(B, frob_y),
                               order=order)
 
 
@@ -514,6 +514,11 @@ def _frobenius_reference(Y: np.ndarray) -> float:
     if frob_y == 0.0:
         raise ZeroReference("measurements have zero Frobenius norm")
     return frob_y
+
+
+def _measurement_level(B: np.ndarray, frob_y: float) -> float:
+    """epsb, ||B||_F against the clean ||Y||_F from ``_frobenius_reference``."""
+    return float(np.linalg.norm(B)) / frob_y
 
 
 def _width_norms(A: np.ndarray, order: int, subset_budget: int):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupport
+from .errors import EmptySupport, PreconditionViolated
 from .model import (
     RANK_TOL,
     SupportSet,
@@ -199,10 +199,14 @@ _REORTH = 1.0 / math.sqrt(2.0)
 
 def _select(scores, selected):
     """The smallest unselected index whose score ties the largest
-    unselected score (up to ``_TIE_TOL``)."""
+    unselected score (up to ``_TIE_TOL``).  A largest score that is not
+    finite (the squares of the filter's rows overflowed) would tie no
+    score and send the pick to index 0, so it raises PreconditionViolated."""
     unselected = scores.copy()
     unselected[selected] = -1.0
     top = float(unselected[unselected.argmax()])
+    if not math.isfinite(top):
+        raise PreconditionViolated("matched-filter scores overflow double precision")
     return int((unselected >= top - _TIE_TOL * top).argmax())
 
 
@@ -275,8 +279,8 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     ``RESIDUAL_STOP_TOL * ||Y||_F``, then fits the signal on the selected
     support by least squares.  With Y = 0 the stop comes before the first
     selection and the result has an empty support; a Y whose norm
-    overflows, or a Phi whose squared column norms do, raises
-    PreconditionViolated.
+    overflows, a Phi whose squared column norms do, or a matched filter
+    whose scores do, raises PreconditionViolated.
     """
     Y = as_matrix(Y, "measurements")
     Phi = as_matrix(Phi, "sensing matrix")

@@ -745,10 +745,10 @@ def test_check_stores_a_negative_zero_level_as_zero(tmp_path, capsys):
         "epsb=0.0", "eps_h=0.0", "error_bound=0.0", "error_bound_direct=0.0"]
 
 
-def _huge_files(tmp_path):
-    """An 8 x 10 sensing matrix scaled by 1e100, so ||Phi||_2^4 overflows a
-    double, and the measurements of a two-row signal."""
-    Phi = np.random.default_rng(0).standard_normal((8, 10)) * 1e100
+def _huge_files(tmp_path, scale=1e100):
+    """An 8 x 10 sensing matrix scaled by ``scale`` (by default 1e100, so
+    ||Phi||_2^4 overflows a double) and the measurements of a two-row signal."""
+    Phi = np.random.default_rng(0).standard_normal((8, 10)) * scale
     X = np.zeros((10, 2))
     X[[1, 4]] = [[1.0, 2.0], [-1.0, 0.5]]
     write_matrix(tmp_path / "phi.txt", Phi)
@@ -772,13 +772,20 @@ def test_check_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsys, mo
     assert out.out.splitlines()[-1].startswith(f"condition {verdict} (")
 
 
-def test_experiment_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsys):
-    phi, _ = _huge_files(tmp_path)
+@pytest.mark.parametrize("scale", [1e100, 1e60], ids=["1e100", "1e60"])
+def test_experiment_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsys, scale):
+    # at 1e100 the solver's matched-filter scores overflow and the sweep is
+    # refused; at 1e60 they do not, and only the guarantee's closed forms do
+    phi, _ = _huge_files(tmp_path, scale)
     cfg = _config(tmp_path, instance={"m": 8, "n": 10, "L": 2, "k": 2,
                                       "ensemble": "user-supplied", "matrix": phi},
                   perturbation={"eps0": [0.0, 1e-3], "epsb": 1e-3}, trials=2)
     code = main(["experiment", "--config", str(cfg)])
     out = capsys.readouterr()
+    if scale == 1e100:
+        assert (code, out.out) == (2, "")
+        assert out.err == "error: matched-filter scores overflow double precision\n"
+        return
     assert code == 0
     assert out.err == ""
     rows = [line.split("\t") for line in out.out.splitlines() if line[:1].isdigit()]
@@ -825,6 +832,22 @@ def test_columns_whose_squared_norms_overflow_are_refused_under_w_error(tmp_path
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: column inner products overflow double precision\n"
     assert not list(tmp_path.glob("out.*"))
+
+
+def test_matched_filter_scores_that_overflow_are_refused_under_w_error(tmp_path):
+    # an 8 x 12 Gaussian scaled by 1e150: every squared column norm is
+    # finite, but the squared rows of Phi^T Y for rows 1 and 5 at 1.0 are not
+    Phi = np.random.default_rng(0).standard_normal((8, 12)) * 1e150
+    X = np.zeros((12, 2))
+    X[[1, 5]] = 1.0
+    write_matrix(tmp_path / "phi.txt", Phi)
+    write_matrix(tmp_path / "y.txt", Phi @ X)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "somplab.cli", "solve",
+                           "--phi", "phi.txt", "--y", "y.txt", "--sparsity", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: matched-filter scores overflow double precision\n"
 
 
 def test_check_refuses_a_signal_whose_weakest_row_norm_overflows(tmp_path, capsys):

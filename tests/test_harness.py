@@ -14,6 +14,7 @@ from somplab import (
     PreconditionViolated,
     TraceMismatch,
     TrialChecks,
+    calibrate_perturbation,
     filter_deviation_diagnostic,
     gen_sensing_matrix,
     gen_sparse_signal,
@@ -541,6 +542,13 @@ def test_sweep_draws_the_measurement_noise_once_per_trial(monkeypatch, b_mode):
     draws.clear()
     run_experiment(cfg, [1e-4], [0.0, 0.0], trials, seed, b_mode=b_mode)
     assert draws == []
+    # calibration draws it once for a nonzero target and never for a zero one
+    Phi = gen_sensing_matrix(cfg)
+    Y = Phi @ gen_sparse_signal(cfg)
+    calibrate_perturbation(Phi, Y, PerturbationSpec(target_eps0=1e-3, seed=5, b_mode=b_mode))
+    assert draws == []
+    calibrate_perturbation(Phi, Y, PerturbationSpec(target_epsb=1e-3, seed=5, b_mode=b_mode))
+    assert draws == [(5, _MEASUREMENT_NOISE_STREAM)]
 
 
 def test_sweep_draws_the_sensing_noise_once_per_trial(monkeypatch):
@@ -557,6 +565,13 @@ def test_sweep_draws_the_sensing_noise_once_per_trial(monkeypatch):
     draws.clear()
     run_experiment(cfg, [0.0, 0.0], [1e-3], trials, seed)
     assert draws == []
+    # calibration draws it once for a nonzero target and never for a zero one
+    Phi = gen_sensing_matrix(cfg)
+    Y = Phi @ gen_sparse_signal(cfg)
+    calibrate_perturbation(Phi, Y, PerturbationSpec(target_epsb=1e-3, seed=5), order=2)
+    assert draws == []
+    calibrate_perturbation(Phi, Y, PerturbationSpec(target_eps0=1e-3, seed=5), order=2)
+    assert draws == [(5, _SENSING_NOISE_STREAM)]
 
 
 @pytest.mark.parametrize("filters", [False, True])

@@ -292,6 +292,30 @@ def test_columns_whose_squared_norms_overflow_are_refused():
         somp_solve(Phi @ X, Phi, 2)
 
 
+def test_matched_filter_scores_that_overflow_are_refused():
+    # at 1e150 every squared column norm of the 8 x 12 Gaussian is finite,
+    # but the squared rows of Phi^T Y for rows 1 and 5 at 1.0 are not; a
+    # pick among infinite scores would fall back to column 0 every time
+    base = np.random.default_rng(0).standard_normal((8, 12))
+    X = np.zeros((12, 2))
+    X[[1, 5]] = 1.0
+    Phi = base * 1e150
+    with pytest.raises(PreconditionViolated,
+                       match="^matched-filter scores overflow double precision$"):
+        somp_solve(Phi @ X, Phi, 2)
+    # at any scale a solve is refused or picks each column at most once
+    refused = 0
+    for scale in (1.0, 1e60, 1e100, 1e140, 1e150, 1e152, 1e154):
+        Phi = base * scale
+        try:
+            selected = somp_solve(Phi @ X, Phi, 2).trace.selected
+        except PreconditionViolated:
+            refused += 1
+            continue
+        assert len(set(selected)) == len(selected) == 2
+    assert 0 < refused < 7
+
+
 def _duplicated_column_instance():
     # column 1 repeats column 0, so Phi has rank 9 and Y (generic) lies
     # outside its span: after nine selections every score is rounding noise
