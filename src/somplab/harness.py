@@ -189,7 +189,10 @@ def reference_omp_smv(y, Phi, k: int) -> RecoveryResult:
     Serves as an independent cross-check of the joint solver in the
     L = 1 case: same smallest-index tie-break, same relative residual
     stopping rule, but its own selection arithmetic (absolute
-    correlations) and its own least-squares routine.
+    correlations) and its own least-squares routine.  Unlike the solver
+    it works at the inputs' own scale, so its answers are exact only
+    while the squares it forms stay normal doubles: with y at 1e-170,
+    ||y||^2 underflows and it stops as "zero-residual" before a pick.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     y = np.asarray(y, dtype=float)

@@ -49,16 +49,6 @@ def _measurement_norm(Y: np.ndarray) -> float:
     return norm
 
 
-def _column_products_fit(Phi: np.ndarray) -> None:
-    """PreconditionViolated unless Phi's largest squared column norm is a
-    finite double.  The column inner products, which the solver's
-    orthogonalization and every Gram work from, are bounded by it."""
-    with np.errstate(over="ignore"):
-        top = float(np.einsum("ij,ij->j", Phi, Phi).max())
-    if not math.isfinite(top):
-        raise PreconditionViolated("column inner products overflow double precision")
-
-
 def _is_integer(value) -> bool:
     """An int or numpy integer, but not a bool: the sizes, counts, seeds
     and indices an input may hold."""

@@ -52,7 +52,6 @@ from .model import (
     _NONNEGATIVE,
     SupportSet,
     _check_fields,
-    _column_products_fit,
     _measurement_norm,
     _order,
     _perturbation_conforms,
@@ -393,14 +392,17 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
-    """A's Gram matrix, refused when it overflows double precision: by
-    ``_column_products_fit`` before the product, so numpy has no overflow
-    to warn about, and by the product's entries after it."""
-    _column_products_fit(A)
-    gram = A.T @ A
-    if not np.isfinite(gram).all():
-        raise PreconditionViolated("column inner products overflow double precision")
-    return gram
+    """A's Gram matrix, refused when it overflows double precision: before
+    the product when A's largest squared column norm, which bounds every
+    entry, does, so numpy has no overflow to warn about, and by the
+    product's entries after it."""
+    with np.errstate(over="ignore"):
+        top = float(np.einsum("ij,ij->j", A, A).max())
+    if math.isfinite(top):
+        gram = A.T @ A
+        if np.isfinite(gram).all():
+            return gram
+    raise PreconditionViolated("column inner products overflow double precision")
 
 
 def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,

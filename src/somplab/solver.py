@@ -35,6 +35,16 @@ fit on the selected columns gives the signal, the same fit
 ``least_squares_on_support`` makes.  The inputs are validated once, on
 entry.
 
+The picks and the fit do not change when Phi and Y are multiplied by
+powers of two: every tie test, stop level and rank cutoff is relative,
+and such a product is exact in binary floating point.  So a Phi or Y
+whose size lies outside a window where every square stays a normal
+double is first scaled by an exact power of two, and the signal, the
+scores, the filters and the residual norms are scaled back afterwards.
+A solve thus answers the same at any scale, and bit for bit the answer
+at unit scale times the power of two.  Only a returned number that does
+not fit a double at the caller's scale is refused.
+
 The solver is given one sensing matrix and uses it for both selection
 and fitting; whether that matrix is a clean or a perturbed observation
 is the caller's concern.
@@ -52,8 +62,6 @@ from .errors import EmptySupport, PreconditionViolated
 from .model import (
     RANK_TOL,
     SupportSet,
-    _column_products_fit,
-    _measurement_norm,
     _rows_conform,
     _sparsity,
     as_matrix,
@@ -115,11 +123,12 @@ class RecoveryResult:
 
 class _Filters(Sequence):
     """The matched filters of a solve, formed on access: filter i is
-    (Ht0 - W[:c]^T Gt[:c])^T, where Ht0 = Y^T Phi and c counts the basis
-    vectors folded into the filter by iteration i + 1."""
+    2^e (Ht0 - W[:c]^T Gt[:c])^T, where Ht0 = Y^T Phi of the prescaled
+    inputs, e undoes their prescale, and c counts the basis vectors
+    folded into the filter by iteration i + 1."""
 
-    def __init__(self, Ht0, W, Gt, counts):
-        self._Ht0, self._W, self._Gt, self._counts = Ht0, W, Gt, counts
+    def __init__(self, Ht0, W, Gt, counts, e):
+        self._Ht0, self._W, self._Gt, self._counts, self._e = Ht0, W, Gt, counts, e
 
     def __len__(self):
         return len(self._counts)
@@ -129,10 +138,13 @@ class _Filters(Sequence):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         c = self._counts[i]
         if not c:
-            return self._Ht0.T.copy()
-        Ht = self._W[:c].T @ self._Gt[:c]
-        np.subtract(self._Ht0, Ht, out=Ht)
-        return Ht.T
+            H = self._Ht0.T.copy()
+        else:
+            Ht = self._W[:c].T @ self._Gt[:c]
+            H = np.subtract(self._Ht0, Ht, out=Ht).T
+        if self._e:
+            np.ldexp(H, self._e, out=H)
+        return H
 
 
 def _column_norms(Ht):
@@ -199,15 +211,40 @@ _REORTH = 1.0 / math.sqrt(2.0)
 
 def _select(scores, selected):
     """The smallest unselected index whose score ties the largest
-    unselected score (up to ``_TIE_TOL``).  A largest score that is not
-    finite (the squares of the filter's rows overflowed) would tie no
-    score and send the pick to index 0, so it raises PreconditionViolated."""
+    unselected score (up to ``_TIE_TOL``)."""
     unselected = scores.copy()
     unselected[selected] = -1.0
     top = float(unselected[unselected.argmax()])
-    if not math.isfinite(top):
-        raise PreconditionViolated("matched-filter scores overflow double precision")
     return int((unselected >= top - _TIE_TOL * top).argmax())
+
+
+# A matrix whose size (Phi's largest column norm, or ||Y||_F) lies in
+# [2^-128, 2^128] is used as given.  With both sizes in that window a
+# score is at most 2^256 (a column norm times ||Y||_F), so every square
+# the solve forms stays below 2^512, and the squares of the two sizes
+# stay above 2^-256: normal doubles, far from overflow and underflow.
+_SAFE = 2.0 ** 128
+
+
+def _prescaled(A, size):
+    """A and 0 when ``size`` lies in [1 / _SAFE, _SAFE].  Otherwise A
+    times 2^-e and e, for the e that puts A's largest |entry| in
+    [1/2, 1): a power of two, so the scaling is exact barring underflow."""
+    if 1.0 / _SAFE <= size <= _SAFE:
+        return A, 0
+    e = int(np.frexp(max(A.max(), -A.min()))[1])
+    return np.ldexp(A, -e), e
+
+
+def _unscaled(x, e, refusal):
+    """x times 2^e, in place; PreconditionViolated(refusal) when a value
+    does not fit a double at that scale."""
+    if e:
+        with np.errstate(over="ignore"):
+            np.ldexp(x, e, out=x)
+    if not np.isfinite(x).all():
+        raise PreconditionViolated(refusal)
+    return x
 
 
 # Gram rows are used only on a Phi of at least this many entries (4 MiB),
@@ -278,18 +315,23 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     stopping early only when the residual norm falls to
     ``RESIDUAL_STOP_TOL * ||Y||_F``, then fits the signal on the selected
     support by least squares.  With Y = 0 the stop comes before the first
-    selection and the result has an empty support; a Y whose norm
-    overflows, a Phi whose squared column norms do, or a matched filter
-    whose scores do, raises PreconditionViolated.
+    selection and the result has an empty support.
+
+    The answer does not depend on the inputs' scale (``_prescaled``).  A
+    recovered signal, matched-filter scores or a residual norm that does
+    not fit a double at the caller's scale raises PreconditionViolated.
     """
     Y = as_matrix(Y, "measurements")
     Phi = as_matrix(Phi, "sensing matrix")
     _rows_conform(Y, Phi)
     m, n = Phi.shape
     k = _sparsity(k, m, n)
-    _column_products_fit(Phi)
-
-    y_norm = _measurement_norm(Y)
+    with np.errstate(over="ignore", under="ignore"):
+        Phi, a = _prescaled(Phi, math.sqrt(np.einsum("ij,ij->j", Phi, Phi).max()))
+        y_norm = float(np.linalg.norm(Y))
+        Y, b = _prescaled(Y, y_norm)
+        if b:
+            y_norm = float(np.linalg.norm(Y))
     stop_at = RESIDUAL_STOP_TOL * y_norm
     # Row i of Qt is the i-th kept basis vector q_i, and Phi_kept = Qt^T T.
     # W[i] = q_i^T R when q_i was kept (q_i^T Y in exact arithmetic), so
@@ -389,13 +431,21 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     Ht = scratch = gram = None   # the fit below needs none of the loop's buffers
     Z = np.zeros((n, Y.shape[1]))
     support = sorted(selected)
-    if support:
-        Z[support] = _fit(Y, Phi[:, support])[0]
+    if support:   # a column far smaller than Y can take a coefficient beyond any double
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z[support] = _fit(Y, Phi[:, support])[0]
+    _unscaled(Z, b - a, "the recovered signal overflows double precision")
+    if a or b:   # back to the caller's scale
+        for scores in score_tables:
+            _unscaled(scores, a + b, "matched-filter scores overflow double precision")
+        norms = _unscaled(np.array([y_norm, *residual_norms]), b,
+                          "the norm of the measurements overflows double precision")
+        y_norm, *residual_norms = norms.tolist()
 
     trace = IterationTrace(
         selected=tuple(selected),
         score_tables=tuple(score_tables),
-        filter_matrices=_Filters(Ht0, W, Gt, tuple(counts)),
+        filter_matrices=_Filters(Ht0, W, Gt, tuple(counts), a + b),
         residual_norms=tuple(residual_norms),
         initial_residual_norm=y_norm,
         rank_deficient=tuple(ranks),

@@ -774,18 +774,14 @@ def test_check_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("scale", [1e100, 1e60], ids=["1e100", "1e60"])
 def test_experiment_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsys, scale):
-    # at 1e100 the solver's matched-filter scores overflow and the sweep is
-    # refused; at 1e60 they do not, and only the guarantee's closed forms do
+    # the solver answers at either scale; only the guarantee's closed forms
+    # overflow
     phi, _ = _huge_files(tmp_path, scale)
     cfg = _config(tmp_path, instance={"m": 8, "n": 10, "L": 2, "k": 2,
                                       "ensemble": "user-supplied", "matrix": phi},
                   perturbation={"eps0": [0.0, 1e-3], "epsb": 1e-3}, trials=2)
     code = main(["experiment", "--config", str(cfg)])
     out = capsys.readouterr()
-    if scale == 1e100:
-        assert (code, out.out) == (2, "")
-        assert out.err == "error: matched-filter scores overflow double precision\n"
-        return
     assert code == 0
     assert out.err == ""
     rows = [line.split("\t") for line in out.out.splitlines() if line[:1].isdigit()]
@@ -800,8 +796,10 @@ def test_measurements_whose_norm_overflows_are_refused(tmp_path, capsys):
     write_matrix(tmp_path / "phi.txt", Phi)
     write_matrix(tmp_path / "y.txt", Phi @ X)
     files = ["--phi", str(tmp_path / "phi.txt"), "--y", str(tmp_path / "y.txt")]
-    for argv in (["solve", "--sparsity", "2"],
-                 ["perturb", "--epsb", "0.01", "--out-prefix", str(tmp_path / "out")],
+    # the solver works at an exact power-of-two prescale and answers
+    assert main(["solve", "--sparsity", "2", *files]) == 0
+    assert capsys.readouterr() == ("5,6\n", "")
+    for argv in (["perturb", "--epsb", "0.01", "--out-prefix", str(tmp_path / "out")],
                  ["check", "--sparsity", "2", "--mode", "measurement", "--t0", "1",
                   "--epsb", "0.01"]):
         code = main([*argv, *files])
@@ -809,6 +807,14 @@ def test_measurements_whose_norm_overflows_are_refused(tmp_path, capsys):
         assert (code, out.out) == (2, "")
         assert out.err == "error: the norm of the measurements overflows double precision\n"
     assert not list(tmp_path.glob("out.*"))
+
+
+def _run_under_w_error(tmp_path, argv):
+    """``python -W error -m somplab.cli *argv`` in ``tmp_path``: a fresh
+    interpreter that turns every warning into an exception."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "somplab.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("argv", [
@@ -826,28 +832,42 @@ def test_columns_whose_squared_norms_overflow_are_refused_under_w_error(tmp_path
     X[[1, 5]] = 1e-200
     write_matrix(tmp_path / "phi.txt", Phi)
     write_matrix(tmp_path / "y.txt", Phi @ X)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "somplab.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_under_w_error(tmp_path, argv)
+    if argv[0] == "solve":   # solved at an exact power-of-two prescale
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5,6\n", "")
+        return
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: column inner products overflow double precision\n"
     assert not list(tmp_path.glob("out.*"))
 
 
 def test_matched_filter_scores_that_overflow_are_refused_under_w_error(tmp_path):
-    # an 8 x 12 Gaussian scaled by 1e150: every squared column norm is
-    # finite, but the squared rows of Phi^T Y for rows 1 and 5 at 1.0 are not
-    Phi = np.random.default_rng(0).standard_normal((8, 12)) * 1e150
+    # an 8 x 12 Gaussian scaled by 1e154: the largest row norm of Phi^T Y
+    # for rows 1 and 5 at 1.0 exceeds the largest double
+    Phi = np.random.default_rng(0).standard_normal((8, 12)) * 1e154
     X = np.zeros((12, 2))
     X[[1, 5]] = 1.0
     write_matrix(tmp_path / "phi.txt", Phi)
     write_matrix(tmp_path / "y.txt", Phi @ X)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "somplab.cli", "solve",
-                           "--phi", "phi.txt", "--y", "y.txt", "--sparsity", "2"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_under_w_error(tmp_path, ["solve", "--phi", "phi.txt", "--y", "y.txt",
+                                         "--sparsity", "2"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: matched-filter scores overflow double precision\n"
+
+
+def test_solve_at_a_tiny_scale_answers_under_w_error(tmp_path):
+    # a 16 x 24 Gaussian instance with support (2, 9, 17), both files at
+    # 1e-100: every squared score underflows, which sent the picks to the
+    # lowest indices
+    g = np.random.default_rng(3)
+    Phi = g.standard_normal((16, 24))
+    X = np.zeros((24, 2))
+    X[[2, 9, 17]] = g.standard_normal((3, 2))
+    write_matrix(tmp_path / "phi.txt", Phi * 1e-100)
+    write_matrix(tmp_path / "y.txt", (Phi @ X) * 1e-100)
+    proc = _run_under_w_error(tmp_path, ["solve", "--phi", "phi.txt", "--y", "y.txt",
+                                         "--sparsity", "3"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,9,17\n", "")
 
 
 def test_check_refuses_a_signal_whose_weakest_row_norm_overflows(tmp_path, capsys):

@@ -116,7 +116,15 @@ def _overflowing_measurements():
 
 def test_measurements_whose_norm_overflows_are_refused():
     Phi, Y = _overflowing_measurements()
-    calls = [lambda: somp_solve(Y, Phi, 2),
+    # the solver works at an exact power-of-two prescale, so it answers
+    # as it does for the same signal at unit scale
+    res, unit = somp_solve(Y, Phi, 2), somp_solve(Y * 1e-200, Phi, 2)
+    assert res.support == unit.support
+    assert res.trace.initial_residual_norm == pytest.approx(
+        1e200 * unit.trace.initial_residual_norm, rel=1e-12)
+    # the solver refuses only a norm that does not fit a double at the
+    # caller's scale; the others refuse one that overflows as computed
+    calls = [lambda: somp_solve(np.full((8, 1), 1e308), np.eye(8, 12), 2),
              lambda: reference_omp_smv(Y[:, 0], Phi, 2),
              lambda: measure_perturbation_levels(Phi, 0 * Phi, Y, 0 * Y, order=1),
              lambda: calibrate_perturbation(Phi, Y, PerturbationSpec(target_epsb=0.01))]

@@ -6,9 +6,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tool():
+def _tool(root=ROOT):
     spec = importlib.util.spec_from_file_location("report_digest",
-                                                  ROOT / "tools" / "report_digest.py")
+                                                  root / "tools" / "report_digest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -21,3 +21,16 @@ def test_report_digest_is_the_same_twice_in_one_process():
     first = [f"{name} {tool.digest(name)}" for name in names]
     assert [f"{name} {tool.digest(name)}" for name in names] == first
     assert len({line.split()[1] for line in first}) == len(names)
+
+
+def test_report_digest_does_not_depend_on_the_checkouts_path(tmp_path):
+    # a copy of the tool and the golden frame in another tree hashes the
+    # same frame case: no path of the checkout enters what is hashed
+    moved = tmp_path / "elsewhere"
+    (moved / "tools").mkdir(parents=True)
+    (moved / "tests" / "golden").mkdir(parents=True)
+    for part in (("tools", "report_digest.py"), ("tests", "golden", "frame_20x25.txt")):
+        moved.joinpath(*part).write_bytes(ROOT.joinpath(*part).read_bytes())
+    here, there = _tool(), _tool(moved)
+    assert here.FRAME != there.FRAME
+    assert there.digest("frame-901-sensing") == here.digest("frame-901-sensing")

@@ -15,6 +15,7 @@ from somplab import (
     InvalidSparsity,
     PreconditionViolated,
     least_squares_on_support,
+    reference_omp_smv,
     somp_solve,
     solve_perturbed,
 )
@@ -280,40 +281,106 @@ def test_solve_validates_inputs_once(monkeypatch):
         assert len(calls) <= 2
 
 
+def _scaled_pair_instance(scale, signal=1.0, L=2):
+    """The 8 x 12 Gaussian scaled by ``scale`` and the measurements of a
+    signal whose rows 1 and 5 hold ``signal``; unscaled, SOMP picks
+    (5, 6)."""
+    Phi = np.random.default_rng(0).standard_normal((8, 12)) * scale
+    X = np.zeros((12, L))
+    X[[1, 5]] = signal
+    return Phi, Phi @ X
+
+
 def test_columns_whose_squared_norms_overflow_are_refused():
     # every column of an 8 x 12 Gaussian scaled by 1e200 has v @ v = inf,
-    # which would leave Gram-Schmidt with infinite norms and no sound pick;
-    # Y is finite and small (warnings are errors in this suite)
-    Phi = np.random.default_rng(0).standard_normal((8, 12)) * 1e200
-    X = np.zeros((12, 2))
-    X[[1, 5]] = 1e-200
-    with pytest.raises(PreconditionViolated,
-                       match="^column inner products overflow double precision$"):
-        somp_solve(Phi @ X, Phi, 2)
+    # so the solve runs at an exact power-of-two prescale and answers as
+    # at unit scale; Y is finite and small (warnings are errors in this suite)
+    Phi, Y = _scaled_pair_instance(1e200, 1e-200)
+    res = somp_solve(Y, Phi, 2)
+    Phi, Y = _scaled_pair_instance(1.0)
+    unscaled = somp_solve(Y, Phi, 2)
+    assert res.trace.selected == unscaled.trace.selected == (5, 6)
+    assert np.allclose(res.signal, 1e-200 * unscaled.signal, rtol=1e-12, atol=0)
 
 
 def test_matched_filter_scores_that_overflow_are_refused():
-    # at 1e150 every squared column norm of the 8 x 12 Gaussian is finite,
-    # but the squared rows of Phi^T Y for rows 1 and 5 at 1.0 are not; a
-    # pick among infinite scores would fall back to column 0 every time
-    base = np.random.default_rng(0).standard_normal((8, 12))
-    X = np.zeros((12, 2))
-    X[[1, 5]] = 1.0
-    Phi = base * 1e150
+    # at 1e154 the largest score of the 8 x 12 Gaussian with rows 1 and 5
+    # at 1.0 exceeds the largest double, so it cannot be returned
+    Phi, Y = _scaled_pair_instance(1e154)
     with pytest.raises(PreconditionViolated,
                        match="^matched-filter scores overflow double precision$"):
-        somp_solve(Phi @ X, Phi, 2)
-    # at any scale a solve is refused or picks each column at most once
+        somp_solve(Y, Phi, 2)
+    # at every smaller scale the solve answers as at unit scale
     refused = 0
     for scale in (1.0, 1e60, 1e100, 1e140, 1e150, 1e152, 1e154):
-        Phi = base * scale
+        Phi, Y = _scaled_pair_instance(scale)
         try:
-            selected = somp_solve(Phi @ X, Phi, 2).trace.selected
+            selected = somp_solve(Y, Phi, 2).trace.selected
         except PreconditionViolated:
             refused += 1
             continue
-        assert len(set(selected)) == len(selected) == 2
-    assert 0 < refused < 7
+        assert selected == (5, 6)
+    assert refused == 1
+
+
+def test_a_recovered_signal_that_overflows_is_refused():
+    # Phi at 1e-300 and Y at 1e300 solve at a prescale, but the signal,
+    # about 1e600, does not fit a double at the caller's scale; nor does
+    # the coefficient 1e310 of a 1e-300 column picked inside the window
+    Phi, Y = _scaled_pair_instance(1.0)
+    tiny = np.zeros((4, 3))
+    tiny[0, 0], tiny[1, 1], tiny[2, 2] = 1e-300, 1.0, 1.0
+    cases = [(Y * 1e300, Phi * 1e-300), ([[1e10], [0.0], [0.0], [0.0]], tiny)]
+    for Y, Phi in cases:
+        with pytest.raises(PreconditionViolated,
+                           match="^the recovered signal overflows double precision$"):
+            somp_solve(Y, Phi, 1)
+
+
+def test_large_scores_answer_as_the_reference_solver_does():
+    # L = 1 at 1e150: every score is finite but its square is not
+    Phi, Y = _scaled_pair_instance(1e150, L=1)
+    assert somp_solve(Y, Phi, 2).support == reference_omp_smv(Y, Phi, 2).support == (5, 6)
+
+
+def test_tiny_measurements_get_the_unscaled_support():
+    # at 1e-170 every square of Y underflows, so ||Y||_F read 0 and the
+    # solve stopped as zero-residual before its first pick
+    Phi, Y = _scaled_pair_instance(1.0)
+    res = somp_solve(Y * 1e-170, Phi, 2)
+    assert res.terminated_early is None
+    assert res.support == somp_solve(Y, Phi, 2).support == (5, 6)
+
+
+def test_solve_is_equivariant_under_powers_of_two():
+    # scale pairs (a, b) for Phi -> 2^a Phi and Y -> 2^b Y: inside and
+    # outside the solver's window, by one input or both, and with results
+    # near either end of the double range
+    pairs = [(300, 0), (-300, 0), (0, 400), (200, -200), (-40, 60), (100, 100),
+             (-100, -100), (20, 0), (-330, -330), (-500, 0), (0, -600)]
+    g = _rng(2027)
+    for _ in range(30):
+        m = int(g.integers(8, 40))
+        n = int(g.integers(m + 1, 2 * m + 10))
+        L = int(g.integers(1, 6))
+        k = int(g.integers(1, m + 1))
+        Phi = g.standard_normal((m, n))
+        Y = g.standard_normal((m, L))
+        base = somp_solve(Y, Phi, k)
+        for a, b in pairs:   # the unscaled solve's numbers times their powers of two
+            res = somp_solve(np.ldexp(Y, b), np.ldexp(Phi, a), k)
+            assert res.support == base.support
+            assert res.terminated_early == base.terminated_early
+            assert np.array_equal(res.signal, np.ldexp(base.signal, b - a))
+            t, t0 = res.trace, base.trace
+            assert (t.selected, t.rank_deficient) == (t0.selected, t0.rank_deficient)
+            assert len(t.score_tables) == len(t.filter_matrices) == len(t0.score_tables)
+            for scores, scores0 in zip(t.score_tables, t0.score_tables):
+                assert np.array_equal(scores, np.ldexp(scores0, a + b))
+            for filt, filt0 in zip(t.filter_matrices, t0.filter_matrices):
+                assert np.array_equal(filt, np.ldexp(filt0, a + b))
+            assert t.residual_norms == tuple(math.ldexp(r, b) for r in t0.residual_norms)
+            assert t.initial_residual_norm == math.ldexp(t0.initial_residual_norm, b)
 
 
 def _duplicated_column_instance():

@@ -10,12 +10,14 @@ mode), a grid with zero levels, an identity-embedded sweep, and
 case's digest covers its exit code, its stdout and stderr, and every
 file it leaves in its directory.  It prints one ``name sha256`` line per
 case, then ``total sha256`` over those lines.  Compare two checkouts by
-running it on each:
+running one copy of it on each:
 
     python tools/report_digest.py                      # this checkout's src
     python tools/report_digest.py --src OTHER/src      # another checkout's
 
-The inputs (the golden frame) always come from this checkout.
+The inputs (the golden frame) always come from this checkout, and no
+path of it enters what is hashed, so the lines do not depend on where
+the checkout lies.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 import warnings
@@ -40,11 +43,16 @@ SEEDS = (1, 2, 3, 77, 901)
 
 def _experiment(instance: dict, eps0, epsb, master_seed: int, trials: int, mode="general",
                 b_mode="gaussian", checks: dict | None = None):
+    """An experiment on ``instance``.  A user-supplied instance names
+    ``frame.txt``: a copy of the golden frame that the case's directory
+    holds, so no path of the checkout enters what is hashed."""
     config = {"instance": instance, "perturbation": {"eps0": eps0, "epsb": epsb, "b_mode": b_mode},
               "trials": trials, "master_seed": master_seed, "mode": mode,
               "checks": checks or {}}
 
     def argv(workdir: Path) -> list[str]:
+        if "matrix" in instance:
+            shutil.copyfile(FRAME, workdir / instance["matrix"])
         path = workdir / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         return ["experiment", "--config", str(path)]
@@ -76,7 +84,7 @@ def _cases() -> dict:
                 {"filter_proximity": True, "filter_deviation": True} if seed == 77 else None)
             cases[f"frame-{seed}-{mode}"] = _experiment(
                 {"m": 20, "n": 25, "L": 3, "k": 2, "ensemble": "user-supplied",
-                 "matrix": str(FRAME), "signal_row_norm_min": 1.0},
+                 "matrix": "frame.txt", "signal_row_norm_min": 1.0},
                 [1e-4], [5e-4, 1e-2, 2e-2], seed, 10, mode, b_mode,
                 {"filter_proximity": True, "filter_deviation": True})
     for b_mode in ("gaussian", "column-skewed"):
@@ -114,8 +122,9 @@ def digest(name: str) -> str:
         workdir = Path(tmp)
         argv = CASES[name](workdir)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
+        # relative paths, as a config's matrix, resolve in the case's directory
+        with contextlib.chdir(workdir), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("always")   # the same stderr however often a case runs
             code = cli.main(argv)
         h = hashlib.sha256(f"exit {code}\n".encode())
