@@ -26,7 +26,6 @@ from .guarantees import (
     check_guarantee,
     error_amplification,
     perturbation_magnitude,
-    perturbation_magnitude_for_mode,
     recovery_threshold,
 )
 from .harness import (
@@ -38,7 +37,6 @@ from .harness import (
     TrialRecord,
     filter_deviation_diagnostic,
     matched_filter_oracle,
-    reference_omp_smv,
     render_report,
     run_experiment,
     run_trial,
@@ -76,7 +74,6 @@ from .solver import (
     IterationTrace,
     RecoveryResult,
     least_squares_on_support,
-    solve_perturbed,
     somp_solve,
 )
 

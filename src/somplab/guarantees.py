@@ -127,35 +127,6 @@ def perturbation_magnitude(spectral_phi: float, frob_y: float,
     return rip_term + additive
 
 
-def perturbation_magnitude_for_mode(mode: str, spectral_phi: float, frob_y: float,
-                                    eps0: float = 0.0, eps: float = 0.0,
-                                    epsb: float = 0.0) -> float:
-    """Perturbation magnitude specialized per mode.
-
-    The single-sided formulas are coded on their own (not by delegating
-    with zeroed levels), and agree exactly with ``perturbation_magnitude``
-    when the complementary levels vanish.  The library evaluates
-    ``perturbation_magnitude`` in every mode; this is its test oracle.
-    """
-    if mode == "noiseless":
-        return 0.0
-    if mode == "measurement":
-        return float(epsb) * float(spectral_phi) * float(frob_y)
-    if mode == "sensing":
-        spectral_phi = float(spectral_phi)
-        frob_y = float(frob_y)
-        eps = float(eps)
-        denom = 12.0 - 8.0 * (1.0 + eps) ** 2
-        if not denom > 0:
-            raise DomainError(f"eps = {eps} >= sqrt(1.5) - 1: magnitude undefined")
-        rip_term = (9.0 * (2.0 + eps) * eps / denom) \
-            * (spectral_phi ** 4 + (2.0 / 3.0) * spectral_phi ** 2) * spectral_phi * frob_y
-        return rip_term + float(eps0) * spectral_phi * frob_y
-    if mode == "general":
-        return perturbation_magnitude(spectral_phi, frob_y, eps0, eps, epsb)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
 @dataclass(frozen=True)
 class GuaranteeReport:
     """Outcome of evaluating the sufficient recovery condition.

@@ -59,9 +59,8 @@ from .model import (
     _SEED,
     _check_fields,
     _level,
-    _measurement_norm,
+    _norms,
     _order,
-    _sparsity,
     as_matrix,
     as_support,
     min_support_row_norm,
@@ -91,7 +90,7 @@ from .rip import (
     residual_sensing_matrix,
     ric_exact,
 )
-from .solver import RESIDUAL_STOP_TOL, IterationTrace, RecoveryResult, somp_solve
+from .solver import IterationTrace, somp_solve
 
 _SCORE_VANISH_TOL = 1e-10
 
@@ -183,63 +182,6 @@ def selected_scores_vanish(trace: IterationTrace) -> bool:
     return True
 
 
-def reference_omp_smv(y, Phi, k: int) -> RecoveryResult:
-    """Plain single-vector orthogonal matching pursuit, written separately.
-
-    Serves as an independent cross-check of the joint solver in the
-    L = 1 case: same smallest-index tie-break, same relative residual
-    stopping rule, but its own selection arithmetic (absolute
-    correlations) and its own least-squares routine.  Unlike the solver
-    it works at the inputs' own scale, so its answers are exact only
-    while the squares it forms stay normal doubles: with y at 1e-170,
-    ||y||^2 underflows and it stops as "zero-residual" before a pick.
-    """
-    Phi = as_matrix(Phi, "sensing matrix")
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 2:
-        if y.shape[1] != 1:
-            raise PreconditionViolated("reference solver handles a single measurement vector")
-        y = y[:, 0]
-    if y.ndim != 1 or y.size != Phi.shape[0]:
-        raise PreconditionViolated(f"vector of length {y.size} against {Phi.shape[0]} rows")
-    m, n = Phi.shape
-    k = _sparsity(k, m, n)
-
-    y_norm = _measurement_norm(y)
-    stop_at = RESIDUAL_STOP_TOL * y_norm
-    r = y.copy()
-    x = np.zeros(n)
-    picked: list[int] = []
-    tables, filters, rnorms, ranks = [], [], [], []
-    stopped = None
-    for _ in range(k):
-        if float(np.linalg.norm(r)) <= stop_at:
-            stopped = "zero-residual"
-            break
-        c = Phi.T @ r
-        scores = np.abs(c)
-        j = int(np.argmax(scores))
-        picked.append(j)
-        sol, _res, rank, _sv = np.linalg.lstsq(Phi[:, picked], y, rcond=None)
-        x = np.zeros(n)
-        x[picked] = sol
-        r = y - Phi[:, picked] @ sol
-        tables.append(scores)
-        filters.append(c[:, None])
-        rnorms.append(float(np.linalg.norm(r)))
-        ranks.append(rank < len(picked))
-    trace = IterationTrace(
-        selected=tuple(picked),
-        score_tables=tuple(tables),
-        filter_matrices=tuple(filters),
-        residual_norms=tuple(rnorms),
-        initial_residual_norm=y_norm,
-        rank_deficient=tuple(ranks),
-    )
-    return RecoveryResult(support=as_support(picked, n), signal=x[:, None],
-                          trace=trace, terminated_early=stopped)
-
-
 def matched_filter_oracle(Phi, support, x_star,
                           delta: RicEstimate | None = None) -> FilterProximityDiagnostic:
     """Check that the clean matched filter stays row-wise close to the signal.
@@ -272,8 +214,8 @@ def matched_filter_oracle(Phi, support, x_star,
     A = residual_sensing_matrix(Phi, support)
     H = A.T @ (A @ x_star)
     others = [j for j in range(Phi.shape[1]) if j not in support]
-    dev = float(np.max(np.linalg.norm(H[others] - x_star[others], axis=1)))
-    x_norm = float(np.linalg.norm(x_star))
+    dev = float(np.max(_norms(H[others] - x_star[others], axis=1)))
+    x_norm = float(_norms(x_star))
     bound = d / (1.0 - d) * x_norm
     passed = dev <= bound + _SLACK * max(1.0, x_norm)
     return FilterProximityDiagnostic(max_deviation=dev, bound=bound, delta=d,
@@ -304,7 +246,7 @@ def filter_deviation_diagnostic(trace_perturbed: IterationTrace, trace_clean: It
             break
     compare_until = last if diverged_at is None else diverged_at + 1
     deviations = tuple(
-        float(np.linalg.norm(trace_perturbed.filter_matrices[i] - trace_clean.filter_matrices[i]))
+        float(_norms(trace_perturbed.filter_matrices[i] - trace_clean.filter_matrices[i]))
         for i in range(compare_until))
     passed = all(d <= bound + _SLACK * max(1.0, bound) for d in deviations)
     return FilterDeviationDiagnostic(deviations=deviations, bound=bound,

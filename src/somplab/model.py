@@ -5,11 +5,18 @@ Matrices are plain float64 numpy arrays throughout: a signal is n x L
 measurement set is m x L.  A support set is a sorted tuple of 0-based
 row indices.  All functions are pure and treat their inputs as
 read-only.
+
+The library's one rule for numbers of the caller's scale lives here.
+Its answers are ratios of such numbers (t0 against a magnitude that
+grows with ||Y||_F, ||B||_F against ||Y||_F, a relative error), so they
+must not depend on that scale.  Every norm it takes of caller data goes
+through ``_norms``, which prescales by an exact power of two where
+numpy's squares would overflow or underflow; the solver prescales its
+inputs by the same window (``_SAFE``, ``_prescaled``).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
@@ -20,7 +27,6 @@ from .errors import (
     InvalidConfig,
     InvalidOrder,
     InvalidSparsity,
-    PreconditionViolated,
     ZeroReference,
 )
 
@@ -36,17 +42,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _measurement_norm(Y: np.ndarray) -> float:
-    """||Y||_F of measurements (a vector's 2-norm), refused when it
-    overflows double precision: a stop level or a relative level taken
-    against it would be meaningless."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(Y))
-    if not math.isfinite(norm):
-        raise PreconditionViolated("the norm of the measurements overflows double precision")
-    return norm
 
 
 def _is_integer(value) -> bool:
@@ -169,27 +164,66 @@ def truncated_svd(A: np.ndarray):
     return U[:, keep], s[keep], Vt[keep]
 
 
-def _row_norms(X) -> np.ndarray:
-    """The Euclidean norm of each row of a signal; a row whose norm
-    overflows reads inf, without a warning."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(as_matrix(X, "signal"), axis=1)
+# A matrix whose size (a 2-norm, or a largest column norm) lies in
+# [2^-128, 2^128] is used as given.  Squares of numbers that size stay
+# between 2^-256 and 2^256, and so do products of two of them: normal
+# doubles, far from overflow and underflow.
+_SAFE = 2.0 ** 128
+
+
+def _prescaled(A, size):
+    """A and 0 when ``size`` lies in [1 / _SAFE, _SAFE].  Otherwise A
+    times 2^-e and e, for the e that puts A's largest |entry| in
+    [1/2, 1): a power of two, so the scaling is exact barring underflow."""
+    if 1.0 / _SAFE <= size <= _SAFE:
+        return A, 0
+    e = int(np.frexp(max(A.max(), -A.min()))[1])
+    return np.ldexp(A, -e), e
+
+
+@np.errstate(over="ignore", under="ignore")
+def _norms(A, axis=None):
+    """The 2-norm of A (its Frobenius norm as a matrix), or of each row
+    (``axis=1``) or column (``axis=0``), at any scale.
+
+    A norm that numpy gives inside [1 / _SAFE, _SAFE] is returned as
+    numpy gives it, and so is the 0 of a zero row.  Any other is taken
+    again on a copy scaled by the power of two that puts the largest
+    |entry| of its row (or of A) in [1/2, 1), and scaled back.  A
+    power-of-two scaling commutes with the norm, so the norm of 2^a A is
+    2^a times the norm of A, bit for bit, where numpy's squares would
+    overflow or underflow.  A norm above the largest double reads inf,
+    without a warning."""
+    norms = np.linalg.norm(A, axis=axis)
+    if axis is None:   # one norm: a scalar test, far cheaper than the array one
+        if 1.0 / _SAFE <= norms <= _SAFE or not A.any():
+            return norms
+        outside = True
+    else:
+        if 1.0 / _SAFE <= norms.min() and norms.max() <= _SAFE:
+            return norms
+        outside = ((norms < 1.0 / _SAFE) | (norms > _SAFE)) & A.any(axis=axis)
+        if not outside.any():
+            return norms
+    e = np.frexp(np.abs(A).max(axis=axis, keepdims=True))[1]
+    scaled = np.ldexp(np.linalg.norm(np.ldexp(A, -e), axis=axis), e.reshape(np.shape(norms)))
+    return np.where(outside, scaled, norms)
 
 
 def support_of(X) -> SupportSet:
     """Indices of the rows of ``X`` that are not exactly zero."""
-    norms = _row_norms(X)
-    return tuple(int(i) for i in np.flatnonzero(norms > 0))
+    return tuple(int(i) for i in np.flatnonzero(as_matrix(X, "signal").any(axis=1)))
 
 
 def min_support_row_norm(X) -> float:
-    """t0, the smallest norm over the nonzero rows of ``X``.
+    """t0, the smallest norm over the nonzero rows of ``X``, at any scale
+    (``_norms``).
 
     Raises EmptySupport when every row is exactly zero, since the
     smallest occupied-row norm is undefined for the zero signal.  A row
-    whose norm overflows reads inf.
+    whose norm exceeds the largest double reads inf.
     """
-    norms = _row_norms(X)
+    norms = _norms(as_matrix(X, "signal"), axis=1)
     live = norms[norms > 0]
     if live.size == 0:
         raise EmptySupport("signal has no nonzero rows")
@@ -197,12 +231,13 @@ def min_support_row_norm(X) -> float:
 
 
 def relative_frobenius_error(X_hat, X) -> float:
-    """Frobenius norm of the difference, relative to the reference ``X``."""
+    """Frobenius norm of the difference, relative to the reference ``X``;
+    both norms at any scale (``_norms``)."""
     X_hat = as_matrix(X_hat, "estimate")
     X = as_matrix(X, "reference")
     if X_hat.shape != X.shape:
         raise DimensionMismatch(f"shapes differ: {X_hat.shape} vs {X.shape}")
-    ref = float(np.linalg.norm(X))
+    ref = float(_norms(X))
     if ref == 0.0:
         raise ZeroReference("reference signal has zero Frobenius norm")
-    return float(np.linalg.norm(X_hat - X) / ref)
+    return float(_norms(X_hat - X) / ref)

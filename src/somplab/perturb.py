@@ -22,6 +22,7 @@ from .model import (
     _OVERLAP,
     _SEED,
     _check_fields,
+    _norms,
     _one_of,
     _perturbation_conforms,
     _rows_conform,
@@ -210,12 +211,14 @@ def _measurement_noise(spec: PerturbationSpec, Y: np.ndarray) -> tuple[np.ndarra
     """The direction of the spec's generated measurement perturbation
     and the norm it is scaled by: a standard normal B0 and ||B0||_F, or,
     column-skewed, a standard normal vector b on the weakest column of Y
-    (zero elsewhere) and ||b||."""
+    (zero elsewhere) and ||b||.  The column norms of Y are taken at any
+    scale (``_norms``), so the weakest column is the same at any power of
+    two."""
     rng = _rng(spec.seed, _MEASUREMENT_NOISE_STREAM)
     if spec.b_mode == "gaussian":
         B0 = rng.standard_normal(Y.shape)
         return B0, float(np.linalg.norm(B0))
-    j = int(np.argmin(np.linalg.norm(Y, axis=0)))
+    j = int(np.argmin(_norms(Y, axis=0)))
     b = rng.standard_normal(Y.shape[0])
     B0 = np.zeros_like(Y)
     B0[:, j] = b

@@ -35,6 +35,13 @@ each shape are built once and kept in a small cache, since a sweep
 enumerates the same few shapes for every matrix.  The perturbation
 levels take the largest submatrix spectral norm of a matrix at every
 width 1..order, all from one Gram.
+
+Only the measurement side of the levels is free of scale: ||Y||_F and
+||B||_F go through ``model._norms``, so epsb is the same for B and Y at
+any common power-of-two scale.  The sensing side is not: an isometry
+constant compares squared singular values with 1 and the guarantee
+takes powers of ||Phi||_2, so Phi is read at its own scale, and a Gram
+whose squared column norms overflow is refused (``_gram``).
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .model import (
     _NONNEGATIVE,
     SupportSet,
     _check_fields,
-    _measurement_norm,
+    _norms,
     _order,
     _perturbation_conforms,
     as_matrix,
@@ -476,9 +483,10 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
     ``eps`` maximizes the submatrix spectral-norm ratio over widths
     1..order, because the solver only ever applies width-at-most-order
     column submatrices.  Raises InvalidOrder unless ``order`` is an
-    integer in 1..n (below 1, eps would be a maximum over no width), and
+    integer in 1..n (below 1, eps would be a maximum over no width),
     ZeroReference when Phi or Y has zero norm, since the ratios are then
-    undefined.
+    undefined, and PreconditionViolated when ||Y||_F exceeds the largest
+    double.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     E = as_matrix(E, "sensing perturbation")
@@ -511,16 +519,22 @@ def _spectral_reference(Phi: np.ndarray) -> float:
 
 
 def _frobenius_reference(Y: np.ndarray) -> float:
-    """||Y||_F, the reference of epsb; refused when it is zero or overflows."""
-    frob_y = _measurement_norm(Y)
+    """||Y||_F, the reference of epsb and an input of the guarantee, at
+    any scale (``_norms``).  Refused when Y is all zero, and when the norm
+    exceeds the largest double, since a level or a magnitude taken
+    against it would be meaningless."""
+    frob_y = float(_norms(Y))
     if frob_y == 0.0:
         raise ZeroReference("measurements have zero Frobenius norm")
+    if frob_y == math.inf:
+        raise PreconditionViolated("the norm of the measurements overflows double precision")
     return frob_y
 
 
 def _measurement_level(B: np.ndarray, frob_y: float) -> float:
-    """epsb, ||B||_F against the clean ||Y||_F from ``_frobenius_reference``."""
-    return float(np.linalg.norm(B)) / frob_y
+    """epsb, ||B||_F (``_norms``) against the clean ||Y||_F from
+    ``_frobenius_reference``: the same at any common scale of B and Y."""
+    return float(_norms(B)) / frob_y
 
 
 def _width_norms(A: np.ndarray, order: int, subset_budget: int):

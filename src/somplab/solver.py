@@ -41,6 +41,8 @@ and such a product is exact in binary floating point.  So a Phi or Y
 whose size lies outside a window where every square stays a normal
 double is first scaled by an exact power of two, and the signal, the
 scores, the filters and the residual norms are scaled back afterwards.
+The window and the prescale are ``model``'s, the ones every norm of
+caller data in the library goes through.
 A solve thus answers the same at any scale, and bit for bit the answer
 at unit scale times the power of two.  Only a returned number that does
 not fit a double at the caller's scale is refused.
@@ -62,6 +64,7 @@ from .errors import EmptySupport, PreconditionViolated
 from .model import (
     RANK_TOL,
     SupportSet,
+    _prescaled,
     _rows_conform,
     _sparsity,
     as_matrix,
@@ -218,24 +221,6 @@ def _select(scores, selected):
     return int((unselected >= top - _TIE_TOL * top).argmax())
 
 
-# A matrix whose size (Phi's largest column norm, or ||Y||_F) lies in
-# [2^-128, 2^128] is used as given.  With both sizes in that window a
-# score is at most 2^256 (a column norm times ||Y||_F), so every square
-# the solve forms stays below 2^512, and the squares of the two sizes
-# stay above 2^-256: normal doubles, far from overflow and underflow.
-_SAFE = 2.0 ** 128
-
-
-def _prescaled(A, size):
-    """A and 0 when ``size`` lies in [1 / _SAFE, _SAFE].  Otherwise A
-    times 2^-e and e, for the e that puts A's largest |entry| in
-    [1/2, 1): a power of two, so the scaling is exact barring underflow."""
-    if 1.0 / _SAFE <= size <= _SAFE:
-        return A, 0
-    e = int(np.frexp(max(A.max(), -A.min()))[1])
-    return np.ldexp(A, -e), e
-
-
 def _unscaled(x, e, refusal):
     """x times 2^e, in place; PreconditionViolated(refusal) when a value
     does not fit a double at that scale."""
@@ -326,6 +311,11 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     _rows_conform(Y, Phi)
     m, n = Phi.shape
     k = _sparsity(k, m, n)
+    # With Phi's largest column norm and ||Y||_F in the window of
+    # ``_prescaled``, [2^-128, 2^128], a score is at most 2^256, so every
+    # square the solve forms stays below 2^512, and the squares of the two
+    # sizes stay above 2^-256: normal doubles, far from overflow and
+    # underflow.
     with np.errstate(over="ignore", under="ignore"):
         Phi, a = _prescaled(Phi, math.sqrt(np.einsum("ij,ij->j", Phi, Phi).max()))
         y_norm = float(np.linalg.norm(Y))

@@ -27,15 +27,15 @@ from somplab import (
     gen_sparse_signal,
     matched_filter_oracle,
     perturbation_magnitude,
-    perturbation_magnitude_for_mode,
     recovery_threshold,
-    reference_omp_smv,
     ric_exact,
     run_experiment,
     selected_scores_vanish,
     somp_solve,
 )
 from somplab.cli import main
+
+from oracles import perturbation_magnitude_for_mode, reference_omp_smv
 
 _TRACES = []        # solver traces accumulated by earlier criteria
 _TRIAL_FLAGS = []   # selected_scores_ok flags from harness trials

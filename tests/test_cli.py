@@ -789,7 +789,8 @@ def test_experiment_on_a_huge_matrix_answers_without_a_traceback(tmp_path, capsy
 
 
 def test_measurements_whose_norm_overflows_are_refused(tmp_path, capsys):
-    # every entry of Y is finite, ||Y||_F is not; warnings are errors in this suite
+    # every entry of Y is finite, ||Y||_F as numpy takes it is not; warnings
+    # are errors in this suite
     Phi = np.random.default_rng(0).standard_normal((8, 12))
     X = np.zeros((12, 2))
     X[[1, 5]] = 1e200
@@ -799,14 +800,16 @@ def test_measurements_whose_norm_overflows_are_refused(tmp_path, capsys):
     # the solver works at an exact power-of-two prescale and answers
     assert main(["solve", "--sparsity", "2", *files]) == 0
     assert capsys.readouterr() == ("5,6\n", "")
-    for argv in (["perturb", "--epsb", "0.01", "--out-prefix", str(tmp_path / "out")],
-                 ["check", "--sparsity", "2", "--mode", "measurement", "--t0", "1",
-                  "--epsb", "0.01"]):
-        code = main([*argv, *files])
-        out = capsys.readouterr()
-        assert (code, out.out) == (2, "")
-        assert out.err == "error: the norm of the measurements overflows double precision\n"
-    assert not list(tmp_path.glob("out.*"))
+    # and so do the norms of the levels and of the guarantee: with t0 = 1
+    # against a Y near 1e200 the condition is unsatisfiable
+    assert main(["perturb", "--epsb", "0.01", "--out-prefix", str(tmp_path / "out"), *files]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.splitlines()[-1].startswith("epsb=0.0")
+    assert len(list(tmp_path.glob("out.*"))) == 4
+    assert main(["check", "--sparsity", "2", "--mode", "measurement", "--t0", "1",
+                 "--epsb", "0.01", *files]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.splitlines()[-1].startswith("condition unsatisfiable (")
 
 
 def _run_under_w_error(tmp_path, argv):
@@ -871,13 +874,76 @@ def test_solve_at_a_tiny_scale_answers_under_w_error(tmp_path):
 
 
 def test_check_refuses_a_signal_whose_weakest_row_norm_overflows(tmp_path, capsys):
+    # each row's true norm, about 2.1e308, exceeds the largest double
     phi, y = _frame_files(tmp_path)
     X = np.zeros((25, 2))
-    X[[3, 7]] = 1e200
+    X[[3, 7]] = 1.5e308
     write_matrix(tmp_path / "x.txt", X)
     _check_refused(capsys, ["--phi", phi, "--sparsity", "2", "--mode", "measurement", "--y", y,
                             "--x", str(tmp_path / "x.txt"), "--epsb", "0.01"],
                    "weakest-row norm must be finite, got inf")
+
+
+@pytest.mark.parametrize("tiny", [1e-170, 1e-150])
+def test_check_reads_a_weak_signal_row_at_any_scale(tmp_path, capsys, tiny):
+    # rows 3 and 7 of the signal, row 7 at ``tiny``: at 1e-170 numpy's
+    # squares of row 7 underflow to 0, so a norm taken as numpy takes it
+    # reads 0, t0 would come from row 3, and the verdict would be a false
+    # "condition holds"
+    X = np.zeros((25, 2))
+    X[3] = [1.0, 2.0]
+    X[7] = [3.0 * tiny, 4.0 * tiny]
+    write_matrix(tmp_path / "x.txt", X)
+    write_matrix(tmp_path / "y.txt", read_matrix(FRAME) @ X)
+    code = main(["check", "--phi", str(FRAME), "--sparsity", "2", "--mode", "measurement",
+                 "--y", str(tmp_path / "y.txt"), "--x", str(tmp_path / "x.txt"),
+                 "--epsb", "0.01"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    assert out.out.splitlines()[-1].startswith("condition unsatisfiable (")
+
+
+@pytest.mark.parametrize("a", [-565, 664], ids=["1e-170", "1e200"])
+def test_perturb_prints_the_unit_scale_levels_at_any_scale(tmp_path, capsys, a):
+    # Y at 2^-565 (about 1e-170), whose ||Y||_F as numpy takes it underflows
+    # to 0, and at 2^664 (about 1e200), where it overflows: both calibrate
+    # as at unit scale, with B scaled by the same power of two
+    phi, y = _frame_files(tmp_path)
+    write_matrix(tmp_path / "y_a.txt", np.ldexp(read_matrix(y), a))
+
+    def perturb(y_path, prefix):
+        code = main(["perturb", "--phi", phi, "--y", y_path, "--eps0", "1e-3", "--epsb", "0.01",
+                     "--sparsity", "2", "--out-prefix", str(tmp_path / prefix)])
+        return code, capsys.readouterr(), read_matrix(tmp_path / f"{prefix}.b.txt")
+
+    code, out, B = perturb(y, "unit")
+    code_a, out_a, B_a = perturb(str(tmp_path / "y_a.txt"), "scaled")
+    assert code == code_a == 0
+    assert out_a == out and out.err == ""
+    assert np.array_equal(B_a, np.ldexp(B, a))
+
+
+@pytest.mark.parametrize("b_mode", ["gaussian", "column-skewed"])
+def test_reports_are_equivariant_under_powers_of_two_under_w_error(tmp_path, b_mode):
+    # the golden frame swept with every check on, its signal rows at 2^300
+    # and at 2^700, where numpy's ||Y||_F overflows: only the header line
+    # that names the floor differs
+    reports = []
+    for a in (300, 700):
+        config = {"instance": {"m": 20, "n": 25, "L": 3, "k": 2, "signal_row_norm_min": 2.0 ** a,
+                               "ensemble": "user-supplied", "matrix": str(FRAME)},
+                  "perturbation": {"eps0": [0.0, 1e-3], "epsb": [0.0, 1e-3], "b_mode": b_mode},
+                  "checks": {"filter_proximity": True, "filter_deviation": True},
+                  "trials": 3, "master_seed": 5}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        proc = _run_under_w_error(tmp_path, ["experiment", "--config", "config.json"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        reports.append(proc.stdout.splitlines())
+    low, high = reports
+    assert low[1] != high[1] and low[2:] == high[2:]
+    rows = [line.split("\t") for line in low if line[:1].isdigit()]
+    assert len(rows) == 12 and {row[10] for row in rows} == {"pass"}
+    assert {row[16] + row[17] for row in rows} == {"11"}   # both filter checks held
 
 
 def test_solve_trace_records_a_zero_residual_stop(tmp_path, capsys):

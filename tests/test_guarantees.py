@@ -25,11 +25,12 @@ from somplab import (
     coherent_pair_matrix,
     error_amplification,
     perturbation_magnitude,
-    perturbation_magnitude_for_mode,
     recovery_threshold,
     ric_exact,
 )
 from somplab.rip import PerturbationLevels
+
+from oracles import perturbation_magnitude_for_mode
 
 mpmath.mp.dps = 50
 

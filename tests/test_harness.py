@@ -19,7 +19,6 @@ from somplab import (
     gen_sensing_matrix,
     gen_sparse_signal,
     matched_filter_oracle,
-    reference_omp_smv,
     render_report,
     run_experiment,
     run_trial,
@@ -27,6 +26,8 @@ from somplab import (
     somp_solve,
     trial_seeds,
 )
+
+from oracles import reference_omp_smv
 
 
 def _rng(seed):

@@ -17,7 +17,6 @@ from somplab import (
     low_coherence_frame,
     measure_perturbation_levels,
     min_support_row_norm,
-    reference_omp_smv,
     relative_frobenius_error,
     ric_exact,
     run_trial,
@@ -26,6 +25,8 @@ from somplab import (
     support_of,
 )
 from somplab.model import as_matrix, as_support
+
+from oracles import reference_omp_smv
 
 
 def test_as_matrix_accepts_lists():
@@ -92,15 +93,37 @@ def test_min_support_row_norm_empty():
 
 
 def test_row_norms_that_overflow_read_inf_without_a_warning():
-    # 1e200 squared overflows; warnings are errors in this suite
+    # 1e200 squared overflows, yet the norm is taken at an exact prescale;
+    # only a true norm above the largest double reads inf.  Warnings are
+    # errors in this suite
     X = np.zeros((4, 2))
     X[[0, 2]] = 1e200
     X[3] = 1.0
     assert support_of(X) == (0, 2, 3)
     assert min_support_row_norm(X) == np.sqrt(2.0)
-    assert [min_support_row_norm(X[[i]]) for i in (0, 2)] == [np.inf, np.inf]
+    for i in (0, 2):
+        assert min_support_row_norm(X[[i]]) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     X[3] = 0.0
-    assert min_support_row_norm(X) == np.inf
+    assert min_support_row_norm(X) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    X[0] = 1.5e308   # a true norm of about 2.1e308
+    assert min_support_row_norm(X[[0]]) == np.inf
+    assert min_support_row_norm(X) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [-700, -400, 400, 700])
+def test_signal_norms_are_equivariant_under_powers_of_two(a):
+    # at 2^a every row and the whole signal scale exactly, so the support
+    # stays, t0 scales by 2^a and a relative error stays, bit for bit,
+    # also where numpy's squares would overflow or underflow
+    g = np.random.default_rng(11)
+    for _ in range(20):
+        X = g.standard_normal((12, 3))
+        X[g.choice(12, size=7, replace=False)] = 0.0
+        X_hat = X + 1e-3 * g.standard_normal(X.shape)
+        X_a, X_hat_a = np.ldexp(X, a), np.ldexp(X_hat, a)
+        assert support_of(X_a) == support_of(X)
+        assert min_support_row_norm(X_a) == np.ldexp(min_support_row_norm(X), a)
+        assert relative_frobenius_error(X_hat_a, X_a) == relative_frobenius_error(X_hat, X)
 
 
 def _overflowing_measurements():
@@ -122,12 +145,21 @@ def test_measurements_whose_norm_overflows_are_refused():
     assert res.support == unit.support
     assert res.trace.initial_residual_norm == pytest.approx(
         1e200 * unit.trace.initial_residual_norm, rel=1e-12)
-    # the solver refuses only a norm that does not fit a double at the
-    # caller's scale; the others refuse one that overflows as computed
-    calls = [lambda: somp_solve(np.full((8, 1), 1e308), np.eye(8, 12), 2),
+    # the levels take ||Y||_F at the same kind of prescale, so they answer
+    # too: epsb is a ratio
+    levels = measure_perturbation_levels(Phi, 0 * Phi, Y, 1e-3 * Y, order=1)
+    assert levels.epsb == pytest.approx(1e-3, rel=1e-15)
+    _, B, levels = calibrate_perturbation(Phi, Y, PerturbationSpec(target_epsb=0.01))
+    assert levels.epsb == pytest.approx(0.01, rel=1e-15)
+    assert np.isfinite(B).all()
+    # a norm that does not fit a double at the caller's scale is refused,
+    # and so is one that overflows as the independent oracle computes it
+    huge = np.full((8, 1), 1e308)
+    calls = [lambda: somp_solve(huge, np.eye(8, 12), 2),
              lambda: reference_omp_smv(Y[:, 0], Phi, 2),
-             lambda: measure_perturbation_levels(Phi, 0 * Phi, Y, 0 * Y, order=1),
-             lambda: calibrate_perturbation(Phi, Y, PerturbationSpec(target_epsb=0.01))]
+             lambda: measure_perturbation_levels(np.eye(8, 12), 0 * np.eye(8, 12), huge,
+                                                 0 * huge, order=1),
+             lambda: calibrate_perturbation(np.eye(8, 12), huge, PerturbationSpec(target_epsb=0.01))]
     for call in calls:
         with pytest.raises(PreconditionViolated,
                            match="^the norm of the measurements overflows double precision$"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from somplab import (
+    B_MODES,
     DimensionMismatch,
     InstanceConfig,
     InvalidConfig,
@@ -153,6 +154,34 @@ def test_column_skewed_concentrates_on_weakest_column():
     assert levels.epsb == pytest.approx(0.01, rel=1e-12)
     # that one column is corrupted far beyond the global level
     assert col_norms[j] / np.linalg.norm(Y[:, j]) > 0.01
+
+
+def test_column_skewed_b_lands_on_the_same_column_at_any_scale():
+    # at 2^700 every column norm of Y overflows as numpy takes it, which
+    # would read the weakest column as the first one
+    cfg, Phi, X, Y = _clean(L=4)
+    spec = PerturbationSpec(target_epsb=0.01, seed=2, b_mode="column-skewed")
+    _, B, _ = calibrate_perturbation(Phi, Y, spec)
+    _, B_huge, _ = calibrate_perturbation(Phi, np.ldexp(Y, 700), spec)
+    assert np.flatnonzero(B.any(axis=0)).tolist() == [2]
+    assert np.flatnonzero(B_huge.any(axis=0)).tolist() == [2]
+
+
+@pytest.mark.parametrize("a", [-700, -400, 400, 700])
+@pytest.mark.parametrize("b_mode", B_MODES)
+def test_measurement_levels_are_equivariant_under_powers_of_two(b_mode, a):
+    # epsb is a ratio of norms of caller data: with Y at 2^a the calibrated
+    # B is 2^a times the unit-scale one and every level is the same, bit
+    # for bit, also where numpy's squares of Y overflow or underflow
+    cfg, Phi, X, Y = _clean(L=4)
+    spec = PerturbationSpec(target_eps0=1e-3, target_epsb=1e-2, seed=2, b_mode=b_mode)
+    E, B, levels = calibrate_perturbation(Phi, Y, spec, order=2)
+    E_a, B_a, levels_a = calibrate_perturbation(Phi, np.ldexp(Y, a), spec, order=2)
+    assert np.array_equal(E_a, E) and np.array_equal(B_a, np.ldexp(B, a))
+    assert levels_a == levels
+    measured = measure_perturbation_levels(Phi, E, Y, B, order=2)
+    assert measure_perturbation_levels(Phi, E, np.ldexp(Y, a), np.ldexp(B, a), order=2) == measured
+    assert measured.epsb == levels.epsb
 
 
 def test_apply_perturbation_and_inverse():

@@ -15,10 +15,11 @@ from somplab import (
     InvalidSparsity,
     PreconditionViolated,
     least_squares_on_support,
-    reference_omp_smv,
     somp_solve,
-    solve_perturbed,
 )
+from somplab.solver import solve_perturbed
+
+from oracles import reference_omp_smv
 
 
 def _rng(seed):
