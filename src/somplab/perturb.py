@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, PreconditionViolated
 from .model import (
     _COUNT,
     _NONNEGATIVE,
@@ -178,8 +178,12 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     Frobenius norms), so the realized full-matrix levels match the
     targets to rounding; a direction is drawn only for a nonzero target.
     The submatrix level eps is then measured over widths 1..``order``
-    (in 1..n), never targeted.  Returns E, B and the measured levels;
-    ``measure_perturbation_levels`` measures a given pair.
+    (in 1..n), never targeted.  Every norm is taken at any scale, so with
+    Phi at 2^a and Y at 2^b, E and B are 2^a and 2^b times the unit-scale
+    ones and the levels are the same; a level, or an entry of E or B,
+    above the largest double is refused (PreconditionViolated).  Returns
+    E, B and the measured levels; ``measure_perturbation_levels``
+    measures a given pair.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     Y = as_matrix(Y, "measurements")
@@ -230,11 +234,15 @@ def _scaled(noise: tuple[np.ndarray, float] | None, target: float, reference: fl
     """A perturbation at relative level ``target`` of ``reference``: zeros
     shaped like ``like`` at a zero target (``noise`` is then not read),
     else the direction of ``noise = (direction, size)`` times
-    target * reference / size."""
+    target * reference / size, refused where an entry would exceed the
+    largest double."""
     if target == 0.0:
         return np.zeros_like(like)
     direction, size = noise
-    return direction * (target * reference / size)
+    scale = target * reference / size
+    if float(np.abs(direction).max()) * scale == math.inf:   # the largest entry, rounded alike
+        raise PreconditionViolated(f"a perturbation at level {target!r} overflows double precision")
+    return direction * scale
 
 
 def apply_perturbation(Y, Phi, E, B):

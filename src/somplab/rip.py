@@ -36,12 +36,15 @@ enumerates the same few shapes for every matrix.  The perturbation
 levels take the largest submatrix spectral norm of a matrix at every
 width 1..order, all from one Gram.
 
-Only the measurement side of the levels is free of scale: ||Y||_F and
-||B||_F go through ``model._norms``, so epsb is the same for B and Y at
-any common power-of-two scale.  The sensing side is not: an isometry
-constant compares squared singular values with 1 and the guarantee
-takes powers of ||Phi||_2, so Phi is read at its own scale, and a Gram
-whose squared column norms overflow is refused (``_gram``).
+Every level is a ratio of norms, each taken at any scale by the rule of
+``model._norms``: ||Y||_F and ||B||_F by ``_norms`` itself, a spectral
+norm by ``_spectral_norm``, and the width norms from a Gram that
+``_norm_gram`` forms from a prescaled copy where the matrix's column
+norms leave the window.  So eps0 and eps are the same for E and Phi,
+and epsb for B and Y, at any common power-of-two scale, and a level
+above the largest double is refused.  Only an isometry constant reads
+Phi at its own scale, since it compares squared singular values with 1:
+its Gram is refused where the squared column norms overflow (``_gram``).
 """
 
 from __future__ import annotations
@@ -57,11 +60,13 @@ from .errors import PreconditionViolated, SubsetBudgetExceeded, ZeroReference
 from .model import (
     _COUNT,
     _NONNEGATIVE,
+    _SAFE,
     SupportSet,
     _check_fields,
     _norms,
     _order,
     _perturbation_conforms,
+    _prescaled,
     as_matrix,
     as_support,
     truncated_svd,
@@ -399,10 +404,11 @@ def _listed_search(gram: np.ndarray, order: int, deviation: bool,
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
-    """A's Gram matrix, refused when it overflows double precision: before
-    the product when A's largest squared column norm, which bounds every
-    entry, does, so numpy has no overflow to warn about, and by the
-    product's entries after it."""
+    """A's Gram matrix at A's own scale, as an isometry constant reads it,
+    refused when it overflows double precision: before the product when
+    A's largest squared column norm, which bounds every entry, does, so
+    numpy has no overflow to warn about, and by the product's entries
+    after it."""
     with np.errstate(over="ignore"):
         top = float(np.einsum("ij,ij->j", A, A).max())
     if math.isfinite(top):
@@ -469,11 +475,11 @@ def ric_exact(A, order: int, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> RicE
 
 def submatrix_spectral_norm(A, width: int,
                             subset_budget: int = DEFAULT_SUBSET_BUDGET) -> float:
-    """Largest spectral norm over all width-``width`` column submatrices."""
+    """Largest spectral norm over all width-``width`` column submatrices,
+    at any scale (``_norm_gram``)."""
     A = as_matrix(A, "matrix")
     width, _ = _check_enumeration(A.shape[1], width, subset_budget)
-    top, _ = _extreme_subsets(A, width, deviation=False)
-    return math.sqrt(max(top, 0.0))
+    return _width_norm(*_norm_gram(A), width)
 
 
 def measure_perturbation_levels(Phi, E, Y, B, order: int,
@@ -485,8 +491,10 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
     column submatrices.  Raises InvalidOrder unless ``order`` is an
     integer in 1..n (below 1, eps would be a maximum over no width),
     ZeroReference when Phi or Y has zero norm, since the ratios are then
-    undefined, and PreconditionViolated when ||Y||_F exceeds the largest
-    double.
+    undefined, and PreconditionViolated when ||Phi||_2, ||Y||_F or a level
+    exceeds the largest double.  Every norm is taken at any scale, so the
+    levels are the same under a common power-of-two scaling of (Phi, E)
+    and of (Y, B).
     """
     Phi = as_matrix(Phi, "sensing matrix")
     E = as_matrix(E, "sensing perturbation")
@@ -504,17 +512,39 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
 # The level arithmetic in pieces, so that a sweep computes the references
 # of a clean matrix once and the levels of each sensing perturbation once.
 
+def _scaled_back(x: float, e: int) -> float:
+    """x * 2^e: exact barring underflow, and inf, without an error, above
+    the largest double."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def _spectral_norm(A: np.ndarray) -> float:
-    """||A||_2, A's largest singular value: the float ``np.linalg.norm(A, 2)``
-    returns, without its wrapper."""
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    """||A||_2, A's largest singular value, at any scale, by the rule of
+    ``model._norms``: the float ``np.linalg.norm(A, 2)`` returns (without
+    its wrapper) when it lies in [1 / _SAFE, _SAFE] or A is zero, else the
+    norm of A's prescaled copy (``model._prescaled``) scaled back.  So the
+    norm of 2^a A is 2^a times the norm of A, bit for bit; a norm above
+    the largest double reads inf."""
+    norm = float(np.linalg.svd(A, compute_uv=False)[0])
+    if 1.0 / _SAFE <= norm <= _SAFE or not A.any():
+        return norm
+    scaled, e = _prescaled(A, norm)
+    return _scaled_back(float(np.linalg.svd(scaled, compute_uv=False)[0]), e)
 
 
 def _spectral_reference(Phi: np.ndarray) -> float:
-    """||Phi||_2, the reference of eps0."""
+    """||Phi||_2, the reference of eps0 and an input of the guarantee,
+    at any scale (``_spectral_norm``).  Refused when Phi is all zero, and
+    when the norm exceeds the largest double."""
     spectral_phi = _spectral_norm(Phi)
     if spectral_phi == 0.0:
         raise ZeroReference("sensing matrix has zero spectral norm")
+    if spectral_phi == math.inf:
+        raise PreconditionViolated("the spectral norm of the sensing matrix overflows "
+                                   "double precision")
     return spectral_phi
 
 
@@ -531,24 +561,50 @@ def _frobenius_reference(Y: np.ndarray) -> float:
     return frob_y
 
 
+def _finite_level(name: str, level: float) -> float:
+    """A measured level, refused where it exceeds the largest double."""
+    if level == math.inf:
+        raise PreconditionViolated(f"the measured level {name} overflows double precision")
+    return level
+
+
 def _measurement_level(B: np.ndarray, frob_y: float) -> float:
     """epsb, ||B||_F (``_norms``) against the clean ||Y||_F from
     ``_frobenius_reference``: the same at any common scale of B and Y."""
-    return float(_norms(B)) / frob_y
+    return _finite_level("epsb", float(_norms(B)) / frob_y)
+
+
+def _norm_gram(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Gram that A's submatrix spectral norms are read from, at any
+    scale, and the power of two e that scales them back: A's own Gram and
+    0 when A's largest column norm lies in [1 / _SAFE, _SAFE], else the
+    Gram of A's prescaled copy (``model._prescaled``).  Either Gram's
+    entries are far from overflow.  Unlike ``_gram``, which the isometry
+    constant reads at A's own scale, nothing is refused."""
+    with np.errstate(over="ignore"):
+        top = float(np.einsum("ij,ij->j", A, A).max())
+    A, e = _prescaled(A, math.sqrt(top))
+    return A.T @ A, e
+
+
+def _width_norm(gram: np.ndarray, e: int, width: int) -> float:
+    """The largest width-``width`` submatrix spectral norm of the matrix
+    whose ``_norm_gram`` is (gram, e)."""
+    top, _ = _gram_extremes(gram, width, deviation=False)
+    return _scaled_back(math.sqrt(max(top, 0.0)), e)
 
 
 def _width_norms(A: np.ndarray, order: int, subset_budget: int):
     """A's largest width-w submatrix spectral norm for w = 1..order, one
-    width at a time, all from one Gram.  Each width's subset budget is
-    checked before that width is computed, as ``submatrix_spectral_norm``
-    checks it."""
+    width at a time, all from one ``_norm_gram``.  Each width's subset
+    budget is checked before that width is computed, as
+    ``submatrix_spectral_norm`` checks it."""
     gram = None
     for width in range(1, order + 1):
         _check_enumeration(A.shape[1], width, subset_budget)
         if gram is None:
-            gram = _gram(A)
-        top, _ = _gram_extremes(gram, width, deviation=False)
-        yield math.sqrt(max(top, 0.0))
+            gram, e = _norm_gram(A)
+        yield _width_norm(gram, e, width)
 
 
 def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[float, ...]:
@@ -574,11 +630,11 @@ def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...
     send each one to the eigensolver; its levels are zero without that."""
     if not E.any():
         return 0.0, 0.0
-    eps0 = _spectral_norm(E) / spectral_phi
+    eps0 = _finite_level("eps0", _spectral_norm(E) / spectral_phi)
     eps = 0.0
     for den, norm in zip(widths, _width_norms(E, len(widths), subset_budget)):
         eps = max(eps, norm / den)
-    return eps0, eps
+    return eps0, _finite_level("eps", eps)
 
 
 def residual_sensing_matrix(Phi, support) -> np.ndarray:

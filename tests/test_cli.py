@@ -839,6 +839,11 @@ def test_columns_whose_squared_norms_overflow_are_refused_under_w_error(tmp_path
     if argv[0] == "solve":   # solved at an exact power-of-two prescale
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5,6\n", "")
         return
+    if argv[0] == "perturb":   # the levels' norms are taken at a prescale too
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "eps0=0.0\neps=0.0\nepsb=0.0\n"
+        assert len(list(tmp_path.glob("out.*"))) == 4
+        return
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: column inner products overflow double precision\n"
     assert not list(tmp_path.glob("out.*"))
@@ -944,6 +949,85 @@ def test_reports_are_equivariant_under_powers_of_two_under_w_error(tmp_path, b_m
     rows = [line.split("\t") for line in low if line[:1].isdigit()]
     assert len(rows) == 12 and {row[10] for row in rows} == {"pass"}
     assert {row[16] + row[17] for row in rows} == {"11"}   # both filter checks held
+
+
+def _scaled_frame(tmp_path, a, rows=(4, 7)):
+    """The golden frame at 2^a and the measurements of a signal on ``rows``,
+    written under ``tmp_path``; their paths."""
+    phi, y = _frame_files(tmp_path, rows)
+    write_matrix(tmp_path / "phi.txt", np.ldexp(read_matrix(phi), a))
+    write_matrix(y, np.ldexp(read_matrix(y), a))
+    return str(tmp_path / "phi.txt"), y
+
+
+@pytest.mark.parametrize("b_mode", ["gaussian", "column-skewed"])
+def test_sensing_side_sweep_is_equivariant_under_powers_of_two(tmp_path, capsys, b_mode):
+    # the golden frame swept without the isometry constant, at 2^a: its
+    # levels' norms are taken at any scale, so the report is byte for byte
+    # the unit-scale one (warnings are errors in this suite)
+    def sweep(a):
+        (tmp_path / str(a)).mkdir()
+        phi, _ = _scaled_frame(tmp_path / str(a), a)
+        cfg = _config(tmp_path / str(a), instance={
+            "m": 20, "n": 25, "L": 3, "k": 2, "signal_row_norm_min": 1.0,
+            "ensemble": "user-supplied", "matrix": phi},
+            perturbation={"eps0": [1e-4, 1e-2], "epsb": [5e-4], "b_mode": b_mode},
+            checks={"ric": False, "guarantee": False}, trials=3, master_seed=7)
+        return main(["experiment", "--config", str(cfg)]), capsys.readouterr()
+
+    code, unit = sweep(0)
+    assert code == 0 and unit.err == ""
+    for a in (-600, -500, 500):
+        assert sweep(a) == (0, unit)
+    # at 2^600 the matched-filter scores Phi^T Y reach about 2^1200: the
+    # solver refuses what it would return, and nothing refuses before it
+    assert sweep(600) == (2, ("", "error: matched-filter scores overflow double precision\n"))
+
+
+def test_perturb_prints_the_unit_scale_levels_at_any_sensing_scale(tmp_path, capsys):
+    def perturb(a, b):
+        where = tmp_path / f"{a}_{b}"
+        where.mkdir()
+        phi, y = _scaled_frame(where, a)
+        write_matrix(y, np.ldexp(read_matrix(y), b - a))
+        code = main(["perturb", "--phi", phi, "--y", y, "--eps0", "1e-3", "--epsb", "1e-3",
+                     "--sparsity", "2", "--seed", "5", "--out-prefix", str(where / "out")])
+        out = capsys.readouterr()
+        return (code, out), read_matrix(where / "out.e.txt"), read_matrix(where / "out.b.txt")
+
+    unit, E, B = perturb(0, 0)
+    assert unit[0] == 0 and unit[1].err == ""
+    assert [line.split("=")[0] for line in unit[1].out.splitlines()] == ["eps0", "eps", "epsb"]
+    for a, b in ((600, 600), (-600, -600), (600, -600), (-600, 600)):
+        got, E_s, B_s = perturb(a, b)
+        assert got == unit
+        assert np.array_equal(E_s, np.ldexp(E, a)) and np.array_equal(B_s, np.ldexp(B, b))
+
+
+def test_perturb_refuses_a_level_beyond_the_largest_double(tmp_path, capsys):
+    # nearly equal columns: at eps0 = 1e308 the width level eps exceeds
+    # the largest double; a measured level, refused as a precondition
+    Phi = (1.0 + 0.01 * np.random.default_rng(0).standard_normal((8, 12))) / 16
+    write_matrix(tmp_path / "phi.txt", Phi)
+    write_matrix(tmp_path / "y.txt", Phi[:, [1, 5]])
+    code = main(["perturb", "--phi", str(tmp_path / "phi.txt"), "--y", str(tmp_path / "y.txt"),
+                 "--eps0", "1e308", "--sparsity", "2", "--out-prefix", str(tmp_path / "out")])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: the measured level eps overflows double precision\n"))
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_the_isometry_constant_still_reads_phi_at_its_own_scale(tmp_path, capsys):
+    # delta compares squared singular values with 1: on the golden frame at
+    # 2^600 its Gram overflows and is refused, by ric, check and a sweep
+    phi, _ = _scaled_frame(tmp_path, 600)
+    cfg = _config(tmp_path, instance={"m": 20, "n": 25, "L": 3, "k": 2,
+                                      "ensemble": "user-supplied", "matrix": phi}, trials=1)
+    for argv in (["ric", "--matrix", phi, "--order", "3"],
+                 ["check", "--phi", phi, "--sparsity", "2", "--mode", "noiseless"],
+                 ["experiment", "--config", str(cfg)]):
+        assert (main(argv), capsys.readouterr()) == (
+            2, ("", "error: column inner products overflow double precision\n")), argv[0]
 
 
 def test_solve_trace_records_a_zero_residual_stop(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from somplab import (
     InvalidConfig,
     InvalidOrder,
     PerturbationSpec,
+    PreconditionViolated,
     SubsetBudgetExceeded,
     apply_perturbation,
     calibrate_perturbation,
@@ -21,6 +23,7 @@ from somplab import (
     gen_sparse_signal,
     low_coherence_frame,
     measure_perturbation_levels,
+    read_matrix,
     ric_exact,
     support_of,
 )
@@ -182,6 +185,54 @@ def test_measurement_levels_are_equivariant_under_powers_of_two(b_mode, a):
     measured = measure_perturbation_levels(Phi, E, Y, B, order=2)
     assert measure_perturbation_levels(Phi, E, np.ldexp(Y, a), np.ldexp(B, a), order=2) == measured
     assert measured.epsb == levels.epsb
+
+
+def _frame_clean():
+    Phi = read_matrix(Path(__file__).resolve().parent / "golden" / "frame_20x25.txt")
+    X = np.zeros((25, 2))
+    X[[4, 7]] = [[1.0, 2.0], [-1.0, 0.5]]
+    return Phi, Phi @ X
+
+
+@pytest.mark.parametrize("b", [-600, 0, 600])
+@pytest.mark.parametrize("a", [-600, -500, 500, 600])
+def test_levels_are_equivariant_under_powers_of_two(a, b):
+    # eps0 and eps are ratios of norms of (E, Phi) as epsb is of (B, Y):
+    # with Phi at 2^a and Y at 2^b the calibrated E and B are 2^a and 2^b
+    # times the unit-scale ones, and every level is the same, bit for bit
+    spec = PerturbationSpec(target_eps0=1e-3, target_epsb=1e-2, seed=2)
+    _, Phi_g, _, Y_g = _clean(L=4)
+    for Phi, Y in ((Phi_g, Y_g), _frame_clean()):
+        E, B, levels = calibrate_perturbation(Phi, Y, spec, order=2)
+        E_s, B_s, levels_s = calibrate_perturbation(np.ldexp(Phi, a), np.ldexp(Y, b), spec,
+                                                    order=2)
+        assert np.array_equal(E_s, np.ldexp(E, a)) and np.array_equal(B_s, np.ldexp(B, b))
+        assert levels_s == levels
+        measured = measure_perturbation_levels(Phi, E, Y, B, order=2)
+        assert measure_perturbation_levels(np.ldexp(Phi, a), np.ldexp(E, a), np.ldexp(Y, b),
+                                           np.ldexp(B, b), order=2) == measured
+        assert measured == levels
+
+
+def test_calibrated_level_or_perturbation_beyond_the_largest_double_is_refused():
+    # nearly equal columns: Phi's width norms are far below ||Phi||_2, so
+    # at target_eps0 = 1e308 the width level eps exceeds the largest double
+    Phi = (1.0 + 0.01 * np.random.default_rng(0).standard_normal((8, 12))) / 16
+    Y = Phi[:, [1, 5]]
+    _, _, levels = calibrate_perturbation(Phi, Y, PerturbationSpec(target_eps0=1e307, seed=3),
+                                          order=2)
+    assert levels.eps0 == 1e307 and 2e307 < levels.eps < 3e307
+    with pytest.raises(PreconditionViolated,
+                       match="^the measured level eps overflows double precision$"):
+        calibrate_perturbation(Phi, Y, PerturbationSpec(target_eps0=1e308, seed=3), order=2)
+    # on a Phi and Y of larger norm, E or B itself would not fit a double:
+    # refused before it is formed, so numpy has no overflow to warn about
+    Phi = 16 * Phi
+    for spec in (PerturbationSpec(target_eps0=1e308, seed=3),
+                 PerturbationSpec(target_epsb=1e308, seed=3)):
+        with pytest.raises(PreconditionViolated,
+                           match=r"^a perturbation at level 1e\+308 overflows double precision$"):
+            calibrate_perturbation(Phi, 16 * Y, spec, order=2)
 
 
 def test_apply_perturbation_and_inverse():

@@ -1,6 +1,9 @@
 """The behaviour-lock digest in tools/report_digest.py is reproducible."""
 
 import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +37,28 @@ def test_report_digest_does_not_depend_on_the_checkouts_path(tmp_path):
     here, there = _tool(), _tool(moved)
     assert here.FRAME != there.FRAME
     assert there.digest("frame-901-sensing") == here.digest("frame-901-sensing")
+
+
+def _against(src):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"),
+                           "--against", str(src)], capture_output=True, text=True, timeout=300)
+
+
+def test_report_digest_against_its_own_src_prints_nothing():
+    # the gate a change cites: every case of both sides, each in a fresh process
+    proc = _against(ROOT / "src")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_report_digest_against_a_changed_src_prints_the_case_that_differs(tmp_path):
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src", other, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = other / "somplab" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count('print(f"order={est.order}")') == 1   # the ric command's first line
+    cli.write_text(text.replace('print(f"order={est.order}")', 'print(f"order= {est.order}")'),
+                   encoding="utf-8")
+    proc = _against(other)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    name, here, there = proc.stdout.split()   # one line: the case, then each side's sha256
+    assert name == "ric-3" and here != there

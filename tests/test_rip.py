@@ -18,6 +18,7 @@ whose bounds overflow in the search.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from somplab import (
     coherent_pair_matrix,
     gen_sensing_matrix,
     measure_perturbation_levels,
+    read_matrix,
     residual_sensing_matrix,
     ric_exact,
     submatrix_spectral_norm,
@@ -262,8 +264,13 @@ def test_overflowing_pair_bounds_stay_in_the_search(probe, monkeypatch):
                 assert np.array_equal(near, idx[value == best])
             est = ric_exact(A, 2)
             assert est.witness_subset == want_witness
+            # the width norms read the Gram of A's power-of-two prescaled
+            # copy, where no bound overflows
+            e = int(np.frexp(np.abs(A).max())[1])
+            _, _, scaled_top = _batched_reference(np.ldexp(A, -e), 2)
             norms = list(rip._width_norms(A, 2, rip.DEFAULT_SUBSET_BUDGET))
-            assert norms[1] == math.sqrt(top.max())
+            assert norms[1] == math.ldexp(math.sqrt(scaled_top.max()), e)
+            assert norms[1] == pytest.approx(math.sqrt(top.max()), rel=1e-15)
 
 
 def _evaluated(monkeypatch):
@@ -584,16 +591,19 @@ def test_validation_and_budget():
 
 def test_overflowing_gram_is_rejected():
     # refused before the product, so numpy never warns (warnings are errors here)
-    A = _unit_columns(6, 8, 46) * 1e200
+    U = _unit_columns(6, 8, 46)
+    A = np.ldexp(U, 665)   # about 1e200: every squared column norm overflows
     with pytest.raises(PreconditionViolated):
         ric_exact(A, 2)
-    with pytest.raises(PreconditionViolated):
-        submatrix_spectral_norm(A, 2)
+    # the submatrix norms and the levels read the Gram of a prescaled copy
+    # instead: the unit-scale values times the power of two, bit for bit
+    budget = rip.DEFAULT_SUBSET_BUDGET
+    assert submatrix_spectral_norm(A, 2) == math.ldexp(submatrix_spectral_norm(U, 2), 665)
     # the level widths, all from one Gram
-    with pytest.raises(PreconditionViolated):
-        rip._width_references(A, 2, rip.DEFAULT_SUBSET_BUDGET)
-    with pytest.raises(PreconditionViolated):
-        rip._sensing_levels(A, 1.0, (1.0, 1.0), rip.DEFAULT_SUBSET_BUDGET)
+    assert rip._width_references(A, 2, budget) == tuple(
+        math.ldexp(w, 665) for w in rip._width_references(U, 2, budget))
+    assert rip._sensing_levels(A, 1.0, (1.0, 1.0), budget) == tuple(
+        math.ldexp(level, 665) for level in rip._sensing_levels(U, 1.0, (1.0, 1.0), budget))
 
 
 def test_submatrix_spectral_norm_small_case():
@@ -617,6 +627,43 @@ def test_spectral_norm_is_the_float_numpy_norm_returns(shape):
     for _ in range(10):
         A = rng.standard_normal(shape)
         assert rip._spectral_norm(A) == float(np.linalg.norm(A, 2))
+
+
+def _golden_frame():
+    return read_matrix(Path(__file__).resolve().parent / "golden" / "frame_20x25.txt")
+
+
+@pytest.mark.parametrize("a", [-700, -600, -500, 500, 600, 700])
+def test_sensing_norms_are_equivariant_under_powers_of_two(a):
+    # the references of eps0 and eps are taken at any scale: at 2^a they
+    # are 2^a times the unit-scale ones, bit for bit, where LAPACK's own
+    # rescaling and numpy's squared column norms would not give them
+    budget = rip.DEFAULT_SUBSET_BUDGET
+    for A, order in ((_rng(13).standard_normal((8, 10)) / math.sqrt(8), 3),
+                     (_desk_gaussian(), 4), (_golden_frame(), 3)):
+        scaled = np.ldexp(A, a)
+        assert rip._spectral_norm(scaled) == math.ldexp(rip._spectral_norm(A), a)
+        assert rip._width_references(scaled, order, budget) == tuple(
+            math.ldexp(w, a) for w in rip._width_references(A, order, budget))
+        assert submatrix_spectral_norm(scaled, 2) == math.ldexp(submatrix_spectral_norm(A, 2), a)
+
+
+def test_a_level_or_reference_beyond_the_largest_double_is_refused():
+    Phi = _rng(14).standard_normal((8, 10)) / math.sqrt(8)
+    Y = Phi @ _rng(15).standard_normal((10, 2))
+    cases = [
+        # ||B||_F / ||Y||_F is about 1e600
+        ((Phi, np.zeros_like(Phi), np.full((8, 2), 1e-300), np.full((8, 2), 1e300)),
+         "the measured level epsb overflows double precision"),
+        # ||E||_2 / ||Phi||_2 is about 2^1100
+        ((np.ldexp(Phi, -600), np.ldexp(Phi, 500), Y, np.zeros_like(Y)),
+         "the measured level eps0 overflows double precision"),
+        ((np.full((8, 10), 1e308), np.zeros((8, 10)), Y, np.zeros_like(Y)),
+         "the spectral norm of the sensing matrix overflows double precision"),
+    ]
+    for args, message in cases:
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            measure_perturbation_levels(*args, order=2)
 
 
 def test_measured_levels_for_scaled_perturbations():

@@ -9,8 +9,15 @@ mode), a grid with zero levels, an identity-embedded sweep, and
 ``check``, ``ric``, ``solve`` and ``perturb`` on the golden frame.  Each
 case's digest covers its exit code, its stdout and stderr, and every
 file it leaves in its directory.  It prints one ``name sha256`` line per
-case, then ``total sha256`` over those lines.  Compare two checkouts by
-running one copy of it on each:
+case, then ``total sha256`` over those lines.  Compare two checkouts
+with one copy of it:
+
+    python tools/report_digest.py --against OTHER/src
+
+runs every case on this checkout's src and on OTHER/src, each side in a
+fresh process, prints ``name sha256-here sha256-there`` for each case
+whose lines differ, and exits 1 on any difference, else 0 (2 when a
+side fails to run).  The lines of one side alone:
 
     python tools/report_digest.py                      # this checkout's src
     python tools/report_digest.py --src OTHER/src      # another checkout's
@@ -28,6 +35,7 @@ import hashlib
 import io
 import json
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -135,11 +143,34 @@ def digest(name: str) -> str:
     return h.hexdigest()
 
 
+def _lines(procs) -> list[dict]:
+    """The case lines (name -> sha256) of this tool's runs ``procs``, each
+    started with ``--src`` in a fresh process; exit 2 if one fails."""
+    lines = []
+    for proc in procs:
+        out, _ = proc.communicate()
+        if proc.returncode:
+            print(f"error: the digest of {proc.args[-1]} failed", file=sys.stderr)
+            raise SystemExit(2)
+        lines.append(dict(line.split() for line in out.splitlines()))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory that holds the somplab package (default: this checkout's)")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="compare with OTHER_SRC's lines; print only the cases that differ")
     args = parser.parse_args(argv)
+    if args.against:
+        here, there = _lines([subprocess.Popen([sys.executable, __file__, "--src", src],
+                                               stdout=subprocess.PIPE, text=True)
+                              for src in (args.src, args.against)])
+        differ = [name for name in CASES if here[name] != there[name]]
+        for name in differ:
+            print(name, here[name], there[name])
+        return 1 if differ else 0
     sys.path.insert(0, str(Path(args.src).resolve()))
     lines = []
     for name in CASES:
