@@ -207,6 +207,24 @@ def _gate(Phi, Y, t0: float | None, k: int, levels: PerturbationLevels | None, m
     return spectral_phi, frob_y, k, levels
 
 
+def _magnitude(spectral_phi: float | None, frob_y: float | None, levels: PerturbationLevels,
+               mode: str) -> tuple[float | None, str]:
+    """eps_h, the magnitude of ``mode``'s guarantee and the bound of the
+    filter-deviation check, and why it is undefined ("" where it is not):
+    None on n/a, 0 in noiseless mode, and inf where ``perturbation_magnitude``
+    leaves its domain.  Past the n/a gate the levels a mode assumes zero
+    are zero, so one formula serves every noisy mode."""
+    if levels_outside_mode(mode, levels):
+        return None, ""
+    if mode == "noiseless":
+        return 0.0, ""
+    try:
+        return perturbation_magnitude(spectral_phi, frob_y, levels.eps0, levels.eps,
+                                      levels.epsb), ""
+    except DomainError as exc:
+        return math.inf, str(exc)
+
+
 def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
                         t0: float | None, k: int, levels: PerturbationLevels, delta: RicEstimate,
                         mode: str) -> GuaranteeReport:
@@ -226,14 +244,11 @@ def _evaluate_guarantee(spectral_phi: float | None, frob_y: float | None,
         got = ", ".join(f"{name}={getattr(levels, name)!r}" for name in outside)
         return report(None, None, verdict="n/a",
                       note=f"mode {mode} assumes zero {', '.join(outside)}; got {got}")
+    eps_h, undefined = _magnitude(spectral_phi, frob_y, levels, mode)
     if mode == "noiseless":
-        return report(0.0, recovery_threshold(k, math.inf))
-    # past the n/a gate the levels a mode assumes zero are zero, so one
-    # formula serves every noisy mode
-    try:
-        eps_h = perturbation_magnitude(spectral_phi, frob_y, levels.eps0, levels.eps, levels.epsb)
-    except DomainError as exc:
-        return report(math.inf, None, math.inf, note=f"condition unsatisfiable: {exc}")
+        return report(eps_h, recovery_threshold(k, math.inf))
+    if undefined:
+        return report(eps_h, None, math.inf, note=f"condition unsatisfiable: {undefined}")
     notes = []
     try:
         q_threshold = recovery_threshold(k, math.inf if eps_h == 0.0 else float(t0) / eps_h)

@@ -24,16 +24,17 @@ change:
   (the reference of epsb and an input of the guarantee) and, when a
   filter check is on, the clean solve and the filter-proximity verdict;
 - once per eps0 level: the sensing perturbation E, its levels eps0 and
-  eps, and Phi + E.  The direction of a generated E (and its spectral
-  norm) is drawn once per trial, before its levels, when any of them is
-  nonzero, and each level only scales it;
-- once per point: the measurement perturbation B and epsb against
-  ||Y||_F, the guarantee (evaluated on the clean ||Phi||_2 and ||Y||_F
-  held above), the perturbed solve and its diagnostics.  The direction
-  of a generated B is drawn once per trial, before its levels, when any
-  of them is nonzero, and each point only scales it.
+  eps, and Phi + E;
+- once per epsb level: the measurement perturbation B and epsb against
+  ||Y||_F;
+- once per point: the guarantee (evaluated on the clean ||Phi||_2 and
+  ||Y||_F held above), the perturbed solve and its diagnostics.
 
-``run_trial`` is that body at one point.
+E, B and their levels come from one schedule, ``perturb._perturbations``,
+which ``calibrate_perturbation`` runs at one point: the direction of a
+generated E (and its spectral norm) or B is drawn once per trial, when
+any level of it is nonzero, and each level only scales it.
+``run_trial`` is the trial body at one point.
 
 Determinism: the seeds of trial t derive from SeedSequence([master_seed,
 t]) (two 64-bit words: instance seed, perturbation seed).  Sweep points
@@ -52,7 +53,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidConfig, PreconditionViolated, TraceMismatch
-from .guarantees import _check_mode, _evaluate_guarantee
+from .guarantees import _check_mode, _evaluate_guarantee, _magnitude
 from .model import (
     _BOOLEAN,
     _COUNT,
@@ -71,20 +72,15 @@ from .perturb import (
     _B_MODE,
     InstanceConfig,
     PerturbationSpec,
-    _measurement_noise,
-    _scaled,
-    _sensing_noise,
+    _perturbations,
     gen_sensing_matrix,
     gen_sparse_signal,
 )
 from .rip import (
     _SLACK,
     DEFAULT_SUBSET_BUDGET,
-    PerturbationLevels,
     RicEstimate,
     _frobenius_reference,
-    _measurement_level,
-    _sensing_levels,
     _spectral_reference,
     _width_references,
     residual_sensing_matrix,
@@ -299,48 +295,44 @@ def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_l
             diag = matched_filter_oracle(Phi, prefix, X_rest, delta=delta)
             proximity_ok = proximity_ok and diag.passed
 
-    spectral_phi, widths = matrix.refs
-    e_noise = _sensing_noise(noise, Phi) if any(eps0_levels) else None
-    b_noise = _measurement_noise(noise, Y) if any(epsb_levels) else None
-    for target_eps0 in eps0_levels:
-        E = _scaled(e_noise, target_eps0, spectral_phi, Phi)
-        eps0, eps = _sensing_levels(E, spectral_phi, widths, subset_budget)
-        Phi_obs = Phi + E
-        for target_epsb in epsb_levels:
-            B = _scaled(b_noise, target_epsb, frob_y, Y)
-            levels = PerturbationLevels(eps0=eps0, eps=eps, epsb=_measurement_level(B, frob_y),
-                                        order=cfg.k)
-            report = None
-            if checks.guarantee:
-                report = _evaluate_guarantee(spectral_phi, frob_y, t0, cfg.k, levels, delta, mode)
+    spectral_phi = matrix.refs[0]
+    grid = ((e0, eb) for e0 in eps0_levels for eb in epsb_levels)
+    perturbations = _perturbations(noise, Phi, Y, matrix.refs, frob_y, eps0_levels,
+                                   epsb_levels, cfg.k, subset_budget)
+    for (target_eps0, target_epsb), (_, B, Phi_obs, levels) in zip(grid, perturbations):
+        report = None
+        if checks.guarantee:
+            report = _evaluate_guarantee(spectral_phi, frob_y, t0, cfg.k, levels, delta, mode)
 
-            solved = somp_solve(Y + B, Phi_obs, cfg.k)
-            rel_error = relative_frobenius_error(solved.signal, X)
-            scores_ok = selected_scores_vanish(solved.trace) if checks.selected_scores else None
+        solved = somp_solve(Y + B, Phi_obs, cfg.k)
+        rel_error = relative_frobenius_error(solved.signal, X)
+        scores_ok = selected_scores_vanish(solved.trace) if checks.selected_scores else None
 
-            deviation_ok = None  # also when there is no finite bound to compare against
-            eps_h = None if report is None else report.eps_h   # None on n/a
-            if checks.filter_deviation and eps_h is not None and math.isfinite(eps_h):
+        deviation_ok = None  # also when there is no finite bound to compare against
+        if checks.filter_deviation:
+            eps_h = (report.eps_h if report is not None   # None on n/a
+                     else _magnitude(spectral_phi, frob_y, levels, mode)[0])
+            if eps_h is not None and math.isfinite(eps_h):
                 deviation_ok = filter_deviation_diagnostic(solved.trace, clean_trace,
                                                            eps_h).passed
 
-            error_bound = None if report is None else report.error_bound
-            bound_ok = None
-            if error_bound is not None:
-                bound_ok = rel_error <= error_bound + _SLACK * max(1.0, error_bound)
+        error_bound = None if report is None else report.error_bound
+        bound_ok = None
+        if error_bound is not None:
+            bound_ok = rel_error <= error_bound + _SLACK * max(1.0, error_bound)
 
-            yield TrialRecord(
-                seed=cfg.seed, pert_seed=noise.seed,
-                eps0_target=target_eps0, epsb_target=target_epsb,
-                eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
-                delta=None if delta is None else delta.delta,
-                guarantee="-" if report is None else report.verdict,
-                support_exact=solved.support == true_support, rel_error=rel_error,
-                error_bound=error_bound, bound_ok=bound_ok,
-                selected_scores_ok=scores_ok, filter_proximity_ok=proximity_ok,
-                filter_deviation_ok=deviation_ok,
-                stop=solved.terminated_early or "-",
-            )
+        yield TrialRecord(
+            seed=cfg.seed, pert_seed=noise.seed,
+            eps0_target=target_eps0, epsb_target=target_epsb,
+            eps0=levels.eps0, eps=levels.eps, epsb=levels.epsb,
+            delta=None if delta is None else delta.delta,
+            guarantee="-" if report is None else report.verdict,
+            support_exact=solved.support == true_support, rel_error=rel_error,
+            error_bound=error_bound, bound_ok=bound_ok,
+            selected_scores_ok=scores_ok, filter_proximity_ok=proximity_ok,
+            filter_deviation_ok=deviation_ok,
+            stop=solved.terminated_early or "-",
+        )
 
 
 def run_trial(cfg: InstanceConfig, pert: PerturbationSpec,

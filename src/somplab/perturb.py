@@ -173,36 +173,57 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
                            ) -> tuple[np.ndarray, np.ndarray, PerturbationLevels]:
     """Realize a perturbation spec against concrete clean observations.
 
-    E and B are drawn from ``spec.seed`` and scaled by ``_scaled``
-    (E = E0 * target_eps0 ||Phi||_2 / ||E0||_2, and likewise for B with
-    Frobenius norms), so the realized full-matrix levels match the
-    targets to rounding; a direction is drawn only for a nonzero target.
-    The submatrix level eps is then measured over widths 1..``order``
-    (in 1..n), never targeted.  Every norm is taken at any scale, so with
-    Phi at 2^a and Y at 2^b, E and B are 2^a and 2^b times the unit-scale
-    ones and the levels are the same; a level, or an entry of E or B,
-    above the largest double is refused (PreconditionViolated).  Returns
-    E, B and the measured levels; ``measure_perturbation_levels``
-    measures a given pair.
+    The one point (``spec.target_eps0``, ``spec.target_epsb``) of the
+    schedule a sweep's trial runs (``_perturbations``): E and B are drawn
+    from ``spec.seed`` and scaled by ``_scaled`` (E = E0 * target_eps0
+    ||Phi||_2 / ||E0||_2, and likewise for B with Frobenius norms), so the
+    realized full-matrix levels match the targets to rounding; a
+    direction is drawn only for a nonzero target.  The submatrix level
+    eps is then measured over widths 1..``order`` (in 1..n), never
+    targeted.  So ``run_trial`` with this spec, on the same Phi and Y at
+    order k, measures the same levels bit for bit.  Every norm is taken
+    at any scale, so with Phi at 2^a and Y at 2^b, E and B are 2^a and 2^b
+    times the unit-scale ones and the levels are the same; a level, or an
+    entry of E or B, above the largest double is refused
+    (PreconditionViolated).  Returns E, B and the measured levels;
+    ``measure_perturbation_levels`` measures a given pair.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     Y = as_matrix(Y, "measurements")
     _rows_conform(Y, Phi)
-    spectral_phi = _spectral_reference(Phi)
-    widths = _width_references(Phi, order, subset_budget)
-    e_noise = _sensing_noise(spec, Phi) if spec.target_eps0 else None
-    E = _scaled(e_noise, spec.target_eps0, spectral_phi, Phi)
-    eps0, eps = _sensing_levels(E, spectral_phi, widths, subset_budget)
-    frob_y = _frobenius_reference(Y)
-    b_noise = _measurement_noise(spec, Y) if spec.target_epsb else None
-    B = _scaled(b_noise, spec.target_epsb, frob_y, Y)
-    return E, B, PerturbationLevels(eps0=eps0, eps=eps, epsb=_measurement_level(B, frob_y),
-                                    order=order)
+    refs = (_spectral_reference(Phi), _width_references(Phi, order, subset_budget))
+    E, B, _, levels = next(_perturbations(spec, Phi, Y, refs, _frobenius_reference(Y),
+                                          [spec.target_eps0], [spec.target_epsb], order,
+                                          subset_budget))
+    return E, B, levels
 
 
-# The calibration in the pieces a sweep runs at different rates: the
-# direction of each noise once per trial (and only when some level of it
-# is nonzero), and its scaling to a level once per level.
+def _perturbations(noise: PerturbationSpec, Phi: np.ndarray, Y: np.ndarray,
+                   refs: tuple[float, tuple[float, ...]], frob_y: float, eps0_levels,
+                   epsb_levels, order: int, subset_budget: int):
+    """The perturbations of a sweep's trial: for each (eps0, epsb) pair of
+    target levels, eps0-major, yield E, B, Phi + E and the measured levels
+    (eps measured over widths 1..``order``).  ``refs`` are ||Phi||_2 and
+    Phi's width references (``_width_references``), and ``frob_y`` is
+    ||Y||_F.  The direction of each noise comes from ``noise``'s seed and
+    b_mode, drawn once, and only when some level of it is nonzero; B and
+    epsb are formed once per epsb level, and E, eps0, eps and Phi + E
+    once per eps0 level."""
+    spectral_phi, widths = refs
+    e_noise = _sensing_noise(noise, Phi) if any(eps0_levels) else None
+    b_noise = _measurement_noise(noise, Y) if any(epsb_levels) else None
+    measured = [(B, _measurement_level(B, frob_y))
+                for B in (_scaled(b_noise, target, frob_y, Y) for target in epsb_levels)]
+    for target_eps0 in eps0_levels:
+        E = _scaled(e_noise, target_eps0, spectral_phi, Phi)
+        eps0, eps = _sensing_levels(E, spectral_phi, widths, subset_budget)
+        Phi_obs = Phi + E
+        for B, epsb in measured:
+            yield E, B, Phi_obs, PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order)
+
+
+# The directions of the generated noises and their scaling to a level,
+# which ``_perturbations`` runs at different rates.
 
 def _sensing_noise(spec: PerturbationSpec, Phi: np.ndarray) -> tuple[np.ndarray, float]:
     """The direction of the spec's generated sensing perturbation and the

@@ -561,8 +561,16 @@ def _frobenius_reference(Y: np.ndarray) -> float:
     return frob_y
 
 
-def _finite_level(name: str, level: float) -> float:
-    """A measured level, refused where it exceeds the largest double."""
+def _finite_level(name: str, level_of, A: np.ndarray) -> float:
+    """The level ``level_of(A)`` of a perturbation A, a norm of A over a
+    reference.  Where it reads inf, A's own norm may be what overflowed:
+    it is then taken on A's prescaled copy (``model._prescaled``), divided
+    there, and scaled back, since a power of two commutes with the
+    division.  A level that itself exceeds the largest double is refused."""
+    level = level_of(A)
+    if level == math.inf:
+        scaled, e = _prescaled(A, level)
+        level = _scaled_back(level_of(scaled), e)
     if level == math.inf:
         raise PreconditionViolated(f"the measured level {name} overflows double precision")
     return level
@@ -571,7 +579,7 @@ def _finite_level(name: str, level: float) -> float:
 def _measurement_level(B: np.ndarray, frob_y: float) -> float:
     """epsb, ||B||_F (``_norms``) against the clean ||Y||_F from
     ``_frobenius_reference``: the same at any common scale of B and Y."""
-    return _finite_level("epsb", float(_norms(B)) / frob_y)
+    return _finite_level("epsb", lambda B: float(_norms(B)) / frob_y, B)
 
 
 def _norm_gram(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -630,11 +638,10 @@ def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...
     send each one to the eigensolver; its levels are zero without that."""
     if not E.any():
         return 0.0, 0.0
-    eps0 = _finite_level("eps0", _spectral_norm(E) / spectral_phi)
-    eps = 0.0
-    for den, norm in zip(widths, _width_norms(E, len(widths), subset_budget)):
-        eps = max(eps, norm / den)
-    return eps0, _finite_level("eps", eps)
+    eps0 = _finite_level("eps0", lambda E: _spectral_norm(E) / spectral_phi, E)
+    eps = _finite_level("eps", lambda E: max(
+        norm / den for den, norm in zip(widths, _width_norms(E, len(widths), subset_budget))), E)
+    return eps0, eps
 
 
 def residual_sensing_matrix(Phi, support) -> np.ndarray:

@@ -369,6 +369,26 @@ def test_checks_needing_the_constant_are_refused_when_built(kw, name):
     TrialChecks(ric=False, guarantee=False, filter_deviation=True)   # needs no constant
 
 
+def test_filter_deviation_runs_with_the_guarantee_off():
+    # the check's bound is the magnitude eps_h, which needs no constant:
+    # with ric and the guarantee off it compares the filters against the
+    # same bound a guarantee's report carries, and prints 1 or 0
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    args = ([1e-4], [1e-3], 3, 5)
+    alone = run_experiment(cfg, *args, checks=TrialChecks(ric=False, guarantee=False,
+                                                          filter_deviation=True))
+    beside = run_experiment(cfg, *args, checks=TrialChecks(filter_deviation=True))
+    assert ([r.filter_deviation_ok for r in alone.records]
+            == [r.filter_deviation_ok for r in beside.records])
+    lines = render_report(alone).splitlines()
+    column = lines[4].split("\t").index("filter_deviation_ok")
+    assert [line.split("\t")[column] for line in lines[5:8]] == ["1", "1", "1"]
+    # n/a (measurement mode assumes eps0 = 0) has no bound, as with the guarantee on
+    na = run_experiment(cfg, *args, mode="measurement",
+                        checks=TrialChecks(ric=False, guarantee=False, filter_deviation=True))
+    assert all(r.filter_deviation_ok is None for r in na.records)
+
+
 def test_render_report_mentions_unsatisfiable_verdicts():
     # gigantic noise: the threshold leaves its domain; verdict "unsat"
     cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
@@ -573,6 +593,56 @@ def test_sweep_draws_the_sensing_noise_once_per_trial(monkeypatch):
     assert draws == []
     calibrate_perturbation(Phi, Y, PerturbationSpec(target_eps0=1e-3, seed=5), order=2)
     assert draws == [(5, _SENSING_NOISE_STREAM)]
+
+
+def test_sweep_forms_each_perturbation_once_per_level(monkeypatch):
+    # one schedule: per trial, B and epsb once per epsb level and E and its
+    # levels once per eps0 level, not once per point of the grid
+    from collections import Counter
+
+    import somplab.perturb as perturb_mod
+
+    formed = []
+    real_scaled, real_epsb = perturb_mod._scaled, perturb_mod._measurement_level
+    real_eps0 = perturb_mod._sensing_levels
+
+    def scaled(noise, target, reference, like):
+        formed.append("scaled")
+        return real_scaled(noise, target, reference, like)
+
+    def epsb(B, frob_y):
+        formed.append("epsb")
+        return real_epsb(B, frob_y)
+
+    def eps0(E, spectral_phi, widths, subset_budget):
+        formed.append("eps0")
+        return real_eps0(E, spectral_phi, widths, subset_budget)
+
+    monkeypatch.setattr(perturb_mod, "_scaled", scaled)
+    monkeypatch.setattr(perturb_mod, "_measurement_level", epsb)
+    monkeypatch.setattr(perturb_mod, "_sensing_levels", eps0)
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2, seed=0)
+    trials = 3
+    # two eps0 levels times three epsb levels: six points per trial
+    rep = run_experiment(cfg, [1e-4, 1e-3], [1e-4, 1e-3, 1e-2], trials, 95)
+    assert len(rep.records) == 6 * trials
+    # 2 E and 3 B per trial, where forming B per point would make 6
+    assert Counter(formed) == {"scaled": 5 * trials, "epsb": 3 * trials, "eps0": 2 * trials}
+
+
+@pytest.mark.parametrize("b_mode", ["gaussian", "column-skewed"])
+def test_calibration_and_a_trial_measure_the_same_levels(b_mode):
+    # calibrate_perturbation is the trial's schedule at one point: for the
+    # same seed and targets it gives the trial's eps0, eps and epsb bit for bit
+    cfg = InstanceConfig(m=16, n=24, L=2, k=3, seed=4)
+    Phi = gen_sensing_matrix(cfg)
+    Y = Phi @ gen_sparse_signal(cfg)
+    for e0, eb in ((1e-3, 2e-2), (0.0, 5e-2), (3e-2, 0.0)):
+        spec = PerturbationSpec(target_eps0=e0, target_epsb=eb, seed=17, b_mode=b_mode)
+        rec = run_trial(cfg, spec)
+        _, _, levels = calibrate_perturbation(Phi, Y, spec, order=cfg.k)
+        assert (rec.eps0, rec.eps, rec.epsb) == (levels.eps0, levels.eps, levels.epsb)
+        assert (rec.eps0 > 0, rec.epsb > 0) == (e0 > 0, eb > 0)
 
 
 @pytest.mark.parametrize("filters", [False, True])

@@ -666,6 +666,31 @@ def test_a_level_or_reference_beyond_the_largest_double_is_refused():
             measure_perturbation_levels(*args, order=2)
 
 
+def test_epsb_fits_where_the_norm_of_b_overflows():
+    # ||B||_F is 4e308, past the largest double, but ||B||_F / ||Y||_F is 10:
+    # the level is divided at B's prescaled scale, then scaled back
+    Y, B = np.full((8, 2), 1e307), np.full((8, 2), 1e308)
+    levels = measure_perturbation_levels(np.eye(8, 10), np.zeros((8, 10)), Y, B, 1)
+    assert levels.epsb == pytest.approx(10.0, rel=1e-15)
+
+
+def test_eps0_fits_where_the_spectral_norm_of_e_overflows():
+    # ||E||_2 = sqrt(80) 5e307 overflows; its columns (sqrt(8) 5e307) do not
+    Phi, E = np.full((8, 10), 1e307), np.full((8, 10), 5e307)
+    levels = measure_perturbation_levels(Phi, E, np.ones((8, 2)), np.zeros((8, 2)), 1)
+    assert levels.eps0 == pytest.approx(5.0, rel=1e-15)
+    assert levels.eps == pytest.approx(5.0, rel=1e-15)
+
+
+def test_eps_fits_where_the_width_norms_of_e_overflow():
+    # every column of E (sqrt(8) 1e308) and every width-2 submatrix
+    # overflows, but each is 10 times Phi's
+    Phi, E = np.full((8, 10), 1e307), np.full((8, 10), 1e308)
+    levels = measure_perturbation_levels(Phi, E, np.ones((8, 2)), np.zeros((8, 2)), 2)
+    assert levels.eps == pytest.approx(10.0, rel=1e-15)
+    assert levels.eps0 == pytest.approx(10.0, rel=1e-15)
+
+
 def test_measured_levels_for_scaled_perturbations():
     Phi = _unit_columns(10, 14, 9)
     X = np.zeros((14, 3))
