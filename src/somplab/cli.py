@@ -289,12 +289,23 @@ _CONFIG = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key-value pairs; a key given twice in one
+    object raises InvalidConfig, since either reading would be a guess."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidConfig(f"duplicate key {key!r} in config")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str) -> dict:
     """Read an experiment config into the keyword arguments of run_experiment."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as exc:   # also a file that is not UTF-8
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:   # also not UTF-8, or nested too deep
         raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     conf = _walk(_CONFIG, raw, "")
     _checks_rules(conf["checks"], "checks.")

@@ -164,18 +164,23 @@ class TrialRecord:
     stop: str                         # "-" or the early-stop reason
 
 
-def selected_scores_vanish(trace: IterationTrace) -> bool:
-    """True when already-selected indices score (numerically) zero.
+def selected_scores_vanish(trace: IterationTrace) -> bool | None:
+    """True when already-selected indices score (numerically) zero, False
+    when one does not, and None when a table gives nothing to check.
 
     At every iteration, the matched-filter rows of previously selected
     indices are exact zeros in exact arithmetic; here they must stay
-    below ``_SCORE_VANISH_TOL`` times the iteration's largest score.
+    below ``_SCORE_VANISH_TOL`` times the iteration's largest score.  A
+    table after the first whose largest score is 0, as when every score
+    underflowed, has no scale to compare with, so the check is not made
+    and the answer is None (``-`` in a report), unless another table
+    shows a failure.
     """
     for i, scores in enumerate(trace.score_tables):
         prev = trace.selected[:i]
         if prev and np.max(scores[list(prev)]) > _SCORE_VANISH_TOL * np.max(scores):
             return False
-    return True
+    return None if any(np.max(scores) == 0.0 for scores in trace.score_tables[1:]) else True
 
 
 def matched_filter_oracle(Phi, support, x_star,

@@ -181,6 +181,14 @@ def _prescaled(A, size):
     return np.ldexp(A, -e), e
 
 
+@np.errstate(over="ignore")
+def _largest_column_norm(A) -> float:
+    """A's largest column norm, the size that ``_prescaled`` takes for a
+    Gram, whose entries its square bounds; inf, without a warning, where
+    the square overflows."""
+    return float(np.sqrt(np.einsum("ij,ij->j", A, A).max()))
+
+
 @np.errstate(over="ignore", under="ignore")
 def _norms(A, axis=None):
     """The 2-norm of A (its Frobenius norm as a matrix), or of each row

@@ -32,8 +32,8 @@ from .rip import (
     DEFAULT_SUBSET_BUDGET,
     PerturbationLevels,
     _check_enumeration,
-    _extreme_subsets,
     _frobenius_reference,
+    _gram_extremes,
     _measurement_level,
     _sensing_levels,
     _spectral_norm,
@@ -312,9 +312,12 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.nda
     seed; at overcomplete desk sizes such as (20, 25) the result lands
     well below the constants random draws achieve.  With m > n the Gram
     has only n eigenpairs, and m - n zero rows under their n x n factor
-    keep the shape without changing the Gram.  Every iterate is valued
-    over all C(n, ``order``) subsets, so a count above
-    ``DEFAULT_SUBSET_BUDGET`` raises SubsetBudgetExceeded before the draw.
+    keep the shape without changing the Gram.  Each iterate's Gram is
+    formed once and serves both its valuation and its clip or shrink
+    step; its columns have norm at most 1, so it needs no overflow check.
+    Every iterate is valued over all C(n, ``order``) subsets, so a count
+    above ``DEFAULT_SUBSET_BUDGET`` raises SubsetBudgetExceeded before
+    the draw.
     """
     m, n = _COUNT(m, "m"), _COUNT(n, "n")
     order, _ = _check_enumeration(n, order, DEFAULT_SUBSET_BUDGET)
@@ -331,29 +334,29 @@ def low_coherence_frame(m: int, n: int, seed: int = 0, order: int = 3) -> np.nda
         M = M / norms
         return M if len(lam) == m else np.vstack([M, np.zeros((m - len(lam), n))])
 
-    best_dev, _ = _extreme_subsets(A, order, deviation=True)
+    G = A.T @ A
+    best_dev, _ = _gram_extremes(G, order, deviation=True)
     best = A.copy()
     mu = 0.35
     for t in range(_FRAME_STAGE1_ITERS):
         mu = max(0.10, mu * 0.99)
-        G = A.T @ A
         off = G - np.diag(np.diag(G))
         G2 = np.sign(off) * np.minimum(np.abs(off), mu) + np.eye(n)
         A = project_rank_m(G2)
+        G = A.T @ A
         if t % 10 == 9:
-            d, _ = _extreme_subsets(A, order, deviation=True)
+            d, _ = _gram_extremes(G, order, deviation=True)
             if d < best_dev:
                 best_dev, best = d, A.copy()
 
     A = best.copy()
     for _ in range(_FRAME_STAGE2_ITERS):
-        d, worst = _extreme_subsets(A, order, deviation=True, rel=0.98)
+        G = A.T @ A
+        d, worst = _gram_extremes(G, order, deviation=True, rel=0.98)
         if d < best_dev:
             best_dev, best = d, A.copy()
         worst = worst[:200].astype(np.intp)
-        shrink = np.ones((n, n))
-        shrink[worst[:, :, None], worst[:, None, :]] = 0.97
-        G = (A.T @ A) * shrink
+        G[worst[:, :, None], worst[:, None, :]] *= 0.97
         np.fill_diagonal(G, 1.0)
         A = project_rank_m(G)
     return best

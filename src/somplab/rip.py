@@ -30,9 +30,13 @@ in lexicographic order.  At order 1 the bound is the value (the
 diagonal entry, which is what an eigendecomposition of a 1 x 1 matrix
 returns), so nothing is eigendecomposed.  The same kernel lists every subset
 within a given factor of the extreme, which the frame builder in
-``perturb`` shrinks.  The subset table and the lexicographic ranker of
-each shape are built once and kept in a small cache, since a sweep
-enumerates the same few shapes for every matrix.  The perturbation
+``perturb`` shrinks.  The kernel has one entry, ``_gram_extremes``, and
+reads only a Gram its caller holds: ``ric_exact`` passes ``_gram`` of
+its matrix, the width norms ``_norm_gram``'s, and the frame builder the
+Gram of each iterate that it also clips or shrinks.  The subset table
+and the lexicographic ranker of each shape are built once and kept in a
+small cache, since a sweep enumerates the same few shapes for every
+matrix.  The perturbation
 levels take the largest submatrix spectral norm of a matrix at every
 width 1..order, all from one Gram.
 
@@ -63,6 +67,7 @@ from .model import (
     _SAFE,
     SupportSet,
     _check_fields,
+    _largest_column_norm,
     _norms,
     _order,
     _perturbation_conforms,
@@ -306,7 +311,7 @@ def _reaching_picks(coupling: np.ndarray, need: np.ndarray, picks: int, limit: i
 
 def _search(gram: np.ndarray, idx: np.ndarray, deviation: bool, rel: float,
             seed=None) -> tuple[float, np.ndarray]:
-    """``_extreme_subsets`` over the subsets ``idx``, rows in lexicographic
+    """``_gram_extremes`` over the subsets ``idx``, rows in lexicographic
     order, each bounded once by ``_bounds``.  ``seed`` holds rows already
     evaluated and their values; without it the first batch is the rows
     whose bound reaches the floor of the largest bound, or when that bound
@@ -362,7 +367,7 @@ def _coherent_groups(gram: np.ndarray, order: int) -> np.ndarray:
 
 def _listed_search(gram: np.ndarray, order: int, deviation: bool,
                    rel: float) -> tuple[float, np.ndarray]:
-    """``_extreme_subsets`` that bounds only the subsets whose Gershgorin
+    """``_gram_extremes`` that bounds only the subsets whose Gershgorin
     bound can reach a seeded floor.
 
     The seed is one coherent group grown from each column
@@ -409,27 +414,21 @@ def _gram(A: np.ndarray) -> np.ndarray:
     A's largest squared column norm, which bounds every entry, does, so
     numpy has no overflow to warn about, and by the product's entries
     after it."""
-    with np.errstate(over="ignore"):
-        top = float(np.einsum("ij,ij->j", A, A).max())
-    if math.isfinite(top):
+    if math.isfinite(_largest_column_norm(A)):
         gram = A.T @ A
         if np.isfinite(gram).all():
             return gram
     raise PreconditionViolated("column inner products overflow double precision")
 
 
-def _extreme_subsets(A: np.ndarray, order: int, deviation: bool,
-                     rel: float = 1.0) -> tuple[float, np.ndarray]:
-    """Largest subset value over all width-``order`` column subsets of A,
-    and every subset whose value is at least ``rel`` times it, in
-    lexicographic order (rel = 1 gives the subsets attaining it).
-    ``_gram_extremes`` on A's Gram."""
-    return _gram_extremes(_gram(A), order, deviation, rel)
-
-
 def _gram_extremes(gram: np.ndarray, order: int, deviation: bool,
                    rel: float = 1.0) -> tuple[float, np.ndarray]:
-    """``_extreme_subsets`` of the matrix whose Gram is ``gram``.
+    """Largest subset value over all width-``order`` column subsets of
+    the matrix whose Gram is ``gram``, and every subset whose value is at
+    least ``rel`` times it, in lexicographic order (rel = 1 gives the
+    subsets attaining it).  The exact kernel's one entry: the caller
+    forms the Gram (``_gram`` for an isometry constant, ``_norm_gram``
+    for the width norms, the frame builder its own iterate's).
 
     A subset's value is ``max(lam_max - 1, 1 - lam_min)`` of its Gram
     submatrix when ``deviation`` is set, else ``lam_max``.  At order 1
@@ -467,7 +466,7 @@ def ric_exact(A, order: int, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> RicE
     """
     A = as_matrix(A, "sensing matrix")
     order, examined = _check_enumeration(A.shape[1], order, subset_budget)
-    delta, attaining = _extreme_subsets(A, order, deviation=True)
+    delta, attaining = _gram_extremes(_gram(A), order, deviation=True)
     return RicEstimate(order=order, delta=delta,
                        witness_subset=tuple(int(i) for i in attaining[0]),
                        subsets_examined=examined)
@@ -589,9 +588,7 @@ def _norm_gram(A: np.ndarray) -> tuple[np.ndarray, int]:
     Gram of A's prescaled copy (``model._prescaled``).  Either Gram's
     entries are far from overflow.  Unlike ``_gram``, which the isometry
     constant reads at A's own scale, nothing is refused."""
-    with np.errstate(over="ignore"):
-        top = float(np.einsum("ij,ij->j", A, A).max())
-    A, e = _prescaled(A, math.sqrt(top))
+    A, e = _prescaled(A, _largest_column_norm(A))
     return A.T @ A, e
 
 

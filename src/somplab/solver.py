@@ -64,6 +64,7 @@ from .errors import EmptySupport, PreconditionViolated
 from .model import (
     RANK_TOL,
     SupportSet,
+    _largest_column_norm,
     _prescaled,
     _rows_conform,
     _sparsity,
@@ -317,7 +318,7 @@ def somp_solve(Y, Phi, k: int) -> RecoveryResult:
     # sizes stay above 2^-256: normal doubles, far from overflow and
     # underflow.
     with np.errstate(over="ignore", under="ignore"):
-        Phi, a = _prescaled(Phi, math.sqrt(np.einsum("ij,ij->j", Phi, Phi).max()))
+        Phi, a = _prescaled(Phi, _largest_column_norm(Phi))
         y_norm = float(np.linalg.norm(Y))
         Y, b = _prescaled(Y, y_norm)
         if b:

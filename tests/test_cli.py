@@ -317,6 +317,37 @@ def test_experiment_rejects_unknown_keys(tmp_path, capsys):
         assert "unknown key" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"instance": ' + "[" * 5000 + "]" * 5000 + ', "trials": 1, "master_seed": 0}',
+], ids=["top-level", "under-instance"])
+def test_experiment_refuses_a_config_nested_too_deep(tmp_path, capsys, text):
+    # json's recursion limit, met while the file is parsed, is a config error
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    assert main(["experiment", "--config", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: config is not valid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"instance": {"m": 16, "n": 24, "L": 2, "k": 2, "k": 3}, "trials": 1, "master_seed": 0}',
+     "k"),
+    ('{"instance": {"m": 16, "n": 24, "L": 2, "k": 2}, "trials": 1, "trials": 2, '
+     '"master_seed": 0}', "trials"),
+    ('{"instance": {"m": 16, "n": 24, "L": 2, "k": 2}, "trials": 1, "master_seed": 0, '
+     '"checks": {"ric": true, "ric": true}}', "ric"),
+], ids=["instance.k", "trials", "checks.ric"])
+def test_experiment_refuses_a_duplicate_key(tmp_path, capsys, text, key):
+    # either reading of a repeated key would be a guess, even when both agree
+    p = tmp_path / "dup.json"
+    p.write_text(text)
+    assert main(["experiment", "--config", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"error: duplicate key {key!r} in config\n")
+
+
 def test_experiment_rejects_malformed_config(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -964,7 +995,8 @@ def _scaled_frame(tmp_path, a, rows=(4, 7)):
 def test_sensing_side_sweep_is_equivariant_under_powers_of_two(tmp_path, capsys, b_mode):
     # the golden frame swept without the isometry constant, at 2^a: its
     # levels' norms are taken at any scale, so the report is byte for byte
-    # the unit-scale one (warnings are errors in this suite)
+    # the unit-scale one (warnings are errors in this suite), except where
+    # the solver's scores underflow
     def sweep(a):
         (tmp_path / str(a)).mkdir()
         phi, _ = _scaled_frame(tmp_path / str(a), a)
@@ -977,8 +1009,22 @@ def test_sensing_side_sweep_is_equivariant_under_powers_of_two(tmp_path, capsys,
 
     code, unit = sweep(0)
     assert code == 0 and unit.err == ""
-    for a in (-600, -500, 500):
+    for a in (-500, 500):
         assert sweep(a) == (0, unit)
+    # at 2^-600 the scores Phi^T R lie near 2^-1200 and read 0, so the
+    # selected-scores check has no scale to compare with and prints "-"
+    code, low = sweep(-600)
+    assert (code, low.err) == (0, "")
+    lines = low.out.splitlines(keepends=True)
+    col = lines[4].split("\t").index("selected_scores_ok")
+    rows = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    assert len(rows) == 6
+    for i in rows:
+        row = lines[i].split("\t")
+        assert row[col] == "-"
+        row[col] = "1"
+        lines[i] = "\t".join(row)
+    assert "".join(lines) == unit.out
     # at 2^600 the matched-filter scores Phi^T Y reach about 2^1200: the
     # solver refuses what it would return, and nothing refuses before it
     assert sweep(600) == (2, ("", "error: matched-filter scores overflow double precision\n"))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from somplab import (
     gen_sensing_matrix,
     gen_sparse_signal,
     matched_filter_oracle,
+    read_matrix,
     render_report,
     run_experiment,
     run_trial,
@@ -213,6 +215,25 @@ def test_selected_scores_vanish_detects_tampering():
     bad[trace.selected[0]] = np.max(bad)  # a previously selected index scoring high
     tables[1] = bad
     assert not selected_scores_vanish(dataclasses.replace(trace, score_tables=tuple(tables)))
+
+
+def test_selected_scores_check_is_not_made_on_scores_that_read_zero():
+    # the golden frame and a signal on rows 4 and 7: at 2^-600 the support
+    # is still (4, 7), but every score lies near 2^-1200 and reads 0, so
+    # the second table gives no scale to compare the selected score with
+    Phi = read_matrix(Path(__file__).resolve().parent / "golden" / "frame_20x25.txt")
+    X = np.zeros((25, 2))
+    X[[4, 7]] = [[1.0, 2.0], [-1.0, 0.5]]
+    for a, want in ((0, True), (-600, None)):
+        trace = somp_solve(np.ldexp(Phi @ X, a), np.ldexp(Phi, a), 2).trace
+        assert trace.selected == (4, 7)
+        assert (max(float(t.max()) for t in trace.score_tables) == 0.0) == (a < 0)
+        assert selected_scores_vanish(trace) is want
+    # a failure another table shows still counts
+    tables = list(trace.score_tables)
+    tables.append(np.ones(25))
+    failed = dataclasses.replace(trace, score_tables=tuple(tables), selected=(4, 7, 4))
+    assert selected_scores_vanish(failed) is False
 
 
 def test_run_experiment_render_is_reproducible():

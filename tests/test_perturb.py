@@ -27,6 +27,7 @@ from somplab import (
     ric_exact,
     support_of,
 )
+from somplab import perturb, rip
 
 
 def _clean(seed=3, m=16, n=24, L=3, k=2, **kw):
@@ -355,3 +356,18 @@ def test_low_coherence_frames_are_bit_identical_to_recorded_digest(frames):
     for A in frames:
         h.update(A.tobytes())
     assert h.hexdigest() == _FRAMES_DIGEST
+
+
+def test_low_coherence_frame_values_each_iterate_on_the_gram_it_holds(monkeypatch):
+    # one Gram per iterate: the 381 valuations (the start, every tenth of
+    # stage 1's 800 iterates and all 300 of stage 2) read the Gram that
+    # the builder clips or shrinks, so none goes through rip._gram
+    calls, valued = [], []
+    real_gram, real_extremes = rip._gram, rip._gram_extremes
+    monkeypatch.setattr(rip, "_gram", lambda A: calls.append(A) or real_gram(A))
+    monkeypatch.setattr(perturb, "_gram_extremes",
+                        lambda gram, *args, **kw: valued.append(gram) or real_extremes(
+                            gram, *args, **kw), raising=False)
+    low_coherence_frame(8, 10, seed=0, order=2)
+    assert len(calls) == 0
+    assert len(valued) == 381

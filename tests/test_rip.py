@@ -135,13 +135,13 @@ def test_pruned_kernel_matches_exhaustive_batched_reference(name, probe, monkeyp
         assert submatrix_spectral_norm(A, order) == math.sqrt(max(float(top.max()), 0.0))
         # the near-extreme subsets the frame builder shrinks
         for rel in (0.5, 0.98):
-            value, near = rip._extreme_subsets(A, order, deviation=True, rel=rel)
+            value, near = rip._gram_extremes(rip._gram(A), order, deviation=True, rel=rel)
             assert value == dev[j]
             assert np.array_equal(near, idx[dev >= rel * dev[j]])
         # the lam_max side, which the width norms read; orders 1 and 2
         # start from exact bounds
         for rel in (1.0, 0.98, 0.5):
-            value, near = rip._extreme_subsets(A, order, deviation=False, rel=rel)
+            value, near = rip._gram_extremes(rip._gram(A), order, deviation=False, rel=rel)
             assert value == top.max()
             assert np.array_equal(near, idx[top >= rel * value])
 
@@ -177,7 +177,7 @@ def test_width_loop_matches_per_width_kernel(name):
     norms = list(rip._width_norms(A, order, rip.DEFAULT_SUBSET_BUDGET))
     assert len(norms) == order
     for width, norm in enumerate(norms, 1):
-        top, _ = rip._extreme_subsets(A, width, deviation=False)
+        top, _ = rip._gram_extremes(rip._gram(A), width, deviation=False)
         assert norm == math.sqrt(max(top, 0.0)), width
         assert norm == math.sqrt(max(float(_batched_reference(A, width)[2].max()), 0.0)), width
     # a wider submatrix holds a narrower one, so its norm is no smaller
@@ -189,7 +189,7 @@ def test_width_loop_matches_the_full_table_at_32x40():
     gram = A.T @ A
     norms = list(rip._width_norms(A, 4, rip.DEFAULT_SUBSET_BUDGET))
     for width, norm in enumerate(norms, 1):
-        top, _ = rip._extreme_subsets(A, width, deviation=False)
+        top, _ = rip._gram_extremes(rip._gram(A), width, deviation=False)
         # every row of the table bounded, no listing
         idx = rip._subset_table(40, width)
         full, _ = rip._search(gram, idx, False, 1.0)
@@ -258,7 +258,7 @@ def test_overflowing_pair_bounds_stay_in_the_search(probe, monkeypatch):
             # the pair (0, 1) has no finite bound, the pair (0, 2) has one
             assert bounds[0] == math.inf and math.isfinite(bounds[1])
             for deviation, value in ((True, dev), (False, top)):
-                best, near = rip._extreme_subsets(A, 2, deviation)
+                best, near = rip._gram_extremes(rip._gram(A), 2, deviation)
                 assert best == value.max()
                 assert tuple(near[0]) == want_witness
                 assert np.array_equal(near, idx[value == best])
@@ -294,7 +294,7 @@ def _evaluated_once(batches, n):
 def test_listing_matches_the_table_at_64x80(monkeypatch):
     A = _rng(48).standard_normal((64, 80)) / 8.0
     batches = _evaluated(monkeypatch)
-    best, near = rip._extreme_subsets(A, 4, True, rel=0.98)
+    best, near = rip._gram_extremes(rip._gram(A), 4, True, rel=0.98)
     assert _evaluated_once(batches, 80)
     assert sum(map(len, batches)) < 1000
     want_best, want_near = rip._table_search(A.T @ A, 4, True, 0.98)
@@ -329,7 +329,7 @@ def test_listing_seed_often_reaches_the_final_best(monkeypatch):
     for _ in range(30):
         A = rng.standard_normal((32, 40)) / math.sqrt(32)
         batches.clear()
-        best, _ = rip._extreme_subsets(A, 4, True)
+        best, _ = rip._gram_extremes(rip._gram(A), 4, True)
         assert np.array_equal(batches[0], np.unique(rip._coherent_groups(A.T @ A, 4), axis=0))
         hits += float(rip._subset_values(A.T @ A, batches[0], True).max()) == best
     assert hits >= 18
@@ -342,7 +342,7 @@ def test_listing_falls_back_to_the_table_when_not_smaller(monkeypatch):
                         lambda *args: listings.append(real(*args)) or listings[-1])
     batches = _evaluated(monkeypatch)
     # every subset ties: the listing would hold all of them, several times
-    value, near = rip._extreme_subsets(np.eye(40), 4, True)
+    value, near = rip._gram_extremes(rip._gram(np.eye(40)), 4, True)
     assert listings == [None]
     assert value == 0.0
     assert np.array_equal(near, rip._subset_table(40, 4))
@@ -356,7 +356,7 @@ def test_listing_on_duplicated_columns_matches_the_table(monkeypatch):
     batches = _evaluated(monkeypatch)
     for deviation, rel in itertools.product((True, False), (1.0, 0.98)):
         batches.clear()
-        best, near = rip._extreme_subsets(A, 4, deviation, rel)
+        best, near = rip._gram_extremes(rip._gram(A), 4, deviation, rel)
         assert _evaluated_once(batches, 40)
         assert sum(map(len, batches)) < math.comb(40, 4) / 10
         want_best, want_near = rip._table_search(A.T @ A, 4, deviation, rel)
@@ -428,18 +428,18 @@ def test_floor_slack_covers_bounds_rounded_one_ulp_low(monkeypatch):
         monkeypatch.setattr(rip, name, lambda *args, real=real:
                             np.nextafter(real(*args), -np.inf))
     # every subset of an orthonormal set ties at deviation 0 (the table)
-    value, near = rip._extreme_subsets(np.eye(8), 4, True)
+    value, near = rip._gram_extremes(rip._gram(np.eye(8)), 4, True)
     assert value == 0.0
     assert tuple(near[0]) == (0, 1, 2, 3)
     assert len(near) == math.comb(8, 4)
     # the listing: every subset holding columns 0 and 1 ties, and each row
     # sum that reaches the floor equals it
-    value, near = rip._extreme_subsets(_pair_coupled(40), 4, True)
+    value, near = rip._gram_extremes(rip._gram(_pair_coupled(40)), 4, True)
     assert value == 1.0
     assert np.array_equal(near, [s for s in itertools.combinations(range(40), 4)
                                  if s[:2] == (0, 1)])
     # a partial subset must be bounded by all of its best completion
-    value, near = rip._extreme_subsets(_equiangular_cluster(40, 6), 4, True, rel=0.98)
+    value, near = rip._gram_extremes(rip._gram(_equiangular_cluster(40, 6)), 4, True, rel=0.98)
     assert value == pytest.approx(0.75, abs=1e-12)
     assert np.array_equal(near, list(itertools.combinations(range(6), 4)))
 

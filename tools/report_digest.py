@@ -34,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -130,11 +131,17 @@ def digest(name: str) -> str:
         workdir = Path(tmp)
         argv = CASES[name](workdir)
         out, err = io.StringIO(), io.StringIO()
-        # relative paths, as a config's matrix, resolve in the case's directory
-        with contextlib.chdir(workdir), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("always")   # the same stderr however often a case runs
-            code = cli.main(argv)
+        # relative paths, as a config's matrix, resolve in the case's
+        # directory (os.chdir, since contextlib.chdir needs Python 3.11)
+        home = os.getcwd()
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("always")   # the same stderr however often a case runs
+                code = cli.main(argv)
+        finally:
+            os.chdir(home)
         h = hashlib.sha256(f"exit {code}\n".encode())
         for text in (out.getvalue(), err.getvalue()):
             h.update(text.replace(tmp, "<dir>").encode() + b"\0")
