@@ -193,22 +193,21 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     _rows_conform(Y, Phi)
     refs = (_spectral_reference(Phi), _width_references(Phi, order, subset_budget))
     E, B, _, levels = next(_perturbations(spec, Phi, Y, refs, _frobenius_reference(Y),
-                                          [spec.target_eps0], [spec.target_epsb], order,
-                                          subset_budget))
+                                          [spec.target_eps0], [spec.target_epsb]))
     return E, B, levels
 
 
 def _perturbations(noise: PerturbationSpec, Phi: np.ndarray, Y: np.ndarray,
                    refs: tuple[float, tuple[float, ...]], frob_y: float, eps0_levels,
-                   epsb_levels, order: int, subset_budget: int):
+                   epsb_levels):
     """The perturbations of a sweep's trial: for each (eps0, epsb) pair of
-    target levels, eps0-major, yield E, B, Phi + E and the measured levels
-    (eps measured over widths 1..``order``).  ``refs`` are ||Phi||_2 and
-    Phi's width references (``_width_references``), and ``frob_y`` is
-    ||Y||_F.  The direction of each noise comes from ``noise``'s seed and
-    b_mode, drawn once, and only when some level of it is nonzero; B and
-    epsb are formed once per epsb level, and E, eps0, eps and Phi + E
-    once per eps0 level."""
+    target levels, eps0-major, yield E, B, Phi + E and the measured levels.
+    ``refs`` are ||Phi||_2 and Phi's width references 1..order
+    (``_width_references``, whose budget check covers E's widths, as E
+    has Phi's shape), and ``frob_y`` is ||Y||_F.  The direction of each
+    noise comes from ``noise``'s seed and b_mode, drawn once, and only
+    when some level of it is nonzero; B and epsb are formed once per epsb
+    level, and E, eps0, eps and Phi + E once per eps0 level."""
     spectral_phi, widths = refs
     e_noise = _sensing_noise(noise, Phi) if any(eps0_levels) else None
     b_noise = _measurement_noise(noise, Y) if any(epsb_levels) else None
@@ -216,10 +215,10 @@ def _perturbations(noise: PerturbationSpec, Phi: np.ndarray, Y: np.ndarray,
                 for B in (_scaled(b_noise, target, frob_y, Y) for target in epsb_levels)]
     for target_eps0 in eps0_levels:
         E = _scaled(e_noise, target_eps0, spectral_phi, Phi)
-        eps0, eps = _sensing_levels(E, spectral_phi, widths, subset_budget)
+        eps0, eps = _sensing_levels(E, spectral_phi, widths)
         Phi_obs = Phi + E
         for B, epsb in measured:
-            yield E, B, Phi_obs, PerturbationLevels(eps0=eps0, eps=eps, epsb=epsb, order=order)
+            yield E, B, Phi_obs, PerturbationLevels(eps0, eps, epsb, order=len(widths))
 
 
 # The directions of the generated noises and their scaling to a level,

@@ -2,8 +2,10 @@
 
 Every width-k column subset is accounted for, so the reported constants
 are exact up to floating point; nothing is sampled.  Cost grows as
-C(n, k) at worst, which is why every enumerating operation takes a
-subset budget and refuses work beyond it instead of silently crawling.
+C(n, k) at worst, which is why every enumerating operation on a clean
+matrix takes a subset budget and refuses work beyond it instead of
+silently crawling; a perturbation, of its clean matrix's shape, relies
+on that matrix's check.
 
 Most subsets cannot be the extreme one, and the kernel proves it
 cheaply, with one bound per subset: the tighter of the Gershgorin discs
@@ -64,7 +66,6 @@ from .errors import PreconditionViolated, SubsetBudgetExceeded, ZeroReference
 from .model import (
     _COUNT,
     _NONNEGATIVE,
-    _SAFE,
     SupportSet,
     _check_fields,
     _largest_column_norm,
@@ -502,8 +503,7 @@ def measure_perturbation_levels(Phi, E, Y, B, order: int,
     _perturbation_conforms(Phi, E, Y, B)
     spectral_phi = _spectral_reference(Phi)
     frob_y = _frobenius_reference(Y)
-    eps0, eps = _sensing_levels(E, spectral_phi, _width_references(Phi, order, subset_budget),
-                                subset_budget)
+    eps0, eps = _sensing_levels(E, spectral_phi, _width_references(Phi, order, subset_budget))
     return PerturbationLevels(eps0=eps0, eps=eps, epsb=_measurement_level(B, frob_y),
                               order=order)
 
@@ -523,14 +523,14 @@ def _scaled_back(x: float, e: int) -> float:
 def _spectral_norm(A: np.ndarray) -> float:
     """||A||_2, A's largest singular value, at any scale, by the rule of
     ``model._norms``: the float ``np.linalg.norm(A, 2)`` returns (without
-    its wrapper) when it lies in [1 / _SAFE, _SAFE] or A is zero, else the
-    norm of A's prescaled copy (``model._prescaled``) scaled back.  So the
-    norm of 2^a A is 2^a times the norm of A, bit for bit; a norm above
-    the largest double reads inf."""
+    its wrapper) where ``model._prescaled`` leaves A as it is (e = 0: the
+    norm lies in its window, or A is zero), else the norm of A's
+    prescaled copy scaled back.  So the norm of 2^a A is 2^a times the
+    norm of A, bit for bit; a norm above the largest double reads inf."""
     norm = float(np.linalg.svd(A, compute_uv=False)[0])
-    if 1.0 / _SAFE <= norm <= _SAFE or not A.any():
-        return norm
     scaled, e = _prescaled(A, norm)
+    if e == 0:
+        return norm
     return _scaled_back(float(np.linalg.svd(scaled, compute_uv=False)[0]), e)
 
 
@@ -584,10 +584,10 @@ def _measurement_level(B: np.ndarray, frob_y: float) -> float:
 def _norm_gram(A: np.ndarray) -> tuple[np.ndarray, int]:
     """The Gram that A's submatrix spectral norms are read from, at any
     scale, and the power of two e that scales them back: A's own Gram and
-    0 when A's largest column norm lies in [1 / _SAFE, _SAFE], else the
-    Gram of A's prescaled copy (``model._prescaled``).  Either Gram's
-    entries are far from overflow.  Unlike ``_gram``, which the isometry
-    constant reads at A's own scale, nothing is refused."""
+    0 when A's largest column norm lies in ``model._prescaled``'s window,
+    else the Gram of A's prescaled copy.  Either Gram's entries are far
+    from overflow.  Unlike ``_gram``, which the isometry constant reads at
+    A's own scale, nothing is refused."""
     A, e = _prescaled(A, _largest_column_norm(A))
     return A.T @ A, e
 
@@ -599,45 +599,42 @@ def _width_norm(gram: np.ndarray, e: int, width: int) -> float:
     return _scaled_back(math.sqrt(max(top, 0.0)), e)
 
 
-def _width_norms(A: np.ndarray, order: int, subset_budget: int):
-    """A's largest width-w submatrix spectral norm for w = 1..order, one
-    width at a time, all from one ``_norm_gram``.  Each width's subset
-    budget is checked before that width is computed, as
-    ``submatrix_spectral_norm`` checks it."""
-    gram = None
-    for width in range(1, order + 1):
-        _check_enumeration(A.shape[1], width, subset_budget)
-        if gram is None:
-            gram, e = _norm_gram(A)
-        yield _width_norm(gram, e, width)
+def _width_norms(A: np.ndarray, order: int) -> tuple[float, ...]:
+    """A's largest width-w submatrix spectral norm for w = 1..order, all
+    from one ``_norm_gram``; ``_width_references`` checks the budget of
+    Phi's widths, which are also those of its perturbations."""
+    gram, e = _norm_gram(A)
+    return tuple(_width_norm(gram, e, width) for width in range(1, order + 1))
 
 
 def _width_references(Phi: np.ndarray, order: int, subset_budget: int) -> tuple[float, ...]:
     """The references of eps: Phi's largest width-w submatrix spectral
     norm for w = 1..order, from one Gram of Phi.  Width 1 reads the
     Gram's diagonal and width 2 starts from exact pair bounds.  An order
-    outside 1..n raises InvalidOrder before any width is computed: eps is
-    a maximum over at least one width, and over no more than n."""
+    outside 1..n raises InvalidOrder, and the subset budget is checked at
+    widths 1..order in turn, before any width is computed: eps is a
+    maximum over at least one width, and over no more than n.  The levels
+    of every perturbation of Phi rely on this budget check."""
     order = _order(order, Phi.shape[1])
-    widths = []
-    for width, den in enumerate(_width_norms(Phi, order, subset_budget), 1):
-        if den == 0.0:
-            raise ZeroReference(f"all width-{width} submatrices of the sensing matrix are zero")
-        widths.append(den)
-    return tuple(widths)
+    for width in range(1, order + 1):
+        _check_enumeration(Phi.shape[1], width, subset_budget)
+    if not Phi.any():   # then every width reads zero, the narrowest first
+        raise ZeroReference("all width-1 submatrices of the sensing matrix are zero")
+    return _width_norms(Phi, order)
 
 
-def _sensing_levels(E: np.ndarray, spectral_phi: float, widths: tuple[float, ...],
-                    subset_budget: int) -> tuple[float, float]:
+def _sensing_levels(E: np.ndarray, spectral_phi: float,
+                    widths: tuple[float, ...]) -> tuple[float, float]:
     """eps0 and eps of a sensing perturbation against the references of
     its clean matrix, E's width norms all from one Gram of E, as in
-    ``_width_references``.  An all-zero E ties every subset, which would
-    send each one to the eigensolver; its levels are zero without that."""
+    ``_width_references``, whose budget check covers E's widths.  An
+    all-zero E ties every subset, which would send each one to the
+    eigensolver; its levels are zero without that."""
     if not E.any():
         return 0.0, 0.0
     eps0 = _finite_level("eps0", lambda E: _spectral_norm(E) / spectral_phi, E)
     eps = _finite_level("eps", lambda E: max(
-        norm / den for den, norm in zip(widths, _width_norms(E, len(widths), subset_budget))), E)
+        norm / den for den, norm in zip(widths, _width_norms(E, len(widths)))), E)
     return eps0, eps
 
 

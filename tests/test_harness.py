@@ -22,12 +22,14 @@ from somplab import (
     matched_filter_oracle,
     read_matrix,
     render_report,
+    ric_exact,
     run_experiment,
     run_trial,
     selected_scores_vanish,
     somp_solve,
     trial_seeds,
 )
+from somplab.model import _norms
 
 from oracles import reference_omp_smv
 
@@ -234,6 +236,84 @@ def test_selected_scores_check_is_not_made_on_scores_that_read_zero():
     tables.append(np.ones(25))
     failed = dataclasses.replace(trace, score_tables=tuple(tables), selected=(4, 7, 4))
     assert selected_scores_vanish(failed) is False
+
+
+def _golden_frame_and_signal():
+    # the golden frame and a signal on rows 4 and 7
+    Phi = read_matrix(Path(__file__).resolve().parent / "golden" / "frame_20x25.txt")
+    X = np.zeros((25, 2))
+    X[[4, 7]] = [[1.0, 2.0], [-1.0, 0.5]]
+    return Phi, X
+
+
+def test_proximity_slack_scales_with_the_signal(monkeypatch):
+    # with the residual matrix doubled the filter sits far from the signal
+    # (dev 6.72 s against a bound of 2.19 s at every scale s), and an
+    # absolute slack of 1e-12 hid that once s was near 1e-13
+    import somplab.harness as harness_mod
+
+    Phi, X = _golden_frame_and_signal()
+    delta = ric_exact(Phi, 5)
+    scales = (1.0, 2.0 ** -40, 1e-13)
+    for s in scales:
+        assert matched_filter_oracle(Phi, (1, 2), X * s, delta=delta).passed, s
+    monkeypatch.setattr(harness_mod, "residual_sensing_matrix", lambda Phi, support: 2 * Phi)
+    for s in scales:
+        diag = matched_filter_oracle(Phi, (1, 2), X * s, delta=delta)
+        assert diag.max_deviation > 3 * diag.bound > 0.0, s
+        assert not diag.passed, s
+
+
+def test_filter_deviation_slack_scales_with_the_filters():
+    # a bound of half the largest deviation fails at every scale of the
+    # instance; an absolute slack of 1e-12 passed it once the filters were
+    # small, and a bound of the largest deviation itself passes throughout
+    Phi, X = _golden_frame_and_signal()
+    B = np.random.default_rng(3).standard_normal((20, 2))
+    for s in (1.0, 1e-6, 1e-13, 2.0 ** -60):
+        Y = Phi @ (X * s)
+        clean = somp_solve(Y, Phi, 2).trace
+        perturbed = somp_solve(Y + 1e-2 * s * B, Phi, 2).trace
+        top = max(filter_deviation_diagnostic(perturbed, clean, 0.0).deviations)
+        assert filter_deviation_diagnostic(perturbed, clean, top).passed, s
+        diag = filter_deviation_diagnostic(perturbed, clean, top / 2)
+        assert diag.diverged_at is None and not diag.passed, s
+    # with Phi near 2^511 the norms of the first filters exceed the largest
+    # double while every entry, score and deviation fits: the slack stays
+    # finite, so the check is still made
+    Phi = Phi * math.ldexp(1.25, 511)
+    Y = Phi @ X
+    clean = somp_solve(Y, Phi, 2).trace
+    perturbed = somp_solve(Y + 1e-2 * B * (float(_norms(Y)) / float(_norms(B))), Phi, 2).trace
+    assert float(_norms(clean.filter_matrices[0])) == math.inf
+    top = max(filter_deviation_diagnostic(perturbed, clean, 0.0).deviations)
+    assert math.isfinite(top)
+    assert not filter_deviation_diagnostic(perturbed, clean, top / 2).passed
+
+
+def test_sweep_checks_the_budget_once_per_clean_matrix(monkeypatch):
+    # the subset budget is checked where a clean matrix's work is done: at
+    # delta's order k + 1 and at the widths 1..k of eps's references.  A
+    # perturbation has its clean matrix's shape, so its levels add none
+    import somplab.rip as rip_mod
+
+    checked = []
+    real = rip_mod._check_enumeration
+
+    def check(n, order, subset_budget):
+        checked.append(order)
+        return real(n, order, subset_budget)
+
+    monkeypatch.setattr(rip_mod, "_check_enumeration", check)
+    cfg = InstanceConfig(m=16, n=24, L=2, k=2)
+    run_experiment(cfg, [0.0, 1e-4, 1e-3], [1e-3], trials=2, master_seed=5)
+    assert checked == [3, 1, 2] * 2   # per trial: delta, then widths 1 and 2
+
+    checked.clear()
+    Phi, _ = _golden_frame_and_signal()
+    cfg = InstanceConfig(m=20, n=25, L=2, k=2, matrix_ensemble="user-supplied", matrix=Phi)
+    run_experiment(cfg, [1e-4, 1e-3], [1e-3], trials=3, master_seed=5)
+    assert checked == [3, 1, 2]   # once for the sweep's one matrix
 
 
 def test_run_experiment_render_is_reproducible():
@@ -490,10 +570,10 @@ def _count_sweep_work(monkeypatch, clean_matrices):
     real_draw = harness_mod.gen_sensing_matrix
     real_norm = rip_mod._frobenius_reference
 
-    def widths(A, order, subset_budget):
+    def widths(A, order):
         side = "phi" if any(np.array_equal(A, P) for P in clean_matrices) else "E"
         levels.append((side, order))
-        return real_levels(A, order, subset_budget)
+        return real_levels(A, order)
 
     def draw(cfg):
         drawn.append(real_draw(cfg))
@@ -635,9 +715,9 @@ def test_sweep_forms_each_perturbation_once_per_level(monkeypatch):
         formed.append("epsb")
         return real_epsb(B, frob_y)
 
-    def eps0(E, spectral_phi, widths, subset_budget):
+    def eps0(E, spectral_phi, widths):
         formed.append("eps0")
-        return real_eps0(E, spectral_phi, widths, subset_budget)
+        return real_eps0(E, spectral_phi, widths)
 
     monkeypatch.setattr(perturb_mod, "_scaled", scaled)
     monkeypatch.setattr(perturb_mod, "_measurement_level", epsb)

@@ -174,7 +174,7 @@ def test_width_loop_matches_per_width_kernel(name):
     # one Gram for every width gives the floats of one kernel call per width
     A = _width_cases()[name]
     order = min(A.shape[1], 5)
-    norms = list(rip._width_norms(A, order, rip.DEFAULT_SUBSET_BUDGET))
+    norms = list(rip._width_norms(A, order))
     assert len(norms) == order
     for width, norm in enumerate(norms, 1):
         top, _ = rip._gram_extremes(rip._gram(A), width, deviation=False)
@@ -187,7 +187,7 @@ def test_width_loop_matches_per_width_kernel(name):
 def test_width_loop_matches_the_full_table_at_32x40():
     A = _desk_gaussian()
     gram = A.T @ A
-    norms = list(rip._width_norms(A, 4, rip.DEFAULT_SUBSET_BUDGET))
+    norms = list(rip._width_norms(A, 4))
     for width, norm in enumerate(norms, 1):
         top, _ = rip._gram_extremes(rip._gram(A), width, deviation=False)
         # every row of the table bounded, no listing
@@ -268,7 +268,7 @@ def test_overflowing_pair_bounds_stay_in_the_search(probe, monkeypatch):
             # copy, where no bound overflows
             e = int(np.frexp(np.abs(A).max())[1])
             _, _, scaled_top = _batched_reference(np.ldexp(A, -e), 2)
-            norms = list(rip._width_norms(A, 2, rip.DEFAULT_SUBSET_BUDGET))
+            norms = list(rip._width_norms(A, 2))
             assert norms[1] == math.ldexp(math.sqrt(scaled_top.max()), e)
             assert norms[1] == pytest.approx(math.sqrt(top.max()), rel=1e-15)
 
@@ -602,8 +602,8 @@ def test_overflowing_gram_is_rejected():
     # the level widths, all from one Gram
     assert rip._width_references(A, 2, budget) == tuple(
         math.ldexp(w, 665) for w in rip._width_references(U, 2, budget))
-    assert rip._sensing_levels(A, 1.0, (1.0, 1.0), budget) == tuple(
-        math.ldexp(level, 665) for level in rip._sensing_levels(U, 1.0, (1.0, 1.0), budget))
+    assert rip._sensing_levels(A, 1.0, (1.0, 1.0)) == tuple(
+        math.ldexp(level, 665) for level in rip._sensing_levels(U, 1.0, (1.0, 1.0)))
 
 
 def test_submatrix_spectral_norm_small_case():
@@ -720,16 +720,16 @@ def test_zero_sensing_perturbation_skips_the_width_kernels(monkeypatch):
     calls = []
     real = rip._width_norms
 
-    def counting(A, order, subset_budget):
+    def counting(A, order):
         calls.append(order)
-        return real(A, order, subset_budget)
+        return real(A, order)
 
     monkeypatch.setattr(rip, "_width_norms", counting)
-    levels = rip._sensing_levels(np.zeros_like(Phi), 1.0, widths, 10**6)
+    levels = rip._sensing_levels(np.zeros_like(Phi), 1.0, widths)
     assert levels == (0.0, 0.0) and calls == []
     E = np.zeros_like(Phi)
     E[3, 4] = 1e-3
-    eps0, eps = rip._sensing_levels(E, 1.0, widths, 10**6)
+    eps0, eps = rip._sensing_levels(E, 1.0, widths)
     assert calls == [3]
     assert eps0 == pytest.approx(1e-3, rel=1e-12) and eps > 0.0
 
