@@ -40,9 +40,11 @@ Determinism: the seeds of trial t derive from SeedSequence([master_seed,
 t]) (two 64-bit words: instance seed, perturbation seed).  Sweep points
 share trial seeds on purpose, so levels are compared on identical
 instances and noise directions; points at one eps0 level share E bit for
-bit.  Records are reported point by point whatever order they were
-computed in, and reports render to text without wall times, which keeps
-a rerun byte-identical.
+bit.  The schedule alone fixes the order of a sweep's points
+(eps0-major: every epsb level of the first eps0 level, then the next).
+Records are reported point by point in that order, whatever order they
+were computed in, and reports render to text without wall times, which
+keeps a rerun byte-identical.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .model import (
     _level,
     _norms,
     _order,
+    _prescaled,
     as_matrix,
     as_support,
     min_support_row_norm,
@@ -196,7 +199,10 @@ def matched_filter_oracle(Phi, support, x_star,
     with ``delta`` the exact isometry constant at order
     ``||x_star||_0 + |support| + 1`` (computed here, within the default
     subset budget, unless a matching estimate is passed in).  Requires
-    delta < 1; the bound is meaningless otherwise.
+    delta < 1; the bound is meaningless otherwise.  H, the deviation and
+    the bound are formed on x_star's prescaled copy (``model._prescaled``)
+    and compared there, so the check is made at any signal scale; the two
+    numbers are then scaled back, and read inf past the largest double.
     """
     Phi = as_matrix(Phi, "sensing matrix")
     support = as_support(support, Phi.shape[1])
@@ -212,13 +218,19 @@ def matched_filter_oracle(Phi, support, x_star,
     d = delta.delta
     if d >= 1.0:
         raise PreconditionViolated(f"isometry constant {d} >= 1: proximity bound undefined")
+    x_norm = float(_norms(x_star))
+    x_star, e = _prescaled(x_star, x_norm)   # x_star 2^-e, so that H fits
+    if e:
+        x_norm = float(_norms(x_star))
     A = residual_sensing_matrix(Phi, support)
     H = A.T @ (A @ x_star)
     others = [j for j in range(Phi.shape[1]) if j not in support]
     dev = float(np.max(_norms(H[others] - x_star[others], axis=1)))
-    x_norm = float(_norms(x_star))
     bound = d / (1.0 - d) * x_norm
     passed = dev <= bound + _SLACK * x_norm   # dev and bound both scale with x_star
+    if e:   # back at x_star's scale, inf past the largest double
+        with np.errstate(over="ignore", under="ignore"):
+            dev, bound = (float(np.ldexp(v, e)) for v in (dev, bound))
     return FilterProximityDiagnostic(max_deviation=dev, bound=bound, delta=d,
                                      order=order, passed=passed)
 
@@ -230,15 +242,17 @@ def filter_deviation_diagnostic(trace_perturbed: IterationTrace, trace_clean: It
 
     Both traces must come from the same instance; structurally
     incompatible traces (different filter shapes) raise TraceMismatch.
+    A solver trace forms its filters on access, so each one compared is
+    formed once, the first pair before the shape check.
     Divergence of the selection sequences is an observation, not an
     error: comparison simply stops after the first diverging iteration.
     """
-    if not trace_perturbed.filter_matrices or not trace_clean.filter_matrices:
+    perturbed, clean = trace_perturbed.filter_matrices, trace_clean.filter_matrices
+    if not perturbed or not clean:
         raise TraceMismatch("need at least one executed iteration in both traces")
-    if trace_perturbed.filter_matrices[0].shape != trace_clean.filter_matrices[0].shape:
-        raise TraceMismatch(
-            f"filter shapes differ: {trace_perturbed.filter_matrices[0].shape} "
-            f"vs {trace_clean.filter_matrices[0].shape}")
+    first = perturbed[0], clean[0]
+    if first[0].shape != first[1].shape:
+        raise TraceMismatch(f"filter shapes differ: {first[0].shape} vs {first[1].shape}")
     diverged_at = None
     last = min(len(trace_perturbed.selected), len(trace_clean.selected))
     for i in range(last):
@@ -246,12 +260,11 @@ def filter_deviation_diagnostic(trace_perturbed: IterationTrace, trace_clean: It
             diverged_at = i
             break
     compare_until = last if diverged_at is None else diverged_at + 1
-    filters = [(trace_perturbed.filter_matrices[i], trace_clean.filter_matrices[i])
-               for i in range(compare_until)]
+    filters = [first, *((perturbed[i], clean[i]) for i in range(1, compare_until))]
     deviations = tuple(float(_norms(p - c)) for p, c in filters)
     # the slack scales with the first filters, as the deviations do; a
     # filter whose norm exceeds the largest double must not make it inf
-    top = max(float(_norms(filters[0][0])), float(_norms(filters[0][1])))
+    top = max(float(_norms(first[0])), float(_norms(first[1])))
     slack = _SLACK * min(top, np.finfo(float).max)
     passed = all(d <= bound + slack for d in deviations)
     return FilterDeviationDiagnostic(deviations=deviations, bound=bound,
@@ -280,9 +293,11 @@ def _matrix_stage(cfg: InstanceConfig, checks: TrialChecks, subset_budget: int) 
 def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_levels,
            epsb_levels, checks: TrialChecks, mode: str):
     """Run one trial on ``matrix`` and yield its records, one per (eps0,
-    epsb) pair, eps0-major.  The signal comes from ``cfg``, and E and B
-    from ``noise``'s seed and b_mode; each piece of work runs once per
-    change of its inputs (see the module docstring)."""
+    epsb) pair, in the order of the schedule ``_perturbations`` it
+    iterates, which alone fixes the point order (eps0-major).  The signal
+    comes from ``cfg``, and E, B and each record's targets from the
+    schedule, drawn from ``noise``'s seed and b_mode; each piece of work
+    runs once per change of its inputs (see the module docstring)."""
     Phi, delta = matrix.Phi, matrix.delta
     X = gen_sparse_signal(cfg)
     Y = Phi @ X
@@ -305,9 +320,8 @@ def _trial(cfg: InstanceConfig, matrix: _Matrix, noise: PerturbationSpec, eps0_l
             proximity_ok = proximity_ok and diag.passed
 
     spectral_phi = matrix.refs[0]
-    grid = ((e0, eb) for e0 in eps0_levels for eb in epsb_levels)
-    perturbations = _perturbations(noise, Phi, Y, matrix.refs, frob_y, eps0_levels, epsb_levels)
-    for (target_eps0, target_epsb), (_, B, Phi_obs, levels) in zip(grid, perturbations):
+    for target_eps0, target_epsb, _, B, Phi_obs, levels in _perturbations(
+            noise, Phi, Y, matrix.refs, frob_y, eps0_levels, epsb_levels):
         report = None
         if checks.guarantee:
             report = _evaluate_guarantee(spectral_phi, frob_y, t0, cfg.k, levels, delta, mode)
@@ -450,8 +464,11 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     whose seeds depend only on (master_seed, trial index), so points see
     identical instances and noise directions at different scales.  The
     sweep runs the trial body of ``run_trial`` trial by trial, over every
-    point at once (see the module docstring); records come out point by
-    point.
+    point at once (see the module docstring).  Each record joins the
+    point whose index its trial yields it at, so the points, and the
+    records point by point, come out in the order of the perturbation
+    schedule (``perturb._perturbations``, eps0-major), and each point's
+    targets are read from its records.
     Every argument is checked before the first trial: an unknown ``mode``
     raises ValueError, and any other argument of the wrong kind (see
     ``experiment --config``) raises InvalidConfig naming it.
@@ -462,8 +479,7 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
     trials, subset_budget = _COUNT(trials, "trials"), _COUNT(subset_budget, "subset_budget")
     master_seed = _SEED(master_seed, "master_seed")
     b_mode = _B_MODE(b_mode, "b_mode")
-    grid = [(e0, eb) for e0 in eps0_levels for eb in epsb_levels]
-    all_records: list[TrialRecord] = [None] * (len(grid) * trials)   # point-major
+    by_point: dict[int, list[TrialRecord]] = {}   # trial 0 enters the points in order
     # Trial by trial, so only one trial's clean side is alive at a time.
     shared = None   # a user-supplied matrix's own work, done once
     for t in range(trials):
@@ -475,12 +491,13 @@ def run_experiment(cfg: InstanceConfig, eps0_levels, epsb_levels, trials: int,
         noise = PerturbationSpec(seed=pseed, b_mode=b_mode)
         for point, rec in enumerate(_trial(tcfg, matrix, noise, eps0_levels, epsb_levels,
                                            checks, mode)):
-            all_records[point * trials + t] = rec
+            by_point.setdefault(point, []).append(rec)
+    all_records = [rec for recs in by_point.values() for rec in recs]   # point-major
     return ExperimentReport(
         cfg=cfg, mode=mode, b_mode=b_mode, trials_per_point=trials,
         master_seed=master_seed, checks=checks,
-        points=tuple(_summarize(e0, eb, all_records[p * trials:(p + 1) * trials])
-                     for p, (e0, eb) in enumerate(grid)),
+        points=tuple(_summarize(recs[0].eps0_target, recs[0].epsb_target, recs)
+                     for recs in by_point.values()),
         records=tuple(all_records),
         overall=_summarize(None, None, all_records),
         red_alert=any(broken_promise(r) for r in all_records),

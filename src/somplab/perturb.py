@@ -192,8 +192,8 @@ def calibrate_perturbation(Phi, Y, spec: PerturbationSpec, order: int = 1,
     Y = as_matrix(Y, "measurements")
     _rows_conform(Y, Phi)
     refs = (_spectral_reference(Phi), _width_references(Phi, order, subset_budget))
-    E, B, _, levels = next(_perturbations(spec, Phi, Y, refs, _frobenius_reference(Y),
-                                          [spec.target_eps0], [spec.target_epsb]))
+    _, _, E, B, _, levels = next(_perturbations(spec, Phi, Y, refs, _frobenius_reference(Y),
+                                                [spec.target_eps0], [spec.target_epsb]))
     return E, B, levels
 
 
@@ -201,7 +201,10 @@ def _perturbations(noise: PerturbationSpec, Phi: np.ndarray, Y: np.ndarray,
                    refs: tuple[float, tuple[float, ...]], frob_y: float, eps0_levels,
                    epsb_levels):
     """The perturbations of a sweep's trial: for each (eps0, epsb) pair of
-    target levels, eps0-major, yield E, B, Phi + E and the measured levels.
+    target levels, eps0-major, yield the two targets, E, B, Phi + E and
+    the measured levels.  These loops are the one place that fixes a
+    sweep's point order: every epsb level of the first eps0 level, then
+    the next; a trial's records and a report's rows follow it.
     ``refs`` are ||Phi||_2 and Phi's width references 1..order
     (``_width_references``, whose budget check covers E's widths, as E
     has Phi's shape), and ``frob_y`` is ||Y||_F.  The direction of each
@@ -217,8 +220,9 @@ def _perturbations(noise: PerturbationSpec, Phi: np.ndarray, Y: np.ndarray,
         E = _scaled(e_noise, target_eps0, spectral_phi, Phi)
         eps0, eps = _sensing_levels(E, spectral_phi, widths)
         Phi_obs = Phi + E
-        for B, epsb in measured:
-            yield E, B, Phi_obs, PerturbationLevels(eps0, eps, epsb, order=len(widths))
+        for target_epsb, (B, epsb) in zip(epsb_levels, measured):
+            yield (target_eps0, target_epsb, E, B, Phi_obs,
+                   PerturbationLevels(eps0, eps, epsb, order=len(widths)))
 
 
 # The directions of the generated noises and their scaling to a level,

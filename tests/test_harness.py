@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import sys
+import warnings
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +291,155 @@ def test_filter_deviation_slack_scales_with_the_filters():
     top = max(filter_deviation_diagnostic(perturbed, clean, 0.0).deviations)
     assert math.isfinite(top)
     assert not filter_deviation_diagnostic(perturbed, clean, top / 2).passed
+
+
+def test_proximity_check_is_made_at_any_signal_scale(monkeypatch):
+    # H = A^T A x_star formed at x_star's own scale overflowed near 1e308:
+    # numpy warned at 6e307, and at 8e307 dev and bound both read inf and
+    # the doubled residual matrix passed.  On x_star's prescaled copy the
+    # check is made, and fails, at every scale, with no warning
+    import somplab.harness as harness_mod
+
+    Phi, X = _golden_frame_and_signal()
+    delta = ric_exact(Phi, 5)
+    scales = (1.0, 6e307, 8e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in scales:
+            assert matched_filter_oracle(Phi, (1, 2), X * s, delta=delta).passed, s
+        monkeypatch.setattr(harness_mod, "residual_sensing_matrix",
+                            lambda Phi, support: 2 * Phi)
+        for s in scales:
+            diag = matched_filter_oracle(Phi, (1, 2), X * s, delta=delta)
+            assert not diag.passed, s
+            assert diag.max_deviation > diag.bound, s
+
+
+def test_filter_deviation_forms_each_filter_once():
+    # a solver trace forms a filter on each access: the first pair, which
+    # the shape check reads, is formed once, also on the mismatch path
+    formed = []
+
+    class Counted(Sequence):
+        def __init__(self, name, filters):
+            self.name, self.filters = name, filters
+
+        def __len__(self):
+            return len(self.filters)
+
+        def __getitem__(self, i):
+            formed.append((self.name, i))
+            return self.filters[i]
+
+    def counted(name, trace):
+        return dataclasses.replace(trace, filter_matrices=Counted(name, trace.filter_matrices))
+
+    Phi, X = _golden_frame_and_signal()
+    Y = Phi @ X
+    clean = somp_solve(Y, Phi, 2).trace
+    perturbed = somp_solve(Y + 1e-2 * np.random.default_rng(3).standard_normal(Y.shape),
+                           Phi, 2).trace
+    want = filter_deviation_diagnostic(perturbed, clean, 1.0)
+    got = filter_deviation_diagnostic(counted("p", perturbed), counted("c", clean), 1.0)
+    assert got == want and got.diverged_at is None
+    assert sorted(formed) == [("c", 0), ("c", 1), ("p", 0), ("p", 1)]
+    formed.clear()
+    wrong = somp_solve(np.ones((20, 3)), Phi, 2).trace
+    with pytest.raises(TraceMismatch, match=r"filter shapes differ: \(25, 3\) vs \(25, 2\)"):
+        filter_deviation_diagnostic(counted("p", wrong), counted("c", clean), 1.0)
+    assert sorted(formed) == [("c", 0), ("p", 0)]
+
+
+# The mutation referee: each fault planted in a trial of the golden frame
+# must flip the check column it names, and that column alone, whatever
+# the signal's scale.  Each plant takes the trial's record without it.
+
+def _plant_wrong_pick(monkeypatch, harness_mod, record):
+    real = harness_mod.somp_solve
+
+    def solve(Y, Phi, k):
+        result = real(Y, Phi, k)
+        wrong = next(j for j in range(Phi.shape[1]) if j not in result.support)
+        return dataclasses.replace(result, support=tuple(sorted(result.support[1:] + (wrong,))))
+
+    monkeypatch.setattr(harness_mod, "somp_solve", solve)
+
+
+def _plant_doubled_residual(monkeypatch, harness_mod, record):
+    monkeypatch.setattr(harness_mod, "residual_sensing_matrix", lambda Phi, support: 2 * Phi)
+
+
+def _plant_moved_filter(monkeypatch, harness_mod, record):
+    # the first perturbed filter moved by twice the bound, away from the clean one
+    real = harness_mod.filter_deviation_diagnostic
+
+    def diagnose(perturbed, clean, bound):
+        F, C = perturbed.filter_matrices[0], clean.filter_matrices[0]
+        moved = (F + 2 * bound * (F - C) / _norms(F - C), *perturbed.filter_matrices[1:])
+        return real(dataclasses.replace(perturbed, filter_matrices=moved), clean, bound)
+
+    monkeypatch.setattr(harness_mod, "filter_deviation_diagnostic", diagnose)
+
+
+def _plant_unzeroed_score(monkeypatch, harness_mod, record):
+    # the first pick scores the largest entry of the second table
+    real = harness_mod.somp_solve
+
+    def solve(Y, Phi, k):
+        result = real(Y, Phi, k)
+        tables = [t.copy() for t in result.trace.score_tables]
+        tables[1][result.trace.selected[0]] = tables[1].max()
+        trace = dataclasses.replace(result.trace, score_tables=tuple(tables))
+        return dataclasses.replace(result, trace=trace)
+
+    monkeypatch.setattr(harness_mod, "somp_solve", solve)
+
+
+def _plant_tenth_bound(monkeypatch, harness_mod, record):
+    real = harness_mod._evaluate_guarantee
+    monkeypatch.setattr(harness_mod, "_evaluate_guarantee", lambda *args: dataclasses.replace(
+        real(*args), error_bound=record.rel_error / 10))
+
+
+_REFEREE_COLUMNS = ("support_exact", "bound_ok", "selected_scores_ok", "filter_proximity_ok",
+                    "filter_deviation_ok")
+
+
+@pytest.mark.parametrize("a", [0, -40, 40])
+@pytest.mark.parametrize("fault, column", [
+    (None, None),
+    (_plant_wrong_pick, "support_exact"),
+    (_plant_doubled_residual, "filter_proximity_ok"),
+    (_plant_moved_filter, "filter_deviation_ok"),
+    (_plant_unzeroed_score, "selected_scores_ok"),
+    (_plant_tenth_bound, "bound_ok"),
+], ids=["no-fault", "wrong-pick", "doubled-residual", "moved-filter", "unzeroed-score",
+        "tenth-bound"])
+def test_each_planted_fault_flips_its_check_column(monkeypatch, fault, column, a):
+    import somplab.harness as harness_mod
+
+    Phi, _ = _golden_frame_and_signal()
+    real_signal = harness_mod.gen_sparse_signal
+    monkeypatch.setattr(harness_mod, "gen_sparse_signal", lambda cfg: np.ldexp(real_signal(cfg), a))
+    cfg = InstanceConfig(m=20, n=25, L=3, k=2, signal_row_norm_min=1.0,
+                         matrix_ensemble="user-supplied", matrix=Phi)
+    checks = TrialChecks(filter_proximity=True, filter_deviation=True)
+
+    def trial():
+        report = run_experiment(cfg, [1e-3], [1e-3], trials=1, master_seed=0, checks=checks)
+        return report.records[0], report.red_alert
+
+    record, red_alert = trial()
+    assert record.guarantee == "pass" and not red_alert
+    assert all(getattr(record, name) is True for name in _REFEREE_COLUMNS)
+    if fault is None:
+        return
+    fault(monkeypatch, harness_mod, record)
+    faulty, red_alert = trial()
+    flipped = [name for name in _REFEREE_COLUMNS if getattr(faulty, name) is not True]
+    assert flipped == [column] and getattr(faulty, column) is False
+    assert faulty.guarantee == "pass"
+    assert red_alert == (column in ("support_exact", "bound_ok"))   # a broken promise
 
 
 def test_sweep_checks_the_budget_once_per_clean_matrix(monkeypatch):
